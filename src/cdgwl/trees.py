@@ -9,6 +9,15 @@ signatures instead: a bottom-up refinement assigns compact ids per depth
 via the shared color dictionary, mirroring how color refinement compacts
 hashes.  Explicit materialization stays available as a cross-check oracle
 for small depths.
+
+Signatures and colors come from one kernel (``wl._refine``).  Depth d+1
+refines depth d, so once one level leaves the partition unchanged every
+deeper level does too (usually within a few levels, far short of the
+decisive depth ``2n - 1``).  From then on the kernel keys each class once,
+on its smallest member, taking classes in sorted order.  A full recompute
+visits nodes in sorted order and the other members share that key, so it
+would only hit the dictionary for them: the same keys are minted in the
+same order and every id is unchanged.
 """
 
 from __future__ import annotations
@@ -22,12 +31,11 @@ from .components import is_disconnected
 from .errors import DepthMismatchError, InvalidBoundError, LengthMismatchError
 from .wl import (
     ColorDictionary,
+    _refine,
     awl_stable,
     check_comparable,
     cwl,
     merged_snapshot,
-    partition_of,
-    refine_at_depth,
 )
 
 EMPTY_SIGNATURE = 0
@@ -103,27 +111,7 @@ def tree_sig_levels(snapshot, universe_, dictionary, max_depth, adj=None):
     of (edge attribute, neighbor level d-1) pairs; dead nodes carry the
     reserved empty signature 0 at every level.
     """
-    if adj is None:
-        adj = adjacency(snapshot)
-    levels = []
-    sigs = {}
-    for v in sorted(universe_):
-        if v in snapshot.nodes:
-            sigs[v] = dictionary.id_of(("t0", attr_bytes(snapshot.nodes[v])))
-        else:
-            sigs[v] = EMPTY_SIGNATURE
-    levels.append(sigs)
-    for _ in range(max_depth):
-        prev = levels[-1]
-        nxt = {}
-        for v in sorted(universe_):
-            if v not in snapshot.nodes:
-                nxt[v] = EMPTY_SIGNATURE
-                continue
-            ms = tuple(sorted((attr_bytes(w), prev[u]) for u, w in adj[v]))
-            nxt[v] = dictionary.id_of(("t", attr_bytes(snapshot.nodes[v]), ms))
-        levels.append(nxt)
-    return levels
+    return _refine(snapshot, universe_, dictionary, max_depth, tree=True, adj=adj)
 
 
 def tree_sigs_at_depth(snapshot, universe_, dictionary, depth):
@@ -132,26 +120,8 @@ def tree_sigs_at_depth(snapshot, universe_, dictionary, depth):
 
 def tree_sigs_stable(snapshot, universe_, dictionary):
     """Deepen until the signature partition stops changing."""
-    adj = adjacency(snapshot)
-    levels = tree_sig_levels(snapshot, universe_, dictionary, 0, adj)
-    sigs = levels[0]
-    part = partition_of(sigs)
-    depth = 0
-    for _ in range(len(universe_)):
-        nxt = {}
-        for v in sorted(universe_):
-            if v not in snapshot.nodes:
-                nxt[v] = EMPTY_SIGNATURE
-                continue
-            ms = tuple(sorted((attr_bytes(w), sigs[u]) for u, w in adj[v]))
-            nxt[v] = dictionary.id_of(("t", attr_bytes(snapshot.nodes[v]), ms))
-        depth += 1
-        new_part = partition_of(nxt)
-        sigs = nxt
-        if new_part == part:
-            break
-        part = new_part
-    return sigs, depth
+    levels = _refine(snapshot, universe_, dictionary, len(universe_), tree=True, until_stable=True)
+    return levels[-1], len(levels) - 1
 
 
 def depth_bound(n, both_disconnected=False):

@@ -46,15 +46,68 @@ class ColorDictionary:
         return len(self._ids)
 
 
+def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=False,
+            adj=None, first=None):
+    """Levels 0..``rounds`` of attributed refinement, for colors and trees.
+
+    Level 0 keys a live node on its attribute; level d+1 on a self part plus
+    the sorted multiset of (edge attribute, neighbor level-d id) pairs.  The
+    self part is the level-d color for refinement (tags ``c0``/``c``) and the
+    node's attribute for trees (``t0``/``t``); dead nodes carry 0.  ``first``
+    replaces level 0; ``until_stable`` stops at the first level that leaves
+    the partition unchanged.  Attributes are encoded once per call, and once
+    the partition is stable each class is keyed once (see ``trees``).
+    """
+    order = sorted(universe_)
+    nodes = snapshot.nodes
+    own = [attr_bytes(nodes[v]) if v in nodes else None for v in order]
+    id_of = dictionary.id_of
+    tag = "t" if tree else "c"
+    if first is None:
+        first = {v: id_of((tag + "0", b)) if b is not None else BOTTOM for v, b in zip(order, own)}
+    ids = [first[v] for v in order]
+    levels = [dict(zip(order, ids))]
+    if rounds < 1:
+        return levels
+    adj = adjacency(snapshot) if adj is None else adj
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [[(attr_bytes(w), pos[u]) for u, w in adj[v]] if v in nodes else None for v in order]
+
+    def step(prev, nbrs, own):
+        return [
+            id_of((tag, own[i] if tree else prev[i], tuple(sorted([(w, prev[j]) for w, j in nb]))))
+            if nb is not None
+            else BOTTOM
+            for i, nb in enumerate(nbrs)
+        ]
+
+    while len(levels) <= rounds:
+        prev, ids = ids, step(ids, nbrs, own)
+        levels.append(dict(zip(order, ids)))
+        if len(set(ids)) == len(set(prev)):
+            break
+    if until_stable or len(levels) > rounds:
+        return levels
+    # Stable: step the classes instead, each keyed by its smallest member.
+    smallest = {}
+    for i, c in enumerate(ids):
+        smallest.setdefault(c, i)
+    slot = {c: k for k, c in enumerate(smallest)}
+    slot_of = [slot[c] for c in ids]
+    members = list(smallest.values())
+    class_nbrs = [
+        None if nbrs[i] is None else [(w, slot_of[j]) for w, j in nbrs[i]] for i in members
+    ]
+    class_own, class_ids = [own[i] for i in members], list(smallest)
+    while len(levels) <= rounds:
+        class_ids = step(class_ids, class_nbrs, class_own)
+        levels.append(dict(zip(order, map(class_ids.__getitem__, slot_of))))
+    return levels
+
+
 def awl_init(snapshot, universe_, dictionary):
     """Iteration-0 colors: attribute color for live nodes, 0 otherwise."""
-    colors = {}
-    for v in sorted(universe_):
-        if v in snapshot.nodes:
-            colors[v] = dictionary.id_of(("c0", attr_bytes(snapshot.nodes[v])))
-        else:
-            colors[v] = BOTTOM
-    return colors
+    return _refine(snapshot, universe_, dictionary, 0)[0]
 
 
 def awl_step(snapshot, prev, dictionary, adj=None):
@@ -64,16 +117,7 @@ def awl_step(snapshot, prev, dictionary, adj=None):
     (edge attribute, neighbor color) pairs, sorted canonically.  Nodes that
     are not alive keep color 0.
     """
-    if adj is None:
-        adj = adjacency(snapshot)
-    colors = {}
-    for v in sorted(prev):
-        if v not in snapshot.nodes:
-            colors[v] = BOTTOM
-            continue
-        ms = tuple(sorted((attr_bytes(w), prev[u]) for u, w in adj[v]))
-        colors[v] = dictionary.id_of(("c", prev[v], ms))
-    return colors
+    return _refine(snapshot, prev, dictionary, 1, adj=adj, first=prev)[1]
 
 
 def partition_of(coloring):
@@ -90,19 +134,8 @@ def awl_stable(snapshot, universe_, dictionary):
     Returns the final coloring and the number of rounds executed; the
     partition provably stabilizes within ``len(universe_)`` rounds.
     """
-    adj = adjacency(snapshot)
-    colors = awl_init(snapshot, universe_, dictionary)
-    part = partition_of(colors)
-    iterations = 0
-    for _ in range(len(universe_)):
-        new = awl_step(snapshot, colors, dictionary, adj)
-        iterations += 1
-        new_part = partition_of(new)
-        colors = new
-        if new_part == part:
-            break
-        part = new_part
-    return colors, iterations
+    levels = _refine(snapshot, universe_, dictionary, len(universe_), until_stable=True)
+    return levels[-1], len(levels) - 1
 
 
 def merged_snapshot(snaps, universes):
@@ -129,11 +162,7 @@ def check_comparable(cdgs):
 
 def refine_at_depth(snapshot, universe_, dictionary, depth):
     """Colors after exactly ``depth`` rounds (depth 0 = initial colors)."""
-    adj = adjacency(snapshot)
-    colors = awl_init(snapshot, universe_, dictionary)
-    for _ in range(depth):
-        colors = awl_step(snapshot, colors, dictionary, adj)
-    return colors
+    return _refine(snapshot, universe_, dictionary, depth)[-1]
 
 
 def cwl(cdgs, depth=None, dictionary=None):
