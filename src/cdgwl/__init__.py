@@ -74,10 +74,12 @@ from .errors import (
     DepthMismatchError,
     DimensionMismatchError,
     EdgeEndpointMissingError,
+    EmptyInputError,
     GenerationExhaustedError,
     InvalidBoundError,
     InvalidCdgError,
     LengthMismatchError,
+    MalformedStreamError,
     TargetNotCutRespectingError,
     TimestampMismatchError,
     TooLargeError,

@@ -13,6 +13,23 @@ class InvalidCdgError(CdgError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
+class MalformedStreamError(CdgError, ValueError):
+    """JSON-lines input breaks the wire format; names the line and the field.
+
+    Also a ``ValueError``, as the parser's errors were before it was typed.
+    """
+
+    def __init__(self, line, field, problem):
+        self.line = line
+        self.field = field
+        where = f"line {line}" if field is None else f"line {line}, field {field!r}"
+        super().__init__(f"{where}: {problem}")
+
+
+class EmptyInputError(CdgError):
+    """An operation that needs at least one graph was given none."""
+
+
 class AddExistingError(CdgError):
     """Add event targets a node or edge that is already present."""
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 
-from .cdg import Cdg, Event, StartGraph, EDGE, NODE
+from .cdg import EDGE, EVENT_KINDS, ITEM_KINDS, NODE, Cdg, Event, StartGraph
+from .errors import MalformedStreamError
 
 
 def cdg_to_jsonl(cdg) -> str:
@@ -41,41 +42,95 @@ def cdg_to_jsonl(cdg) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NUMBER = ("a number", (int, float))
+_ID = ("a string or an integer", (str, int))
+_LIST = ("a list", list)
+_OBJECT = ("an object", dict)
+
+
+def _typed(line, field, value, expected):
+    name, types = expected
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise MalformedStreamError(line, field, f"expected {name}, got {json.dumps(value)}")
+    return value
+
+
+def _field(obj, line, field, expected, choices=None):
+    if field not in obj:
+        raise MalformedStreamError(line, field, "missing")
+    value = _typed(line, field, obj[field], expected)
+    if choices is not None and value not in choices:
+        raise MalformedStreamError(line, field, f"expected one of {choices}, got {value!r}")
+    return value
+
+
+def _attr(obj, line):
+    return tuple(_typed(line, "attr", x, _NUMBER) for x in _field(obj, line, "attr", _LIST))
+
+
 def cdg_from_jsonl(text, max_nodes=None) -> Cdg:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the wire format; ``MalformedStreamError`` names the bad line and field.
+
+    Node ids are strings or integers, and one stream uses only one of the two.
+    """
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
-        raise ValueError("empty stream")
-    head = json.loads(lines[0])
+        raise MalformedStreamError(1, None, "empty stream")
+    id_types = []
+
+    def node_id(line, field, value):
+        _typed(line, field, value, _ID)
+        if type(value) not in id_types:
+            id_types.append(type(value))
+        if len(id_types) > 1:
+            raise MalformedStreamError(line, field, "node ids mix strings and integers")
+        return value
+
+    objs = []
+    for n, ln in lines:
+        try:
+            obj = json.loads(ln)
+        except json.JSONDecodeError as exc:
+            raise MalformedStreamError(n, None, f"invalid JSON ({exc.msg})") from None
+        objs.append((n, _typed(n, None, obj, ("a JSON object", dict))))
+    n, head = objs[0]
     if head.get("type") != "start":
-        raise ValueError("first line must have type 'start'")
-    nodes = {n["id"]: tuple(n["attr"]) for n in head.get("nodes", [])}
-    edges = {(e["u"], e["v"]): tuple(e["attr"]) for e in head.get("edges", [])}
+        raise MalformedStreamError(n, "type", "the first line must have type 'start'")
+    dim = _field(head, n, "d", ("a positive integer", int))
+    if dim < 1:
+        raise MalformedStreamError(n, "d", f"expected a positive integer, got {dim}")
+    nodes, edges = {}, {}
+    for node in _typed(n, "nodes", head.get("nodes", []), _LIST):
+        _typed(n, "nodes", node, _OBJECT)
+        nodes[node_id(n, "id", _field(node, n, "id", _ID))] = _attr(node, n)
+    for edge in _typed(n, "edges", head.get("edges", []), _LIST):
+        _typed(n, "edges", edge, _OBJECT)
+        ends = tuple(node_id(n, f, _field(edge, n, f, _ID)) for f in ("u", "v"))
+        edges[ends] = _attr(edge, n)
+    try:
+        start = StartGraph(nodes, edges)
+    except ValueError as exc:
+        raise MalformedStreamError(n, None, str(exc)) from None
     events = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
+    for n, obj in objs[1:]:
         if obj.get("type") != "event":
-            raise ValueError(f"expected an event line, got {obj.get('type')!r}")
-        key = obj["key"]
-        if obj["item"] == EDGE:
-            key = tuple(key)
-        elif obj["item"] != NODE:
-            raise ValueError(f"unknown item kind {obj['item']!r}")
-        attr = obj.get("attr")
-        events.append(
-            Event(
-                time=obj["t"],
-                item=obj["item"],
-                key=key,
-                kind=obj["kind"],
-                attr=tuple(attr) if attr is not None else None,
-            )
-        )
-    return Cdg(
-        start=StartGraph(nodes, edges),
-        events=tuple(events),
-        dim=head["d"],
-        max_nodes=max_nodes,
-    )
+            raise MalformedStreamError(n, "type", f"expected 'event', got {obj.get('type')!r}")
+        t = _field(obj, n, "t", _NUMBER)
+        item = _field(obj, n, "item", ("a string", str), ITEM_KINDS)
+        kind = _field(obj, n, "kind", ("a string", str), EVENT_KINDS)
+        if item == NODE:
+            key = node_id(n, "key", _field(obj, n, "key", _ID))
+        else:
+            key = _field(obj, n, "key", ("a list of two node ids", list))
+            if len(key) != 2:
+                raise MalformedStreamError(n, "key", f"expected two node ids, got {len(key)}")
+            key = tuple(node_id(n, "key", k) for k in key)
+        attr = _attr(obj, n) if obj.get("attr") is not None else None
+        try:
+            events.append(Event(time=t, item=item, key=key, kind=kind, attr=attr))
+        except ValueError as exc:
+            raise MalformedStreamError(n, None, str(exc)) from None
+    return Cdg(start=start, events=tuple(events), dim=dim, max_nodes=max_nodes)
 
 
 def save_cdg(path, cdg):

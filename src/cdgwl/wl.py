@@ -19,7 +19,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .cdg import Snapshot, adjacency, attr_bytes, edge_key, snapshots, universe
-from .errors import DimensionMismatchError, LengthMismatchError, TimestampMismatchError
+from .errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    LengthMismatchError,
+    TimestampMismatchError,
+)
 
 BOTTOM = 0
 
@@ -152,6 +157,8 @@ def merged_snapshot(snaps, universes):
 
 
 def check_comparable(cdgs):
+    if not cdgs:
+        raise EmptyInputError("no graphs given")
     dims = {g.dim for g in cdgs}
     if len(dims) > 1:
         raise DimensionMismatchError(f"attribute dimensions differ: {sorted(dims)}")
@@ -215,22 +222,14 @@ def compare_graphs(g1, g2, mode=BIJECTION, dictionary=None):
     """
     if mode not in (BIJECTION, EXISTENCE):
         raise ValueError(f"unknown comparison mode {mode!r}")
-    trajs = cwl([g1, g2], dictionary=dictionary)
-    t1, t2 = trajs
-    if mode == BIJECTION:
-        equivalent = Counter(t1.values()) == Counter(t2.values())
-    else:
-        equivalent = set(t1.values()) == set(t2.values())
+    t1, t2 = cwl([g1, g2], dictionary=dictionary)
+    summary = Counter if mode == BIJECTION else set
+    equivalent = summary(t1.values()) == summary(t2.values())
     first = None
     if not equivalent:
         n_t = len(next(iter(t1.values()))) if t1 else 0
         for i in range(n_t):
-            a = [tr[i] for tr in t1.values()]
-            b = [tr[i] for tr in t2.values()]
-            if mode == BIJECTION and Counter(a) != Counter(b):
-                first = i
-                break
-            if mode == EXISTENCE and set(a) != set(b):
+            if summary(tr[i] for tr in t1.values()) != summary(tr[i] for tr in t2.values()):
                 first = i
                 break
     return GraphComparison(equivalent, (t1, t2), first)

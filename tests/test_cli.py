@@ -197,3 +197,56 @@ def test_run_failure_exit_code(tmp_path, capsys):
 def test_bad_file_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "cwl", "run", "/nonexistent/file.jsonl")
     assert code == 2 and err.startswith("error:")
+
+
+GOOD_START = '{"type":"start","d":1,"nodes":[{"id":"a","attr":[1.0]},{"id":"b","attr":[1.0]}],"edges":[]}'
+GOOD_EVENT = '{"type":"event","t":1.0,"item":"node","key":"c","kind":"add","attr":[1.0]}'
+
+
+def _start(**fields):
+    obj = json.loads(GOOD_START)
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def _event(drop=None, **fields):
+    obj = json.loads(GOOD_EVENT)
+    obj.update(fields)
+    obj.pop(drop, None)
+    return json.dumps(obj)
+
+
+MALFORMED = {
+    "event without t": ([GOOD_START, _event(drop="t")], 2, "t"),
+    "t is a string": ([GOOD_START, _event(t="1.0")], 2, "t"),
+    "t is a boolean": ([GOOD_START, _event(t=True)], 2, "t"),
+    "event without item": ([GOOD_START, _event(drop="item")], 2, "item"),
+    "item is a number": ([GOOD_START, _event(item=1)], 2, "item"),
+    "unknown item": ([GOOD_START, _event(item="hyperedge")], 2, "item"),
+    "event without key": ([GOOD_START, _event(drop="key")], 2, "key"),
+    "node key is a list": ([GOOD_START, _event(key=["c"])], 2, "key"),
+    "edge key has one end": ([GOOD_START, _event(item="edge", key=["a"])], 2, "key"),
+    "edge key is a string": ([GOOD_START, _event(item="edge", key="ab")], 2, "key"),
+    "event without kind": ([GOOD_START, _event(drop="kind")], 2, "kind"),
+    "kind is a list": ([GOOD_START, _event(kind=["add"])], 2, "kind"),
+    "start without d": ([_start(d=None).replace('"d": null, ', "")], 1, "d"),
+    "d is a string": ([_start(d="1")], 1, "d"),
+    "node without id": ([_start(nodes=[{"attr": [1.0]}])], 1, "id"),
+    "id is a list": ([_start(nodes=[{"id": ["a"], "attr": [1.0]}])], 1, "id"),
+    "start ids mix types": (
+        [_start(nodes=[{"id": "a", "attr": [1.0]}, {"id": 3, "attr": [1.0]}])], 1, "id"),
+    "event key mixes types": ([GOOD_START, _event(key=3)], 2, "key"),
+    "attr holds null": ([GOOD_START, _event(attr=[None])], 2, "attr"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_jsonl_exits_2_naming_line_and_field(case, tmp_path, capsys):
+    lines, line_no, field = MALFORMED[case]
+    bad, good = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    good.write_text(GOOD_START + "\n" + GOOD_EVENT + "\n")
+    code, payload, err = run_cli(capsys, "cwl", "compare", str(bad), str(good))
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: line {line_no}, field {field!r}:")
+

@@ -97,3 +97,19 @@ def test_attr_never_emitted_for_deletes():
     lines = cdg_to_jsonl(g).splitlines()
     assert '"attr"' not in lines[1]
     assert '"attr"' not in lines[2]
+
+
+def test_malformed_line_names_its_line_and_field():
+    from cdgwl import CdgError, MalformedStreamError
+
+    text = (
+        '{"type":"start","d":1,"nodes":[{"id":"a","attr":[1.0]}],"edges":[]}\n'
+        "\n"
+        '{"type":"event","item":"node","key":"b","kind":"add","attr":[1.0]}\n'
+    )
+    with pytest.raises(MalformedStreamError) as info:
+        cdg_from_jsonl(text)
+    assert (info.value.line, info.value.field) == (3, "t")
+    assert isinstance(info.value, CdgError) and isinstance(info.value, ValueError)
+    with pytest.raises(MalformedStreamError, match="line 1: invalid JSON"):
+        cdg_from_jsonl("{nope\n")

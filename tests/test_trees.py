@@ -179,3 +179,10 @@ def test_default_depth_is_decisive_bound():
     cdg = Cdg(StartGraph(dict(g.nodes), dict(g.edges)))
     trajs = cut_trajectories([cdg])
     assert trajs[0]["a"].depth == depth_bound(2)
+
+
+def test_empty_graph_list_is_a_typed_error():
+    from cdgwl import EmptyInputError
+
+    with pytest.raises(EmptyInputError):
+        cut_trajectories([])

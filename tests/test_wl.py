@@ -173,3 +173,11 @@ def test_fixed_depth_trajectories():
     live_colors = [tr[0] for v, tr in shallow.items() if tr[0] != BOTTOM]
     # depth 0 is attribute-only: nodes a and b share attrs at t0
     assert len(set(live_colors)) < len(live_colors)
+
+
+def test_empty_graph_list_is_a_typed_error():
+    from cdgwl import CdgError, EmptyInputError
+
+    with pytest.raises(EmptyInputError):
+        cwl([])
+    assert issubclass(EmptyInputError, CdgError)
