@@ -113,3 +113,17 @@ def test_malformed_line_names_its_line_and_field():
     assert isinstance(info.value, CdgError) and isinstance(info.value, ValueError)
     with pytest.raises(MalformedStreamError, match="line 1: invalid JSON"):
         cdg_from_jsonl("{nope\n")
+
+
+def test_non_canonical_text_normalizes():
+    text = (
+        '{"type": "start", "d": 1, "nodes": [{"id": "b", "attr": [1]}, {"id": "a", "attr": [1.0]}],'
+        ' "edges": [{"u": "b", "v": "a", "attr": [0.5]}]}\n'
+    )
+    canonical = (
+        '{"type":"start","d":1,"nodes":[{"id":"a","attr":[1.0]},{"id":"b","attr":[1.0]}],'
+        '"edges":[{"u":"a","v":"b","attr":[0.5]}]}\n'
+    )
+    g = cdg_from_jsonl(text)
+    assert cdg_to_jsonl(g) == canonical
+    assert cdg_from_jsonl(canonical) == g
