@@ -76,12 +76,10 @@ def cdg_from_jsonl(text, max_nodes=None) -> Cdg:
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise MalformedStreamError(1, None, "empty stream")
-    id_types = []
+    id_types = set()
 
     def node_id(line, field, value):
-        _typed(line, field, value, _ID)
-        if type(value) not in id_types:
-            id_types.append(type(value))
+        id_types.add(type(value))
         if len(id_types) > 1:
             raise MalformedStreamError(line, field, "node ids mix strings and integers")
         return value
@@ -124,7 +122,7 @@ def cdg_from_jsonl(text, max_nodes=None) -> Cdg:
             key = _field(obj, n, "key", ("a list of two node ids", list))
             if len(key) != 2:
                 raise MalformedStreamError(n, "key", f"expected two node ids, got {len(key)}")
-            key = tuple(node_id(n, "key", k) for k in key)
+            key = tuple(node_id(n, "key", _typed(n, "key", k, _ID)) for k in key)
         attr = _attr(obj, n) if obj.get("attr") is not None else None
         try:
             events.append(Event(time=t, item=item, key=key, kind=kind, attr=attr))

@@ -199,7 +199,9 @@ def test_bad_file_is_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-GOOD_START = '{"type":"start","d":1,"nodes":[{"id":"a","attr":[1.0]},{"id":"b","attr":[1.0]}],"edges":[]}'
+GOOD_START = (
+    '{"type":"start","d":1,"nodes":[{"id":"a","attr":[1.0]},{"id":"b","attr":[1.0]}],"edges":[]}'
+)
 GOOD_EVENT = '{"type":"event","t":1.0,"item":"node","key":"c","kind":"add","attr":[1.0]}'
 
 

@@ -55,16 +55,18 @@ def digest(obj):
 
 def cwl_ids(pairs):
     d = ColorDictionary()
-    out = [[{v: list(t) for v, t in tr.items()} for tr in cwl(list(p), dictionary=d)] for p in pairs]
+    out = [
+        [{v: list(t) for v, t in tr.items()} for tr in cwl(list(p), dictionary=d)] for p in pairs
+    ]
     return out, len(d)
 
 
 def cut_ids(pairs):
     d = ColorDictionary()
-    out = [
-        [{v: [t.depth, list(t.sigs)] for v, t in tr.items()} for tr in cut_trajectories(list(p), dictionary=d)]
-        for p in pairs
-    ]
+    out = []
+    for p in pairs:
+        trajs = cut_trajectories(list(p), dictionary=d)
+        out.append([{v: [t.depth, list(t.sigs)] for v, t in tr.items()} for tr in trajs])
     return out, len(d)
 
 
@@ -73,14 +75,15 @@ def stable_ids(pairs):
     out = []
     for g1, g2 in pairs:
         colors, sigs = stable_trajectories(g1, g2, dictionary=d)
-        out.append([[gi, v, list(colors[(gi, v)]), list(sigs[(gi, v)])] for gi, v in sorted(colors)])
+        out.append([[*k, list(colors[k]), list(sigs[k])] for k in sorted(colors)])
     return out, len(d)
 
 
 def target_json():
     corpus = approximation_corpus(7, 6)
     return "\n".join(
-        CdynTarget.prefix_indicator(corpus, gi, universe(g)[0]).to_json() for gi, g in enumerate(corpus)
+        CdynTarget.prefix_indicator(corpus, gi, universe(g)[0]).to_json()
+        for gi, g in enumerate(corpus)
     )
 
 
@@ -181,32 +184,29 @@ def merged_cases():
             yield merged_snapshot([s1, s2], universes)
 
 
+@pytest.mark.parametrize("tree", [True, False])
 @pytest.mark.parametrize("case", range(len(HAND_CASES)))
-def test_kernel_matches_reference_on_hand_snapshots(case):
+def test_kernel_matches_reference_on_hand_snapshots(case, tree):
     s, us = HAND_CASES[case]
     for max_depth in (0, 1, 2 * len(us) + 1):
-        for tree in (True, False):
-            got_d, ref_d = ColorDictionary(), ColorDictionary()
-            if tree:
-                got = tree_sig_levels(s, us, got_d, max_depth)
-            else:
-                got = [refine_at_depth(s, us, got_d, max_depth)]
-            ref = ref_levels(s, us, ref_d, max_depth, tree)
-            if not tree:
-                ref = ref[-1:]
-            assert got == ref
-            assert list(got_d._ids.items()) == list(ref_d._ids.items())
+        got_d, ref_d = ColorDictionary(), ColorDictionary()
+        ref = ref_levels(s, us, ref_d, max_depth, tree)
+        if tree:
+            assert tree_sig_levels(s, us, got_d, max_depth) == ref
+        else:
+            assert refine_at_depth(s, us, got_d, max_depth) == ref[-1]
+        assert list(got_d._ids.items()) == list(ref_d._ids.items())
 
 
 def test_kernel_matches_reference_in_one_shared_session():
     got_d, ref_d = ColorDictionary(), ColorDictionary()
     for s, joint in merged_cases():
         max_depth = 2 * len(joint) + 1
-        assert tree_sig_levels(s, joint, got_d, max_depth) == ref_levels(s, joint, ref_d, max_depth, True)
+        ref = ref_levels(s, joint, ref_d, max_depth, True)
+        assert tree_sig_levels(s, joint, got_d, max_depth) == ref
         colors = refine_at_depth(s, joint, got_d, 3)
         assert colors == ref_levels(s, joint, ref_d, 3, False)[-1]
         assert awl_step(s, colors, got_d) == ref_round(s, colors, ref_d, False)
         assert awl_stable(s, joint, got_d) == ref_stable(s, joint, ref_d, False)
         assert tree_sigs_stable(s, joint, got_d) == ref_stable(s, joint, ref_d, True)
-    assert got_d._ids == ref_d._ids
     assert list(got_d._ids.items()) == list(ref_d._ids.items())

@@ -117,7 +117,8 @@ def test_malformed_line_names_its_line_and_field():
 
 def test_non_canonical_text_normalizes():
     text = (
-        '{"type": "start", "d": 1, "nodes": [{"id": "b", "attr": [1]}, {"id": "a", "attr": [1.0]}],'
+        '{"type": "start", "d": 1,'
+        ' "nodes": [{"id": "b", "attr": [1]}, {"id": "a", "attr": [1.0]}],'
         ' "edges": [{"u": "b", "v": "a", "attr": [0.5]}]}\n'
     )
     canonical = (
