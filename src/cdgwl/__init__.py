@@ -80,7 +80,9 @@ from .errors import (
     InvalidCdgError,
     LengthMismatchError,
     MalformedStreamError,
+    MalformedTargetError,
     TargetNotCutRespectingError,
+    TargetUndefinedError,
     TimestampMismatchError,
     TooLargeError,
     UnknownTimestampError,

@@ -9,9 +9,17 @@ embedding.
 Two modes share this shape.  Symbolic mode realizes the encoder as
 injective color refinement and the recurrent update as injective pairing,
 so states are ids that carry exactly the refinement history.  Numeric mode
-is a trainable float network with hand-written backpropagation; neighbor
-messages are summed in a canonical value order, which makes equal input
-multisets produce bitwise-equal sums.
+is a trainable float network with hand-written backpropagation.
+
+Numeric mode runs a whole corpus as one batch: every live (graph,
+timestamp, node) is a row, so each encoder layer is one MLP call over all
+directed edges and one over all rows, each interval one cell call.  Equal
+input multisets give bitwise-equal states however the corpus is batched:
+``Mlp.forward`` multiplies with ``einsum``, whose result for a row does not
+depend on the batch (``x @ w.T`` through BLAS does), and a receiver's
+messages are summed sequentially from +0.0 in the order of the bit patterns
+of their input rows.  Earlier versions summed in another order, so trained
+parameters match theirs within float tolerance, not bitwise.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdg import adjacency, attr_bytes, snapshots, universe
-from .errors import TargetNotCutRespectingError
+from .cdg import snapshots, universe
+from .errors import MalformedTargetError, TargetNotCutRespectingError, TargetUndefinedError
 from .trees import cut_trajectories
 from .wl import (
     BOTTOM,
@@ -74,15 +82,16 @@ class TemporalConfig:
 
 
 def _act(z, activation):
-    if activation == TANH:
-        return np.tanh(z)
-    return z
+    return np.tanh(z) if activation == TANH else z
 
 
 def _dact(z, a, activation):
-    if activation == TANH:
-        return 1.0 - a * a
-    return np.ones_like(z)
+    return 1.0 - a * a if activation == TANH else np.ones_like(z)
+
+
+def _affine(x, w, b):
+    """``x @ w.T + b``, row by row: a row's result never depends on the batch."""
+    return np.einsum("ij,kj->ik", x, w) + b
 
 
 @dataclass
@@ -102,10 +111,9 @@ class Mlp:
         return cls(w1, np.zeros(hidden), w2, np.zeros(out_dim), activation)
 
     def forward(self, x):
-        z = x @ self.w1.T + self.b1
+        z = _affine(x, self.w1, self.b1)
         a = _act(z, self.activation)
-        y = a @ self.w2.T + self.b2
-        return y, (x, z, a)
+        return _affine(a, self.w2, self.b2), (x, z, a)
 
     def backward(self, dy, cache, grads, prefix):
         x, z, a = cache
@@ -118,12 +126,7 @@ class Mlp:
         return dz @ self.w1
 
     def named(self, prefix):
-        return [
-            (f"{prefix}.w1", self.w1),
-            (f"{prefix}.b1", self.b1),
-            (f"{prefix}.w2", self.w2),
-            (f"{prefix}.b2", self.b2),
-        ]
+        return [(f"{prefix}.{name}", getattr(self, name)) for name in ("w1", "b1", "w2", "b2")]
 
 
 @dataclass(frozen=True)
@@ -203,68 +206,139 @@ class CgnnModel:
         return out
 
 
-def _canonical_rows(adj_v, h):
-    return sorted(adj_v, key=lambda uw: (attr_bytes(uw[1]), h[uw[0]].tobytes()))
+class _Batch:
+    """A corpus laid out for the numeric network, built once.
 
-
-def _numeric_sgnn(snapshot, universe_, model, collect=False):
-    """Message passing over one snapshot; returns embeddings and caches.
-
-    Messages into a node are summed sequentially in canonical (edge bytes,
-    sender bytes) order, so equal multisets of inputs give bitwise-equal
-    results no matter which nodes supplied them.
+    ``streams`` holds (universe, snapshots) per graph.  Slot ``k`` is the
+    live (graph, timestamp, node) ``keys[k]``; slots run by graph, then
+    timestamp, then node.  Edge row ``e`` carries a message from slot
+    ``send[e]`` to slot ``recv[e]``, once per direction.  ``fresh`` lists
+    the slots whose state is their embedding; interval ``i`` is (i, previous
+    slots, current slots, elapsed-time column) for the nodes live at both
+    timestamps ``i - 1`` and ``i``.  Given a target, ``targets`` holds each
+    slot's target row, so an undefined target raises here, before any step.
     """
-    adj = adjacency(snapshot)
-    present = [v for v in sorted(universe_) if v in snapshot.nodes]
-    h = {v: np.asarray(snapshot.nodes[v], dtype=float) for v in present}
-    r = model.sgnn.hidden_dim
-    layer_caches = []
+
+    def __init__(self, streams, dim, target=None, prefixes=None):
+        self.keys, attrs, recv, send, edge_attrs, fresh, pairs = [], [], [], [], [], [], {}
+        for gi, (us, snaps) in enumerate(streams):
+            prev = {}
+            for i, snap in enumerate(snaps):
+                slot = {}
+                for v in us:
+                    if v not in snap.nodes:
+                        continue
+                    slot[v] = len(self.keys)
+                    self.keys.append((gi, i, v))
+                    attrs.append(snap.nodes[v])
+                    if v in prev:
+                        dt = snap.time - snaps[i - 1].time
+                        pairs.setdefault(i, []).append((prev[v], slot[v], dt))
+                    else:
+                        fresh.append(slot[v])
+                for (a, b), w in snap.edges.items():
+                    recv += (slot[a], slot[b])
+                    send += (slot[b], slot[a])
+                    edge_attrs += (w, w)
+                prev = slot
+        self.attrs = np.array(attrs, dtype=float).reshape(len(attrs), dim)
+        self.recv = np.array(recv, dtype=np.intp)
+        self.send = np.array(send, dtype=np.intp)
+        self.edge_attrs = np.array(edge_attrs, dtype=float).reshape(len(recv), dim)
+        self.fresh = np.array(fresh, dtype=np.intp)
+        self.intervals = []
+        for i, rows in sorted(pairs.items()):
+            p, c, dt = np.array(rows).T
+            self.intervals.append((i, p.astype(np.intp), c.astype(np.intp), dt[:, None]))
+        if target is not None:
+            self.targets = np.array(
+                [target.value_for(i, prefixes[gi][v].sigs[: i + 1]) for gi, i, v in self.keys],
+                dtype=float,
+            ).reshape(len(self.keys), target.output_dim)
+
+
+def _canonical_sum(out, rows, inputs, recv):
+    """Add each receiver's ``rows`` into ``out``, one position at a time.
+
+    A receiver's rows go in the order of the bit patterns of their
+    ``inputs``, so an equal multiset of inputs is summed in the same order.
+    """
+    bits = np.ascontiguousarray(inputs).view(np.int64)
+    order = np.lexsort(np.vstack((bits.T[::-1], recv)))
+    ranked = recv[order]
+    position = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+    for k in range(position.max() + 1):
+        at = order[position == k]
+        out[recv[at]] += rows[at]
+
+
+def _encode(model, batch):
+    """All encoder layers over every slot; final embeddings plus caches."""
+    h = batch.attrs
+    caches = []
     for li in range(model.sgnn.layers):
-        new_h = {}
-        node_caches = {}
-        for v in present:
-            rows = _canonical_rows(adj[v], h)
-            if rows:
-                x = np.stack(
-                    [np.concatenate([h[u], np.asarray(w, dtype=float)]) for u, w in rows]
-                )
-                msgs, acache = model.aggr[li].forward(x)
-                m = np.zeros(r)
-                for row in msgs:
-                    m = m + row
-            else:
-                acache = None
-                m = np.zeros(r)
-            y, ccache = model.comb[li].forward(np.concatenate([h[v], m])[None, :])
-            new_h[v] = y[0]
-            if collect:
-                node_caches[v] = (rows, acache, ccache)
-        if collect:
-            layer_caches.append(node_caches)
-        h = new_h
-    out = {v: h.get(v) for v in universe_}
-    return out, layer_caches
+        m = np.zeros((len(h), model.sgnn.hidden_dim))
+        acache = None
+        if len(batch.recv):
+            x = np.concatenate([h[batch.send], batch.edge_attrs], axis=1)
+            msgs, acache = model.aggr[li].forward(x)
+            _canonical_sum(m, msgs, x, batch.recv)
+        h, ccache = model.comb[li].forward(np.concatenate([h, m], axis=1))
+        caches.append((acache, ccache))
+    return h, caches
 
 
-def _numeric_sgnn_backward(model, layer_caches, dh_top, grads):
-    dh = dh_top
+def _temporal(model, batch, h):
+    """States of every slot: fresh embeddings, then one cell call per interval."""
+    q = np.empty((len(h), model.temporal.state_dim))
+    hf = h[batch.fresh]
+    q[batch.fresh] = hf if model.adapter is None else _affine(hf, *model.adapter)
+    caches = []
+    for i, prev, cur, dt in batch.intervals:
+        if model.temporal.mode == PER_INTERVAL:
+            ci, x = i - 1, np.concatenate([q[prev], h[cur]], axis=1)
+        else:
+            ci, x = 0, np.concatenate([q[prev], h[cur], dt], axis=1)
+        q[cur], cache = model.cells[ci].forward(x)
+        caches.append((ci, cache))
+    return q, caches
+
+
+def _loss(model, batch, with_grads=False):
+    """Mean squared readout error over every slot, plus gradients if asked."""
+    h, encoder_caches = _encode(model, batch)
+    q, cell_caches = _temporal(model, batch, h)
+    pred, rcache = model.readout_net.forward(q)
+    diff = pred - batch.targets
+    n_terms = max(diff.size, 1)
+    loss = float(np.sum(diff * diff)) / n_terms
+    if not with_grads:
+        return loss
+    grads = {name: np.zeros(arr.shape) for name, arr in model.parameters()}
+    dq = model.readout_net.backward((2.0 / n_terms) * diff, rcache, grads, "readout")
+    dh = np.zeros_like(h)
+    s_dim = model.temporal.state_dim
+    for (_i, prev, cur, _dt), (ci, cache) in zip(reversed(batch.intervals), reversed(cell_caches)):
+        dx = model.cells[ci].backward(dq[cur], cache, grads, f"cell{ci}")
+        dq[prev] += dx[:, :s_dim]
+        dh[cur] += dx[:, s_dim : s_dim + model.sgnn.hidden_dim]
+    dqf = dq[batch.fresh]
+    if model.adapter is None:
+        dh[batch.fresh] += dqf
+    else:
+        grads["adapter.w"] += dqf.T @ h[batch.fresh]
+        grads["adapter.b"] += dqf.sum(axis=0)
+        dh[batch.fresh] += dqf @ model.adapter[0]
     for li in reversed(range(model.sgnn.layers)):
+        acache, ccache = encoder_caches[li]
         h_in = model.attr_dim if li == 0 else model.sgnn.hidden_dim
-        dh_prev = {}
-        node_caches = layer_caches[li]
-        for v, dy in dh.items():
-            rows, acache, ccache = node_caches[v]
-            dxc = model.comb[li].backward(dy[None, :], ccache, grads, f"comb{li}")
-            if li > 0:
-                dh_prev[v] = dh_prev.get(v, 0) + dxc[0, :h_in]
-            if rows:
-                dm = dxc[0, h_in:]
-                dmsgs = np.repeat(dm[None, :], len(rows), axis=0)
-                dx = model.aggr[li].backward(dmsgs, acache, grads, f"aggr{li}")
-                if li > 0:
-                    for ri, (u, _w) in enumerate(rows):
-                        dh_prev[u] = dh_prev.get(u, 0) + dx[ri, :h_in]
-        dh = dh_prev
+        dxc = model.comb[li].backward(dh, ccache, grads, f"comb{li}")
+        dh = dxc[:, :h_in]
+        if acache is not None:
+            # one gradient row per edge: duplicate input rows each pass their own
+            dx = model.aggr[li].backward(dxc[batch.recv, h_in:], acache, grads, f"aggr{li}")
+            np.add.at(dh, batch.send, dx[:, :h_in])
+    return loss, grads
 
 
 def sgnn_forward(snapshot, universe_, model):
@@ -279,76 +353,30 @@ def sgnn_forward(snapshot, universe_, model):
         else:
             colors = refine_at_depth(snapshot, sorted(universe_), model.dictionary, model.sgnn.layers)
         return {v: (None if c == BOTTOM else c) for v, c in colors.items()}
-    out, _ = _numeric_sgnn(snapshot, universe_, model)
+    batch = _Batch([(universe_, [snapshot])], model.attr_dim)
+    h, _ = _encode(model, batch)
+    out = dict.fromkeys(universe_)
+    out.update((v, h[k]) for k, (_gi, _i, v) in enumerate(batch.keys))
     return out
-
-
-def _fresh_state(model, hv):
-    if model.adapter is not None:
-        w, b = model.adapter
-        return w @ hv + b
-    return hv
-
-
-def _forward_pass(model, cdg_, collect=False):
-    snaps = snapshots(cdg_)
-    us = universe(cdg_)
-    times = [s.time for s in snaps]
-    hs, qs, sgnn_caches, temporal_caches = [], [], [], []
-    prev_q = {v: None for v in us}
-    for i, snap in enumerate(snaps):
-        h, lcache = _numeric_sgnn(snap, us, model, collect)
-        q, tcache = {}, {}
-        for v in sorted(us):
-            hv = h[v]
-            if hv is None:
-                q[v] = None
-                continue
-            if prev_q[v] is None:
-                q[v] = _fresh_state(model, hv)
-                tcache[v] = ("fresh", hv)
-            else:
-                if model.temporal.mode == PER_INTERVAL:
-                    cell = model.cells[i - 1]
-                    x = np.concatenate([prev_q[v], hv])
-                    cname = f"cell{i - 1}"
-                else:
-                    cell = model.cells[0]
-                    x = np.concatenate([prev_q[v], hv, [times[i] - times[i - 1]]])
-                    cname = "cell0"
-                y, cc = cell.forward(x[None, :])
-                q[v] = y[0]
-                tcache[v] = ("cell", cc, cname, cell)
-        hs.append(h)
-        qs.append(q)
-        sgnn_caches.append(lcache)
-        temporal_caches.append(tcache)
-        prev_q = q
-    return snaps, us, hs, qs, sgnn_caches, temporal_caches
 
 
 def cgnn_forward(cdg_, model):
     """States at every timestamp of one dynamic graph."""
     if model.sgnn.mode == SYMBOLIC:
-        h_tr, q_tr = symbolic_state_trajectories(
-            [cdg_], dictionary=model.dictionary, layers=model.sgnn.layers
-        )
-        snaps = snapshots(cdg_)
-        out = []
-        for i, snap in enumerate(snaps):
-            out.append(
-                StateMatrix(
-                    time=snap.time,
-                    hidden={v: tr[i] for v, tr in h_tr[0].items()},
-                    state={v: tr[i] for v, tr in q_tr[0].items()},
-                )
-            )
-        return out
-    snaps, _us, hs, qs, _sc, _tc = _forward_pass(model, cdg_)
-    return [
-        StateMatrix(time=snap.time, hidden=hs[i], state=qs[i])
-        for i, snap in enumerate(snaps)
-    ]
+        (h_tr,), (q_tr,) = symbolic_state_trajectories([cdg_], model.dictionary, model.sgnn.layers)
+        return [
+            StateMatrix(snap.time, {v: tr[i] for v, tr in h_tr.items()},
+                        {v: tr[i] for v, tr in q_tr.items()})
+            for i, snap in enumerate(snapshots(cdg_))
+        ]
+    us, snaps = universe(cdg_), snapshots(cdg_)
+    batch = _Batch([(us, snaps)], cdg_.dim)
+    h, _ = _encode(model, batch)
+    q, _ = _temporal(model, batch, h)
+    out = [StateMatrix(snap.time, dict.fromkeys(us), dict.fromkeys(us)) for snap in snaps]
+    for k, (_gi, i, v) in enumerate(batch.keys):
+        out[i].hidden[v], out[i].state[v] = h[k], q[k]
+    return out
 
 
 def symbolic_state_trajectories(cdgs, dictionary=None, layers=None):
@@ -390,15 +418,14 @@ def symbolic_state_trajectories(cdgs, dictionary=None, layers=None):
 
 def readout(state_matrix, model):
     """Per-node outputs; absent nodes map to the designated zero output."""
-    out = {}
-    for v, q in state_matrix.state.items():
-        if model.sgnn.mode == SYMBOLIC:
-            out[v] = 0 if q is None else q
-        elif q is None:
-            out[v] = np.zeros(model.out_dim)
-        else:
-            y, _ = model.readout_net.forward(np.asarray(q)[None, :])
-            out[v] = y[0]
+    states = state_matrix.state
+    if model.sgnn.mode == SYMBOLIC:
+        return {v: 0 if q is None else q for v, q in states.items()}
+    out = {v: np.zeros(model.out_dim) for v in states}
+    live = [v for v, q in states.items() if q is not None]
+    if live:
+        y, _ = model.readout_net.forward(np.stack([np.asarray(states[v]) for v in live]))
+        out.update(zip(live, y))
     return out
 
 
@@ -427,7 +454,7 @@ class CdynTarget:
             return self.table[key]
         if self.default is not None:
             return self.default
-        raise KeyError(f"target undefined at timestamp {t_index} for prefix {prefix}")
+        raise TargetUndefinedError(f"target undefined at timestamp {t_index} for prefix {prefix}")
 
     @classmethod
     def from_entries(cls, entries, output_dim, default=None):
@@ -468,20 +495,53 @@ class CdynTarget:
             {"t": t, "prefix": list(prefix), "value": list(value)}
             for (t, prefix), value in sorted(self.table.items())
         ]
-        return json.dumps(
-            {
-                "output_dim": self.output_dim,
-                "default": list(self.default) if self.default is not None else None,
-                "entries": entries,
-            },
-            sort_keys=True,
-        )
+        default = list(self.default) if self.default is not None else None
+        obj = {"output_dim": self.output_dim, "default": default, "entries": entries}
+        return json.dumps(obj, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
+        """Parse ``to_json`` output; a schema break raises ``MalformedTargetError``."""
         obj = json.loads(text)
-        entries = [(e["t"], tuple(e["prefix"]), e["value"]) for e in obj["entries"]]
-        return cls.from_entries(entries, obj["output_dim"], obj.get("default"))
+        _require(isinstance(obj, dict), None, "a JSON object", obj)
+        dim = _field(obj, "output_dim", lambda x: _is_int(x) and x > 0, "a positive integer")
+
+        def vector(x):
+            return isinstance(x, list) and len(x) == dim and all(
+                (_is_int(c) or isinstance(c, float)) and math.isfinite(c) for c in x
+            )
+
+        default = obj.get("default")
+        expected = f"null or a list of {dim} numbers"
+        _require(default is None or vector(default), "default", expected, default)
+        entries = []
+        for k, e in enumerate(_field(obj, "entries", lambda x: isinstance(x, list), "a list")):
+            at = f"entries[{k}]"
+            _require(isinstance(e, dict), at, "a JSON object", e)
+            entries.append((
+                _field(e, "t", lambda x: _is_int(x) and x >= 0, "an integer >= 0", at),
+                _field(e, "prefix", lambda x: isinstance(x, list) and all(map(_is_int, x)),
+                       "a list of integers", at),
+                _field(e, "value", vector, f"a list of {dim} numbers", at),
+            ))
+        return cls.from_entries(entries, dim, default)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require(ok, field, expected, value):
+    if not ok:
+        raise MalformedTargetError(field, f"expected {expected}, got {value!r}")
+    return value
+
+
+def _field(obj, name, ok, expected, within=None):
+    field = name if within is None else f"{within}.{name}"
+    if name not in obj:
+        raise MalformedTargetError(field, "missing")
+    return _require(ok(obj[name]), field, expected, obj[name])
 
 
 def trajectory_prefixes(corpus):
@@ -493,86 +553,22 @@ def trajectory_prefixes(corpus):
 # Loss, gradients, training
 
 
-def _graph_terms(model, corpus, target, prefixes):
-    """Forward every graph; return per-graph forward state and target rows."""
-    passes = []
-    n_terms = 0
-    for gi, g in enumerate(corpus):
-        fwd = _forward_pass(model, g, collect=True)
-        _snaps, us, _hs, qs, _sc, _tc = fwd
-        rows = []
-        for i in range(len(qs)):
-            for v in sorted(us):
-                if qs[i][v] is None:
-                    continue
-                y = target.value_for(i, prefixes[gi][v].sigs[: i + 1])
-                rows.append((i, v, np.asarray(y, dtype=float)))
-                n_terms += target.output_dim
-        passes.append((fwd, rows))
-    return passes, n_terms
+def _corpus_batch(corpus, target, prefixes, dim):
+    corpus = list(corpus)
+    if prefixes is None:
+        prefixes = trajectory_prefixes(corpus)
+    return _Batch([(universe(g), snapshots(g)) for g in corpus], dim, target, prefixes)
 
 
 def training_loss(model, corpus, target, prefixes=None):
     """Mean squared error of readout outputs over all live (time, node) pairs."""
-    if prefixes is None:
-        prefixes = trajectory_prefixes(corpus)
-    passes, n_terms = _graph_terms(model, corpus, target, prefixes)
-    if n_terms == 0:
-        return 0.0
-    total = 0.0
-    for (fwd, rows) in passes:
-        qs = fwd[3]
-        for i, v, y in rows:
-            pred, _ = model.readout_net.forward(qs[i][v][None, :])
-            diff = pred[0] - y
-            total += float(diff @ diff)
-    return total / n_terms
+    return _loss(model, _corpus_batch(corpus, target, prefixes, model.attr_dim))
 
 
 def loss_and_gradients(model, corpus, target, prefixes=None):
     """Loss plus accumulated parameter gradients via backpropagation."""
-    if prefixes is None:
-        prefixes = trajectory_prefixes(corpus)
-    grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
-    passes, n_terms = _graph_terms(model, corpus, target, prefixes)
-    if n_terms == 0:
-        return 0.0, grads
-    total = 0.0
-    s_dim = model.temporal.state_dim
-    for (fwd, rows) in passes:
-        snaps, us, hs, qs, sgnn_caches, temporal_caches = fwd
-        dq = [dict() for _ in snaps]
-        for i, v, y in rows:
-            pred, rcache = model.readout_net.forward(qs[i][v][None, :])
-            diff = pred[0] - y
-            total += float(diff @ diff)
-            dpred = (2.0 / n_terms) * diff
-            dx = model.readout_net.backward(dpred[None, :], rcache, grads, "readout")
-            dq[i][v] = dq[i].get(v, 0) + dx[0]
-        dh_by_time = [dict() for _ in snaps]
-        for i in reversed(range(len(snaps))):
-            for v, dqv in dq[i].items():
-                entry = temporal_caches[i][v]
-                if entry[0] == "fresh":
-                    hv = entry[1]
-                    if model.adapter is not None:
-                        w, _b = model.adapter
-                        grads["adapter.w"] += np.outer(dqv, hv)
-                        grads["adapter.b"] += dqv
-                        dh_by_time[i][v] = dh_by_time[i].get(v, 0) + w.T @ dqv
-                    else:
-                        dh_by_time[i][v] = dh_by_time[i].get(v, 0) + dqv
-                else:
-                    _kind, cc, cname, cell = entry
-                    dx = cell.backward(dqv[None, :], cc, grads, cname)
-                    dq_prev = dx[0, :s_dim]
-                    dh_part = dx[0, s_dim : s_dim + model.sgnn.hidden_dim]
-                    dq[i - 1][v] = dq[i - 1].get(v, 0) + dq_prev
-                    dh_by_time[i][v] = dh_by_time[i].get(v, 0) + dh_part
-        for i in range(len(snaps)):
-            if dh_by_time[i]:
-                _numeric_sgnn_backward(model, sgnn_caches[i], dh_by_time[i], grads)
-    return total / n_terms, grads
+    batch = _corpus_batch(corpus, target, prefixes, model.attr_dim)
+    return _loss(model, batch, with_grads=True)
 
 
 @dataclass
@@ -583,45 +579,30 @@ class TrainResult:
     initial_loss: float
 
 
-def train_to_target(
-    corpus,
-    target,
-    sgnn,
-    temporal,
-    steps=2000,
-    lr=0.5,
-    seed=0,
-    goal=None,
-):
+def train_to_target(corpus, target, sgnn, temporal, steps=2000, lr=0.5, seed=0, goal=None):
     """Full-batch gradient descent with a fixed step size.
 
     Stops early once ``goal`` (an MSE threshold) is reached.  The target
-    must resolve for every live (timestamp, node) prefix in the corpus.
+    must resolve for every live (timestamp, node) prefix in the corpus;
+    ``TargetUndefinedError`` is raised before the first step otherwise.
     """
     corpus = list(corpus)
     check_comparable(corpus)
-    prefixes = trajectory_prefixes(corpus)
-    for gi, g in enumerate(corpus):
-        n_t = len(g.events) + 1
-        for v, traj in prefixes[gi].items():
-            for i in range(n_t):
-                sig = traj.sigs[i]
-                if sig != 0:
-                    target.value_for(i, traj.sigs[: i + 1])
+    batch = _corpus_batch(corpus, target, None, corpus[0].dim)
     model = CgnnModel.init(
         corpus[0].dim, target.output_dim, sgnn, temporal,
         n_intervals=len(corpus[0].events), seed=seed,
     )
-    initial = training_loss(model, corpus, target, prefixes)
+    initial = _loss(model, batch)
     updates = 0
     for _ in range(steps):
-        loss, grads = loss_and_gradients(model, corpus, target, prefixes)
+        loss, grads = _loss(model, batch, with_grads=True)
         if goal is not None and loss <= goal:
             break
         for name, arr in model.parameters():
             arr -= lr * grads[name]
         updates += 1
-    final = training_loss(model, corpus, target, prefixes)
+    final = _loss(model, batch)
     return TrainResult(model, final, updates, initial)
 
 
@@ -634,17 +615,19 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, step=1e-5, seed=0):
     corpus = [probe]
     prefixes = trajectory_prefixes(corpus)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
-    keys = set()
-    for v, traj in prefixes[0].items():
-        for i in range(len(traj.sigs)):
-            if traj.sigs[i] != 0:
-                keys.add((i, traj.sigs[: i + 1]))
+    keys = {
+        (i, traj.sigs[: i + 1])
+        for traj in prefixes[0].values()
+        for i, sig in enumerate(traj.sigs)
+        if sig
+    }
     entries = [(i, prefix, (float(rng.uniform(-1.0, 1.0)),)) for i, prefix in sorted(keys)]
     target = CdynTarget.from_entries(entries, 1)
+    batch = _corpus_batch(corpus, target, prefixes, probe.dim)
     model = CgnnModel.init(
         probe.dim, 1, sgnn, temporal, n_intervals=len(probe.events), seed=seed
     )
-    _loss, grads = loss_and_gradients(model, corpus, target, prefixes)
+    _loss_value, grads = _loss(model, batch, with_grads=True)
     params = model.parameters()
     coords = [(name, arr, i) for name, arr in params for i in range(arr.size)]
     if not coords or n_samples <= 0:
@@ -655,9 +638,9 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, step=1e-5, seed=0):
         name, arr, i = coords[pick]
         old = arr.flat[i]
         arr.flat[i] = old + step
-        up = training_loss(model, corpus, target, prefixes)
+        up = _loss(model, batch)
         arr.flat[i] = old - step
-        down = training_loss(model, corpus, target, prefixes)
+        down = _loss(model, batch)
         arr.flat[i] = old
         numeric = (up - down) / (2.0 * step)
         analytic = grads[name].flat[i]
@@ -725,15 +708,9 @@ def expressivity_check(
     for idx, (g1, g2) in enumerate(pairs):
         dictionary = ColorDictionary()
         color_maps = cwl([g1, g2], dictionary=dictionary)
-        colors = {
-            (gi, v): tr for gi in (0, 1) for v, tr in color_maps[gi].items()
-        }
-        _h, sym_states = symbolic_state_trajectories(
-            [g1, g2], dictionary=dictionary, layers=None
-        )
-        states = {
-            (gi, v): tr for gi in (0, 1) for v, tr in sym_states[gi].items()
-        }
+        colors = {(gi, v): tr for gi in (0, 1) for v, tr in color_maps[gi].items()}
+        _h, sym_states = symbolic_state_trajectories([g1, g2], dictionary=dictionary, layers=None)
+        states = {(gi, v): tr for gi in (0, 1) for v, tr in sym_states[gi].items()}
         n_t = len(g1.events) + 1
         exact = all(
             _prefix_partition(colors, i + 1) == _prefix_partition(states, i + 1)
@@ -745,17 +722,15 @@ def expressivity_check(
             report.symbolic_mismatches.append({"pair": idx})
         sg = SgnnConfig(mode=NUMERIC, layers=layers, hidden_dim=hidden_dim)
         tc = TemporalConfig(mode=temporal_mode, state_dim=state_dim)
+        batch = _Batch([(universe(g), snapshots(g)) for g in (g1, g2)], g1.dim)
         for s in range(seeds):
             model = CgnnModel.init(
                 g1.dim, 1, sg, tc, n_intervals=len(g1.events), seed=base_seed + s
             )
-            numeric = {}
-            for gi, g in enumerate((g1, g2)):
-                for sm_i, sm in enumerate(cgnn_forward(g, model)):
-                    for v, q in sm.state.items():
-                        numeric.setdefault((gi, v), []).append(
-                            None if q is None else q.tobytes()
-                        )
+            q, _ = _temporal(model, batch, _encode(model, batch)[0])
+            numeric = {tagged: [None] * n_t for tagged in colors}
+            for k, (gi, i, v) in enumerate(batch.keys):
+                numeric[(gi, v)][i] = q[k].tobytes()
             for i in range(n_t):
                 groups = {}
                 for tagged, tr in colors.items():
@@ -764,13 +739,9 @@ def expressivity_check(
                     first = numeric[members[0]][: i + 1]
                     for other in members[1:]:
                         if numeric[other][: i + 1] != first:
-                            report.numeric_violations.append(
-                                {
-                                    "pair": idx,
-                                    "seed": base_seed + s,
-                                    "prefix_length": i + 1,
-                                    "nodes": [list(members[0]), list(other)],
-                                }
-                            )
+                            report.numeric_violations.append({
+                                "pair": idx, "seed": base_seed + s, "prefix_length": i + 1,
+                                "nodes": [list(members[0]), list(other)],
+                            })
         report.instances += 1
     return report

@@ -425,6 +425,9 @@ def main(argv=None):
     except (CdgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 means a negative verdict, never a crash
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

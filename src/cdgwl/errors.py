@@ -80,3 +80,22 @@ class GenerationExhaustedError(CdgError):
 
 class TargetNotCutRespectingError(CdgError):
     """Training target assigns unequal outputs to equal trajectory prefixes."""
+
+
+class MalformedTargetError(CdgError, ValueError):
+    """A target table breaks its JSON schema; names the field."""
+
+    def __init__(self, field, problem):
+        self.field = field
+        where = "target" if field is None else f"target field {field!r}"
+        super().__init__(f"{where}: {problem}")
+
+
+class TargetUndefinedError(CdgError, KeyError):
+    """A target has no value (and no default) for a live trajectory prefix.
+
+    Also a ``KeyError``, as the lookup's error was before it was typed, but
+    printed unquoted, as every other ``CdgError`` is.
+    """
+
+    __str__ = CdgError.__str__

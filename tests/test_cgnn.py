@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from cdgwl import (
+    ADD,
+    ATTR_CHANGE,
     Cdg,
     CdynTarget,
     CgnnModel,
+    Event,
     GeneratorConfig,
     IDENTITY_ACT,
+    MalformedTargetError,
+    Mlp,
+    NODE,
     NUMERIC,
     PER_INTERVAL,
     SHARED_DT,
@@ -18,18 +24,21 @@ from cdgwl import (
     SgnnConfig,
     StartGraph,
     TargetNotCutRespectingError,
+    TargetUndefinedError,
     TemporalConfig,
     cgnn_forward,
     expressivity_check,
     generate,
     generate_isomorphic_pair,
     gradient_check,
+    loss_and_gradients,
     make_pair,
     model_params_json,
     readout,
     relabel_cdg,
     replay,
     sgnn_forward,
+    snapshots,
     six_cycle,
     symbolic_state_trajectories,
     train_to_target,
@@ -263,6 +272,110 @@ def test_training_loss_matches_gradient_path_loss():
     loss_b, grads = loss_and_gradients(model, corpus, target)
     assert loss_a == loss_b
     assert set(grads) == {name for name, _ in model.parameters()}
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+@pytest.mark.parametrize("act", ["tanh", IDENTITY_ACT])
+def test_mlp_rows_do_not_depend_on_the_batch(width, act):
+    # a row's output must be bitwise the same alone, in any batch, at any
+    # position and through a strided view: criterion 6 rests on it
+    rng = np.random.default_rng([width, act == "tanh"])
+    mlp = Mlp.init(rng, width, 16, int(rng.integers(1, 18)), act)
+    base = rng.normal(size=(306, 2 * width))
+    views = [np.ascontiguousarray(base[:, :width]), base[:, :width], base[:, ::2]]
+    for x in views:
+        for n in (1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 64, 129, 300):
+            for shift in (0, 1, 6 - (n % 7)):
+                batch = x[shift : shift + n]
+                y = mlp.forward(batch)[0]
+                for i in range(n):
+                    alone = mlp.forward(batch[i : i + 1])[0]
+                    assert y[i].tobytes() == alone[0].tobytes(), (n, shift, i)
+
+
+def test_message_sum_ignores_edge_order():
+    # the same star built with its edges in opposite orders: the center's
+    # messages must be summed in one canonical order either way
+    leaves = {f"l{i}": (float(i) * 0.37 + 0.1,) for i in range(7)}
+    edges = [(("c", v), a) for v, a in leaves.items()]
+    nodes = {"c": A, **leaves}
+    g1 = Cdg(StartGraph(nodes, dict(edges)))
+    g2 = Cdg(StartGraph(nodes, dict(reversed(edges))))
+    for seed in range(8):
+        model = CgnnModel.init(1, 1, *numeric_cfg(layers=2), n_intervals=0, seed=seed)
+        h1 = sgnn_forward(replay(g1, 0.0), universe(g1), model)["c"]
+        h2 = sgnn_forward(replay(g2, 0.0), universe(g2), model)["c"]
+        assert h1.tobytes() == h2.tobytes()
+
+
+def edge_free_cdg():
+    return Cdg(
+        StartGraph({"x": A, "y": B}, {}),
+        (
+            Event(1.0, NODE, "z", ADD, A),
+            Event(2.0, NODE, "x", ATTR_CHANGE, B),
+            Event(3.5, NODE, "w", ADD, B),
+        ),
+    )
+
+
+@pytest.mark.parametrize("mode", [SHARED_DT, PER_INTERVAL])
+def test_cross_graph_batching_is_exact(mode):
+    corpus = [
+        edge_free_cdg(),
+        delete_readd_cdg(),
+        generate(GeneratorConfig(n_nodes=4, n_events=3), seed=70),
+    ]
+    prefixes = trajectory_prefixes(corpus)
+    target = CdynTarget.prefix_indicator(corpus, 1, "a")
+    sg, tc = numeric_cfg(hidden=3, state=5, mode=mode)
+    model = CgnnModel.init(1, 1, sg, tc, n_intervals=3, seed=12)
+    assert model.adapter is not None
+    loss, grads = loss_and_gradients(model, corpus, target, prefixes)
+    terms, weighted_loss = 0, 0.0
+    weighted = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    for gi, g in enumerate(corpus):
+        states = cgnn_forward(g, model)
+        n_g = sum(q is not None for sm in states for q in sm.state.values())
+        loss_g, grads_g = loss_and_gradients(model, [g], target, [prefixes[gi]])
+        terms += n_g
+        weighted_loss += loss_g * n_g
+        for name in weighted:
+            weighted[name] += grads_g[name] * n_g
+        # one snapshot alone embeds bitwise as it does inside its whole stream
+        for snap, sm in zip(snapshots(g), states):
+            alone = sgnn_forward(snap, universe(g), model)
+            for v, h in sm.hidden.items():
+                assert (h is None) == (alone[v] is None)
+                if h is not None:
+                    assert h.tobytes() == alone[v].tobytes()
+    assert abs(loss * terms - weighted_loss) <= 1e-12
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad * terms, weighted[name], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"output_dim": 1}', "entries"),
+    ('{"output_dim": 1, "entries": [{"t": 0, "prefix": [1]}]}', "entries[0].value"),
+    ('[{"output_dim": 1}]', None),
+    ('{"output_dim": 0, "entries": []}', "output_dim"),
+    ('{"output_dim": 2, "default": [1.0], "entries": []}', "default"),
+    ('{"output_dim": 1, "entries": [{"t": -1, "prefix": [1], "value": [1]}]}', "entries[0].t"),
+    ('{"output_dim": 1, "entries": [{"t": 0, "prefix": ["a"], "value": [1]}]}',
+     "entries[0].prefix"),
+    ('{"output_dim": 1, "entries": [7]}', "entries[0]"),
+])
+def test_malformed_target_names_its_field(text, field):
+    with pytest.raises(MalformedTargetError) as err:
+        CdynTarget.from_json(text)
+    assert err.value.field == field
+
+
+def test_undefined_target_fails_before_any_step():
+    corpus = [static_cdg(k3())]
+    bare = CdynTarget.from_entries([], 1)
+    with pytest.raises(TargetUndefinedError):
+        train_to_target(corpus, bare, *numeric_cfg(layers=1), steps=5)
 
 
 def test_model_params_json_shapes():

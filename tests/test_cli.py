@@ -165,6 +165,46 @@ def test_cgnn_train_writes_params(tmp_path, capsys):
     assert "readout.w1" in json.loads(params_file.read_text())
 
 
+BAD_TARGETS = {
+    "no-entries": ('{"output_dim": 1}', "'entries'"),
+    "entry-without-value": (
+        '{"output_dim": 1, "entries": [{"t": 0, "prefix": [1]}]}', "'entries[0].value'"),
+    "json-list": ('[{"output_dim": 1, "entries": []}]', "JSON object"),
+    "undefined-on-corpus": ('{"output_dim": 1, "default": null, "entries": []}',
+                            "target undefined"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TARGETS))
+def test_bad_target_file_exits_2(case, tmp_path, capsys):
+    text, needle = BAD_TARGETS[case]
+    corpus = tmp_path / "tr"
+    run_cli(capsys, "gen", "--streams", "2", "--n-nodes", "3", "--events", "2",
+            "--corpus", str(corpus))
+    target_file = tmp_path / "target.json"
+    target_file.write_text(text)
+    code, payload, err = run_cli(
+        capsys, "cgnn", "train", "--corpus", str(corpus), "--target", str(target_file),
+        "--epochs", "3",
+    )
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and needle in err and "Traceback" not in err
+
+
+def test_unexpected_exception_exits_2(tmp_path, capsys):
+    # a manifest entry without "file" fails outside any typed check
+    corpus = tmp_path / "odd"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_text('{"streams": [{}]}')
+    target_file = tmp_path / "target.json"
+    target_file.write_text('{"output_dim": 1, "default": [0.5], "entries": []}')
+    code, payload, err = run_cli(
+        capsys, "cgnn", "train", "--corpus", str(corpus), "--target", str(target_file)
+    )
+    assert code == 2 and payload is None
+    assert err == "error: unexpected KeyError: 'file'\n"
+
+
 def test_cgnn_gradcheck(tmp_path, capsys):
     probe = tmp_path / "probe.jsonl"
     save_cdg(probe, generate(GeneratorConfig(n_nodes=3, n_events=2), seed=6))
