@@ -5,7 +5,9 @@ refinement kernel must mint exactly the same keys in exactly the same order.
 The digests below were recorded from the full-recompute implementation on a
 small seeded corpus (connected and disconnected pairs, plus one larger
 isomorphic pair whose classes stay stable for many levels) and from
-prefix-indicator targets over the approximation corpus.  The second half
+prefix-indicator targets over the approximation corpus.  Symbolic hidden
+and state ids (state pairings are keyed in the same session) are pinned
+on the same corpus, at stabilization and at two rounds.  The second half
 of the file checks the kernel against a plain full-recompute reference kept
 here, including the dictionary's whole key -> id map in insertion order.
 """
@@ -32,6 +34,7 @@ from cdgwl import (
     refine_at_depth,
     snapshots,
     stable_trajectories,
+    symbolic_state_trajectories,
     tree_sigs_stable,
     universe,
 )
@@ -79,6 +82,16 @@ def stable_ids(pairs):
     return out, len(d)
 
 
+def symbolic_ids(pairs):
+    d = ColorDictionary()
+    out = []
+    for layers in (None, 2):
+        for p in pairs:
+            hidden, states = symbolic_state_trajectories(list(p), dictionary=d, layers=layers)
+            out.append([[hidden[gi], states[gi]] for gi in range(len(p))])
+    return out, len(d)
+
+
 def target_json():
     corpus = approximation_corpus(7, 6)
     return "\n".join(
@@ -91,6 +104,7 @@ GOLDEN = {
     "cwl": ("690491013170a17a540b8c25b0023d679098380f21335340a0a4644e6da97a3a", 182),
     "cut": ("e183f2436601af345566153c5bed622993384dfd6b6c020d670d5a8b824181c9", 1144),
     "stable": ("2a8fb5a815f0a0ac2649ae99ff6215f651280a05f2447d2d23299e766120a207", 356),
+    "symbolic": ("56cfe6276d42ee75146b9ddb477d75a0b7b702d7d43a6c7be5bdddbe8762495b", 462),
     "target": "c05ab76cf8a6310efc7ad054fc52e08895000f5cca1329d2272ab749e3b432da",
 }
 
@@ -108,6 +122,11 @@ def test_cut_signature_ids_are_pinned():
 def test_stable_trajectory_ids_are_pinned():
     ids, n_keys = stable_ids(golden_pairs())
     assert (digest(ids), n_keys) == GOLDEN["stable"]
+
+
+def test_symbolic_state_ids_are_pinned():
+    ids, n_keys = symbolic_ids(golden_pairs())
+    assert (digest(ids), n_keys) == GOLDEN["symbolic"]
 
 
 def test_target_json_is_pinned():
