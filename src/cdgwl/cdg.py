@@ -194,10 +194,17 @@ def validate_stream(start, events, dim=None, start_time=0.0, max_nodes=None):
     """Check a raw (start graph, event list) pair; return a diagnostic list.
 
     An empty list means every event applies cleanly in order, timestamps
-    strictly increase from the start time, attribute dimensions agree, and
-    the node universe stays within ``max_nodes`` when a bound is given.
+    strictly increase from the start time, attribute dimensions agree, node
+    ids do not mix strings with integers (so the universe sorts), and the
+    node universe stays within ``max_nodes`` when a bound is given.
     """
     problems = []
+    ids = [(None, v) for v in start.nodes]
+    ids += [(i, e.key) for i, e in enumerate(events) if e.item == NODE and e.kind == ADD]
+    mixed = [(i, v) for i, v in ids if isinstance(v, str) != isinstance(ids[0][1], str)]
+    if mixed:
+        idx, v = mixed[0]
+        problems.append(Diagnostic(idx, f"node ids mix strings and integers: {v!r}"))
     for pair in start.edges:
         for end in pair:
             if end not in start.nodes:

@@ -36,11 +36,12 @@ from .trees import cut_trajectories
 from .wl import (
     BOTTOM,
     ColorDictionary,
-    awl_stable,
+    _by_graph,
+    _colors_at,
+    _joint_timeline,
+    _joint_trajectories,
     check_comparable,
-    cwl,
-    merged_snapshot,
-    refine_at_depth,
+    partition_of,
 )
 
 SYMBOLIC = "symbolic"
@@ -348,10 +349,7 @@ def sgnn_forward(snapshot, universe_, model):
     after stabilization when the count is None.
     """
     if model.sgnn.mode == SYMBOLIC:
-        if model.sgnn.layers is None:
-            colors, _ = awl_stable(snapshot, sorted(universe_), model.dictionary)
-        else:
-            colors = refine_at_depth(snapshot, sorted(universe_), model.dictionary, model.sgnn.layers)
+        colors = _colors_at(snapshot, sorted(universe_), model.dictionary, model.sgnn.layers)
         return {v: (None if c == BOTTOM else c) for v, c in colors.items()}
     batch = _Batch([(universe_, [snapshot])], model.attr_dim)
     h, _ = _encode(model, batch)
@@ -387,33 +385,23 @@ def symbolic_state_trajectories(cdgs, dictionary=None, layers=None):
     A state is the fresh embedding at (re)appearance and otherwise the
     injective pairing of the previous state with the current embedding.
     """
-    check_comparable(cdgs)
     if dictionary is None:
         dictionary = ColorDictionary()
-    universes = [universe(g) for g in cdgs]
-    seqs = [snapshots(g) for g in cdgs]
-    hidden = [{v: [] for v in us} for us in universes]
-    states = [{v: [] for v in us} for us in universes]
-    prev_q = [{v: None for v in us} for us in universes]
-    for i in range(len(seqs[0])):
-        snap, joint = merged_snapshot([sq[i] for sq in seqs], universes)
-        if layers is None:
-            colors, _ = awl_stable(snap, joint, dictionary)
-        else:
-            colors = refine_at_depth(snap, joint, dictionary, layers)
-        for gi, us in enumerate(universes):
-            for v in us:
-                c = colors[(gi, v)]
-                if c == BOTTOM:
-                    h = q = None
-                else:
-                    h = c
-                    prev = prev_q[gi][v]
-                    q = h if prev is None else dictionary.id_of(("q", prev, h))
-                hidden[gi][v].append(h)
-                states[gi][v].append(q)
-                prev_q[gi][v] = q
-    return hidden, states
+    prev_q = {}
+
+    def ids_at(snap, joint):
+        colors = _colors_at(snap, joint, dictionary, layers)
+        hidden = {t: None if colors[t] == BOTTOM else colors[t] for t in joint}
+        for t, h in hidden.items():
+            prev = prev_q.get(t)
+            prev_q[t] = h if h is None or prev is None else dictionary.id_of(("q", prev, h))
+        return hidden, dict(prev_q)
+
+    universes, steps = _joint_timeline(cdgs)
+    return tuple(
+        [{v: list(tr) for v, tr in m.items()} for m in _by_graph(trajs, universes)]
+        for trajs in _joint_trajectories(steps, ids_at)
+    )
 
 
 def readout(state_matrix, model):
@@ -680,13 +668,6 @@ class ExpressivityReport:
         )
 
 
-def _prefix_partition(values, length):
-    cells = {}
-    for tagged, seq in values.items():
-        cells.setdefault(tuple(seq[:length]), set()).add(tagged)
-    return frozenset(frozenset(cell) for cell in cells.values())
-
-
 def expressivity_check(
     pairs,
     seeds=5,
@@ -707,13 +688,16 @@ def expressivity_check(
     report = ExpressivityReport()
     for idx, (g1, g2) in enumerate(pairs):
         dictionary = ColorDictionary()
-        color_maps = cwl([g1, g2], dictionary=dictionary)
-        colors = {(gi, v): tr for gi in (0, 1) for v, tr in color_maps[gi].items()}
+        _universes, steps = _joint_timeline([g1, g2])
+        (colors,) = _joint_trajectories(
+            steps, lambda snap, joint: [_colors_at(snap, joint, dictionary, None)]
+        )
         _h, sym_states = symbolic_state_trajectories([g1, g2], dictionary=dictionary, layers=None)
-        states = {(gi, v): tr for gi in (0, 1) for v, tr in sym_states[gi].items()}
+        states = {(gi, v): tuple(tr) for gi in (0, 1) for v, tr in sym_states[gi].items()}
         n_t = len(g1.events) + 1
         exact = all(
-            _prefix_partition(colors, i + 1) == _prefix_partition(states, i + 1)
+            partition_of({t: tr[: i + 1] for t, tr in colors.items()})
+            == partition_of({t: tr[: i + 1] for t, tr in states.items()})
             for i in range(n_t)
         )
         if exact:

@@ -60,6 +60,10 @@ def _corpus_dir(args):
 
 
 def _cmd_gen(args):
+    cfg = GeneratorConfig(
+        n_nodes=args.n_nodes, n_events=args.events, dim=args.dim,
+        attr_values=args.attr_values, ensure_disconnected=args.disconnected,
+    )
     if args.pairs is not None or args.streams is not None:
         out_dir = _corpus_dir(args)
         if args.pairs is not None:
@@ -69,19 +73,10 @@ def _cmd_gen(args):
                 mixed=not args.no_mixed,
             )
         else:
-            cfg = GeneratorConfig(
-                n_nodes=args.n_nodes, n_events=args.events, dim=args.dim,
-                attr_values=args.attr_values, ensure_disconnected=args.disconnected,
-            )
             manifest = write_stream_corpus(out_dir, args.seed, args.streams, cfg)
         _print({"corpus": str(out_dir), "manifest": manifest})
         return 0
-    cfg = GeneratorConfig(
-        n_nodes=args.n_nodes, n_events=args.events, dim=args.dim,
-        attr_values=args.attr_values, ensure_disconnected=args.disconnected,
-    )
-    g = generate(cfg, args.seed)
-    text = cdg_to_jsonl(g)
+    text = cdg_to_jsonl(generate(cfg, args.seed))
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -26,6 +26,14 @@ class MalformedStreamError(CdgError, ValueError):
         super().__init__(f"{where}: {problem}")
 
 
+class MalformedManifestError(CdgError, ValueError):
+    """A corpus manifest breaks its schema; names the field (a ``ValueError`` too)."""
+
+    def __init__(self, path, field, problem):
+        self.field = field
+        super().__init__(f"{path}, field {field!r}: {problem}")
+
+
 class EmptyInputError(CdgError):
     """An operation that needs at least one graph was given none."""
 

@@ -28,6 +28,7 @@ from .cgnn import (
     train_to_target,
 )
 from .components import match_components
+from .errors import MalformedManifestError
 from .generate import (
     GeneratorConfig,
     generate,
@@ -133,6 +134,11 @@ class Report:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _pair_json(a, b):
+    """A counterexample's inputs, as their JSON-lines text."""
+    return {"cdg_a": cdg_to_jsonl(a), "cdg_b": cdg_to_jsonl(b)}
+
+
 def _sorted_counterexamples(ces):
     return sorted(ces, key=lambda c: json.dumps(c, sort_keys=True))
 
@@ -154,12 +160,7 @@ def _w_cut_cwl(args):
     a, b = make_pair(seed, idx, n_nodes)
     rep = verify_cut_cwl_correspondence([(a, b)])
     ces = [
-        {
-            "pair_index": idx,
-            "timestamp_index": m["timestamp_index"],
-            "cdg_a": cdg_to_jsonl(a),
-            "cdg_b": cdg_to_jsonl(b),
-        }
+        {"pair_index": idx, "timestamp_index": m["timestamp_index"], **_pair_json(a, b)}
         for m in rep.mismatches
     ]
     return {"timestamps": rep.timestamps_checked, "counterexamples": ces}
@@ -174,8 +175,7 @@ def _w_depth_bound(args):
             "pair_index": idx,
             "disconnected_corpus": disconnected,
             "violation": {k: v for k, v in v_.items() if k != "pair"},
-            "cdg_a": cdg_to_jsonl(a),
-            "cdg_b": cdg_to_jsonl(b),
+            **_pair_json(a, b),
         }
         for v_ in rep.violations
     ]
@@ -195,16 +195,13 @@ def _w_iso(args):
     cwl_ok = graph_cwl_equivalent(g1, g2, mode=BIJECTION)
     ces = []
     if not (witness_ok and oracle.isomorphic and cwl_ok):
-        ces.append(
-            {
-                "pair_index": idx,
-                "witness_verified": witness_ok,
-                "brute_force_isomorphic": oracle.isomorphic,
-                "cwl_equivalent": cwl_ok,
-                "cdg_a": cdg_to_jsonl(g1),
-                "cdg_b": cdg_to_jsonl(g2),
-            }
-        )
+        ces.append({
+            "pair_index": idx,
+            "witness_verified": witness_ok,
+            "brute_force_isomorphic": oracle.isomorphic,
+            "cwl_equivalent": cwl_ok,
+            **_pair_json(g1, g2),
+        })
     return {"counterexamples": ces}
 
 
@@ -213,18 +210,11 @@ def _w_decomposition(args):
     a, b = make_pair(seed, idx, n_nodes)
     if not graph_cwl_equivalent(a, b, mode=BIJECTION):
         return {"equivalent": 0, "counterexamples": []}
-    ces = []
-    for i, (s1, s2) in enumerate(zip(snapshots(a), snapshots(b))):
-        verdict = match_components(s1, s2)
-        if not verdict.class_counts_match:
-            ces.append(
-                {
-                    "pair_index": idx,
-                    "timestamp_index": i,
-                    "cdg_a": cdg_to_jsonl(a),
-                    "cdg_b": cdg_to_jsonl(b),
-                }
-            )
+    ces = [
+        {"pair_index": idx, "timestamp_index": i, **_pair_json(a, b)}
+        for i, (s1, s2) in enumerate(zip(snapshots(a), snapshots(b)))
+        if not match_components(s1, s2).class_counts_match
+    ]
     return {"equivalent": 1, "counterexamples": ces}
 
 
@@ -233,28 +223,21 @@ def _w_expressivity(args):
     pair = make_pair(seed, idx, n_nodes)
     base = (int(seed) * 7919 + idx * 13) % (2**31)
     rep = expressivity_check([pair], seeds=n_seeds, layers=layers, base_seed=base)
-    ces = []
-    for m in rep.symbolic_mismatches:
-        ces.append(
-            {
-                "pair_index": idx,
-                "kind": "symbolic-partition-mismatch",
-                "cdg_a": cdg_to_jsonl(pair[0]),
-                "cdg_b": cdg_to_jsonl(pair[1]),
-            }
-        )
-    for v in rep.numeric_violations:
-        ces.append(
-            {
-                "pair_index": idx,
-                "kind": "numeric-refinement",
-                "seed": v["seed"],
-                "prefix_length": v["prefix_length"],
-                "nodes": v["nodes"],
-                "cdg_a": cdg_to_jsonl(pair[0]),
-                "cdg_b": cdg_to_jsonl(pair[1]),
-            }
-        )
+    ces = [
+        {"pair_index": idx, "kind": "symbolic-partition-mismatch", **_pair_json(*pair)}
+        for _ in rep.symbolic_mismatches
+    ]
+    ces += [
+        {
+            "pair_index": idx,
+            "kind": "numeric-refinement",
+            "seed": v["seed"],
+            "prefix_length": v["prefix_length"],
+            "nodes": v["nodes"],
+            **_pair_json(*pair),
+        }
+        for v in rep.numeric_violations
+    ]
     return {"symbolic_exact": rep.symbolic_exact, "counterexamples": ces}
 
 
@@ -586,11 +569,24 @@ def load_manifest(dirpath):
     return json.loads((Path(dirpath) / "manifest.json").read_text())
 
 
+def _checked_manifest(dirpath, kind, files):
+    """The manifest, once every ``kind`` entry names each of ``files`` as a string."""
+    manifest, path = load_manifest(dirpath), Path(dirpath) / "manifest.json"
+    entries = manifest.get(kind) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise MalformedManifestError(path, kind, f"expected a list of {kind}, got {entries!r}")
+    for k, entry in enumerate(entries):
+        for name in files:
+            value = entry.get(name) if isinstance(entry, dict) else None
+            if not isinstance(value, str):
+                field = f"{kind}[{k}].{name}"
+                raise MalformedManifestError(path, field, f"expected a file name, got {value!r}")
+    return manifest
+
+
 def load_pair_corpus(dirpath):
     dirpath = Path(dirpath)
-    manifest = load_manifest(dirpath)
-    if "pairs" not in manifest:
-        raise ValueError(f"{dirpath} holds no pair corpus")
+    manifest = _checked_manifest(dirpath, "pairs", ("a", "b"))
     pairs = [
         (load_cdg(dirpath / e["a"]), load_cdg(dirpath / e["b"]))
         for e in manifest["pairs"]
@@ -600,8 +596,6 @@ def load_pair_corpus(dirpath):
 
 def load_stream_corpus(dirpath):
     dirpath = Path(dirpath)
-    manifest = load_manifest(dirpath)
-    if "streams" not in manifest:
-        raise ValueError(f"{dirpath} holds no stream corpus")
+    manifest = _checked_manifest(dirpath, "streams", ("file",))
     streams = [load_cdg(dirpath / e["file"]) for e in manifest["streams"]]
     return streams, manifest

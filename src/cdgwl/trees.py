@@ -25,17 +25,20 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .cdg import adjacency, attr_bytes, snapshots, universe
+from .cdg import adjacency, attr_bytes
 from .components import is_disconnected
 from .errors import DepthMismatchError, InvalidBoundError, LengthMismatchError
 from .wl import (
     ColorDictionary,
+    _by_graph,
+    _colors_at,
+    _joint_timeline,
+    _joint_trajectories,
     _refine,
     awl_stable,
-    check_comparable,
-    cwl,
-    merged_snapshot,
+    partition_of,
 )
 
 EMPTY_SIGNATURE = 0
@@ -152,25 +155,19 @@ def cut_trajectories(cdgs, depth=None, dictionary=None):
     """Tree trajectories for one or more graphs over a shared session.
 
     ``depth=None`` uses the decisive bound for the largest universe among
-    the inputs.  Signatures of different graphs at the same timestamp are
-    comparable by construction.
+    the inputs (for one node when every universe is empty).  Signatures of
+    different graphs at the same timestamp are comparable by construction.
     """
-    check_comparable(cdgs)
     if dictionary is None:
         dictionary = ColorDictionary()
-    universes = [universe(g) for g in cdgs]
+    universes, steps = _joint_timeline(cdgs)
     if depth is None:
-        depth = depth_bound(max((len(u) for u in universes), default=1))
-    snap_seqs = [snapshots(g) for g in cdgs]
-    trajs = [{v: [] for v in us} for us in universes]
-    for i in range(len(snap_seqs[0])):
-        snap, joint = merged_snapshot([sq[i] for sq in snap_seqs], universes)
-        sigs = tree_sigs_at_depth(snap, joint, dictionary, depth)
-        for gi, us in enumerate(universes):
-            for v in us:
-                trajs[gi][v].append(sigs[(gi, v)])
+        depth = depth_bound(max(1, *map(len, universes)))
+    (sigs,) = _joint_trajectories(
+        steps, lambda snap, joint: [tree_sigs_at_depth(snap, joint, dictionary, depth)]
+    )
     return [
-        {v: TreeTrajectory(depth, tuple(t)) for v, t in tr.items()} for tr in trajs
+        {v: TreeTrajectory(depth, tr) for v, tr in m.items()} for m in _by_graph(sigs, universes)
     ]
 
 
@@ -193,8 +190,7 @@ class CutVerdict:
 
 def graph_cut_equivalent(g1, g2, depth=None, dictionary=None):
     """Multiset equality of tree trajectories, with a witness on success."""
-    trajs = cut_trajectories([g1, g2], depth=depth, dictionary=dictionary)
-    t1, t2 = trajs
+    t1, t2 = cut_trajectories([g1, g2], depth=depth, dictionary=dictionary)
     if Counter(tr.sigs for tr in t1.values()) != Counter(tr.sigs for tr in t2.values()):
         return CutVerdict(False)
     order1 = sorted(t1, key=lambda v: (t1[v].sigs, v))
@@ -208,23 +204,15 @@ def stable_trajectories(g1, g2, dictionary=None):
     Returns ({tagged node: color trajectory}, {tagged node: sig trajectory})
     where tags are (graph index, node id); both computed in one session.
     """
-    check_comparable([g1, g2])
     if dictionary is None:
         dictionary = ColorDictionary()
-    universes = [universe(g1), universe(g2)]
-    seqs = [snapshots(g1), snapshots(g2)]
-    color_tr = {}
-    sig_tr = {}
-    for i in range(len(seqs[0])):
-        snap, joint = merged_snapshot([seqs[0][i], seqs[1][i]], universes)
-        colors, _ = awl_stable(snap, joint, dictionary)
-        sigs, _ = tree_sigs_stable(snap, joint, dictionary)
-        for tagged in joint:
-            color_tr.setdefault(tagged, []).append(colors[tagged])
-            sig_tr.setdefault(tagged, []).append(sigs[tagged])
-    return (
-        {k: tuple(v) for k, v in color_tr.items()},
-        {k: tuple(v) for k, v in sig_tr.items()},
+    _universes, steps = _joint_timeline([g1, g2])
+    return _joint_trajectories(
+        steps,
+        lambda snap, joint: [
+            awl_stable(snap, joint, dictionary)[0],
+            tree_sigs_stable(snap, joint, dictionary)[0],
+        ],
     )
 
 
@@ -241,13 +229,6 @@ class CorrespondenceReport:
         return not self.mismatches
 
 
-def _partition_at(trajectories, i):
-    cells = {}
-    for tagged, tr in trajectories.items():
-        cells.setdefault(tr[i], set()).add(tagged)
-    return frozenset(frozenset(cell) for cell in cells.values())
-
-
 def verify_cut_cwl_correspondence(pairs, depth=None):
     """Certify that tree partitions and color partitions coincide.
 
@@ -258,22 +239,16 @@ def verify_cut_cwl_correspondence(pairs, depth=None):
     """
     report = CorrespondenceReport()
     for idx, (g1, g2) in enumerate(pairs):
-        if depth is None:
-            color_tr, sig_tr = stable_trajectories(g1, g2)
-        else:
-            dictionary = ColorDictionary()
-            colors = cwl([g1, g2], depth=depth, dictionary=dictionary)
-            sig_maps = cut_trajectories([g1, g2], depth=depth, dictionary=dictionary)
-            color_tr, sig_tr = {}, {}
-            for gi in (0, 1):
-                for v, tr in colors[gi].items():
-                    color_tr[(gi, v)] = tr
-                for v, tr in sig_maps[gi].items():
-                    sig_tr[(gi, v)] = tr.sigs
-        n_t = len(next(iter(color_tr.values()))) if color_tr else 0
-        for i in range(n_t):
+        dictionary = ColorDictionary()
+        _universes, steps = _joint_timeline([g1, g2])
+        for i, (_snaps, snap, joint) in enumerate(steps):
+            colors = _colors_at(snap, joint, dictionary, depth)
+            if depth is None:
+                sigs = tree_sigs_stable(snap, joint, dictionary)[0]
+            else:
+                sigs = tree_sigs_at_depth(snap, joint, dictionary, depth)
             report.timestamps_checked += 1
-            if _partition_at(color_tr, i) != _partition_at(sig_tr, i):
+            if partition_of(colors) != partition_of(sigs):
                 report.mismatches.append({"pair": idx, "timestamp_index": i})
         report.pairs_checked += 1
     return report
@@ -304,43 +279,30 @@ def verify_depth_bound(pairs, n_bound):
     d_full = depth_bound(n_bound)
     d_tight = depth_bound(n_bound, both_disconnected=True) if n_bound >= 2 else None
     for idx, (g1, g2) in enumerate(pairs):
-        check_comparable([g1, g2])
-        universes = [universe(g1), universe(g2)]
+        universes, steps = _joint_timeline([g1, g2])
         for u in universes:
             if len(u) > n_bound:
                 raise InvalidBoundError(
                     f"universe size {len(u)} exceeds the stated bound {n_bound}"
                 )
-        seqs = [snapshots(g1), snapshots(g2)]
         dictionary = ColorDictionary()
-        for i in range(len(seqs[0])):
-            s1, s2 = seqs[0][i], seqs[1][i]
-            snap, joint = merged_snapshot([s1, s2], universes)
+        for i, ((s1, s2), snap, joint) in enumerate(steps):
             levels = tree_sig_levels(snap, joint, dictionary, d_full + 2)
-            both_disc = is_disconnected(s1) and is_disconnected(s2)
-            if both_disc:
-                report.disconnected_timestamps += 1
             start_depths = [d_full]
-            if both_disc and d_tight is not None:
-                start_depths.append(d_tight)
-            tagged = sorted(joint)
-            for a_i in range(len(tagged)):
-                for b_i in range(a_i + 1, len(tagged)):
-                    x, y = tagged[a_i], tagged[b_i]
-                    report.node_pairs_checked += 1
-                    for d0 in start_depths:
-                        if levels[d0][x] != levels[d0][y]:
-                            continue
-                        for d in (d_full + 1, d_full + 2):
-                            if levels[d][x] != levels[d][y]:
-                                report.violations.append(
-                                    {
-                                        "pair": idx,
-                                        "timestamp_index": i,
-                                        "nodes": [list(x), list(y)],
-                                        "equal_at": d0,
-                                        "diverged_at": d,
-                                    }
-                                )
+            if is_disconnected(s1) and is_disconnected(s2):
+                report.disconnected_timestamps += 1
+                if d_tight is not None:
+                    start_depths.append(d_tight)
+            for x, y in combinations(sorted(joint), 2):
+                report.node_pairs_checked += 1
+                for d0 in start_depths:
+                    if levels[d0][x] != levels[d0][y]:
+                        continue
+                    for d in (d_full + 1, d_full + 2):
+                        if levels[d][x] != levels[d][y]:
+                            report.violations.append({
+                                "pair": idx, "timestamp_index": i, "nodes": [list(x), list(y)],
+                                "equal_at": d0, "diverged_at": d,
+                            })
         report.pairs_checked += 1
     return report

@@ -11,6 +11,11 @@ The temporal test runs refinement independently per timestamp but jointly
 over the disjoint union of all compared snapshots, so colors of different
 graphs at the same timestamp line up by construction.  A node's color
 trajectory is the tuple of its per-timestamp final colors.
+
+Every per-timestamp test in the package (color and tree trajectories, the
+correspondence and depth-bound certifications, symbolic network states)
+walks timestamps through one driver, ``_joint_timeline``: it checks the
+graphs, replays each once, and merges one timestamp's snapshots at a time.
 """
 
 from __future__ import annotations
@@ -172,6 +177,43 @@ def refine_at_depth(snapshot, universe_, dictionary, depth):
     return _refine(snapshot, universe_, dictionary, depth)[-1]
 
 
+def _colors_at(snapshot, universe_, dictionary, depth):
+    """Colors at stabilization (``depth=None``) or after exactly ``depth`` rounds."""
+    if depth is None:
+        return awl_stable(snapshot, universe_, dictionary)[0]
+    return refine_at_depth(snapshot, universe_, dictionary, depth)
+
+
+def _joint_timeline(cdgs):
+    """The graphs' universes, plus one lazy step per timestamp.
+
+    Checks the graphs at once (so an empty list raises here), replays each
+    graph once, and yields per timestamp ``(snaps, union, joint)``: the
+    graphs' snapshots, their disjoint union and its tagged node list.  Only
+    one union is alive at a time.
+    """
+    check_comparable(cdgs)
+    universes = [universe(g) for g in cdgs]
+    seqs = [snapshots(g) for g in cdgs]
+    return universes, ((snaps, *merged_snapshot(snaps, universes)) for snaps in zip(*seqs))
+
+
+def _joint_trajectories(steps, ids_at):
+    """Trajectories of the id maps that ``ids_at(union, joint)`` returns per step.
+
+    Returns, for each returned map in order, {tagged node: tuple of ids}.
+    """
+    joint, columns = (), []
+    for _snaps, snap, joint in steps:
+        columns.append([[ids[t] for t in joint] for ids in ids_at(snap, joint)])
+    return tuple(dict(zip(joint, zip(*col))) for col in zip(*columns))
+
+
+def _by_graph(tagged, universes):
+    """Split a map keyed by (graph index, node) into one node map per graph."""
+    return [{v: tagged[(gi, v)] for v in us} for gi, us in enumerate(universes)]
+
+
 def cwl(cdgs, depth=None, dictionary=None):
     """Color trajectories for one or more dynamic graphs, jointly refined.
 
@@ -180,22 +222,13 @@ def cwl(cdgs, depth=None, dictionary=None):
     node id to its trajectory tuple (color 0 marks timestamps where the
     node is not alive).
     """
-    check_comparable(cdgs)
     if dictionary is None:
         dictionary = ColorDictionary()
-    universes = [universe(g) for g in cdgs]
-    snap_seqs = [snapshots(g) for g in cdgs]
-    trajs = [{v: [] for v in us} for us in universes]
-    for i in range(len(snap_seqs[0])):
-        snap, joint = merged_snapshot([sq[i] for sq in snap_seqs], universes)
-        if depth is None:
-            colors, _ = awl_stable(snap, joint, dictionary)
-        else:
-            colors = refine_at_depth(snap, joint, dictionary, depth)
-        for gi, us in enumerate(universes):
-            for v in us:
-                trajs[gi][v].append(colors[(gi, v)])
-    return [{v: tuple(t) for v, t in tr.items()} for tr in trajs]
+    universes, steps = _joint_timeline(cdgs)
+    (colors,) = _joint_trajectories(
+        steps, lambda snap, joint: [_colors_at(snap, joint, dictionary, depth)]
+    )
+    return _by_graph(colors, universes)
 
 
 def node_cwl_equivalent(traj_a, traj_b):
@@ -225,13 +258,11 @@ def compare_graphs(g1, g2, mode=BIJECTION, dictionary=None):
     t1, t2 = cwl([g1, g2], dictionary=dictionary)
     summary = Counter if mode == BIJECTION else set
     equivalent = summary(t1.values()) == summary(t2.values())
-    first = None
-    if not equivalent:
-        n_t = len(next(iter(t1.values()))) if t1 else 0
-        for i in range(n_t):
-            if summary(tr[i] for tr in t1.values()) != summary(tr[i] for tr in t2.values()):
-                first = i
-                break
+    diverged = (
+        i for i in range(len(g1.events) + 1)
+        if summary(tr[i] for tr in t1.values()) != summary(tr[i] for tr in t2.values())
+    )
+    first = None if equivalent else next(diverged, None)
     return GraphComparison(equivalent, (t1, t2), first)
 
 

@@ -166,3 +166,16 @@ def test_neighbors_and_adjacency_agree():
 def test_dim_inference_requires_an_attribute():
     with pytest.raises(ValueError):
         Cdg(StartGraph({}, {}))
+
+
+def test_mixed_node_id_types_are_rejected():
+    with pytest.raises(InvalidCdgError) as err:
+        Cdg(StartGraph({"a": A, 3: A}, {}), [])
+    (problem,) = err.value.diagnostics
+    assert problem.index is None and "mix strings and integers" in problem.message
+    events = (Event(1.0, NODE, "b", ADD, A), Event(2.0, NODE, 3, ADD, A))
+    with pytest.raises(InvalidCdgError) as err:
+        Cdg(StartGraph({"a": A}, {}), events)
+    assert [p.index for p in err.value.diagnostics] == [1]
+    assert [p.index for p in validate_stream(StartGraph({1: A}, {}), events)] == [0]
+    assert universe(Cdg(StartGraph({1: A, 2: A}, {}), [Event(1.0, NODE, 0, ADD, A)])) == (0, 1, 2)

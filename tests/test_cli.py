@@ -191,8 +191,7 @@ def test_bad_target_file_exits_2(case, tmp_path, capsys):
     assert err.startswith("error: ") and needle in err and "Traceback" not in err
 
 
-def test_unexpected_exception_exits_2(tmp_path, capsys):
-    # a manifest entry without "file" fails outside any typed check
+def test_malformed_manifest_exits_2(tmp_path, capsys):
     corpus = tmp_path / "odd"
     corpus.mkdir()
     (corpus / "manifest.json").write_text('{"streams": [{}]}')
@@ -202,7 +201,19 @@ def test_unexpected_exception_exits_2(tmp_path, capsys):
         capsys, "cgnn", "train", "--corpus", str(corpus), "--target", str(target_file)
     )
     assert code == 2 and payload is None
-    assert err == "error: unexpected KeyError: 'file'\n"
+    assert err.startswith("error: ") and "'streams[0].file': expected a file name" in err
+    assert "unexpected" not in err
+
+
+def test_unexpected_exception_exits_2(pair_files, capsys, monkeypatch):
+    # an error no typed check anticipates
+    def broken(path):
+        raise RuntimeError(f"cannot read {path}")
+
+    monkeypatch.setattr(cli, "load_cdg", broken)
+    code, payload, err = run_cli(capsys, "cwl", "compare", *pair_files)
+    assert code == 2 and payload is None
+    assert err == f"error: unexpected RuntimeError: cannot read {pair_files[0]}\n"
 
 
 def test_cgnn_gradcheck(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from cdgwl import (
     EXPERIMENT_NAMES,
+    CdgError,
     Report,
     check_comparable,
     cdg_to_jsonl,
@@ -17,6 +18,7 @@ from cdgwl import (
     write_pair_corpus,
     write_stream_corpus,
 )
+from cdgwl.errors import MalformedManifestError
 
 
 def test_sub_seed_is_stable_and_keyed():
@@ -115,3 +117,29 @@ def test_corpus_loaders_reject_wrong_kind(tmp_path):
     write_stream_corpus(d, seed=1, n_streams=1)
     with pytest.raises(ValueError):
         load_pair_corpus(d)
+
+
+@pytest.mark.parametrize(
+    "manifest, field",
+    [
+        ('{"streams": [{}]}', "streams[0].file"),
+        ('{"streams": [{"file": 3}]}', "streams[0].file"),
+        ('{"streams": ["a.jsonl"]}', "streams[0].file"),
+        ('{"streams": {"file": "a.jsonl"}}', "streams"),
+        ("[]", "streams"),
+    ],
+)
+def test_stream_manifest_errors_name_the_field(tmp_path, manifest, field):
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(MalformedManifestError) as err:
+        load_stream_corpus(tmp_path)
+    assert err.value.field == field and f"'{field}'" in str(err.value)
+    assert isinstance(err.value, CdgError) and isinstance(err.value, ValueError)
+
+
+def test_pair_manifest_errors_name_the_field(tmp_path):
+    manifest = '{"pairs": [{"a": "x.jsonl", "b": "y.jsonl"}, {"a": "z.jsonl"}]}'
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(MalformedManifestError) as err:
+        load_pair_corpus(tmp_path)
+    assert err.value.field == "pairs[1].b"

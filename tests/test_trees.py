@@ -4,6 +4,7 @@ import pytest
 
 from cdgwl import (
     ColorDictionary,
+    CutVerdict,
     DepthMismatchError,
     EMPTY_TREE,
     GeneratorConfig,
@@ -186,3 +187,13 @@ def test_empty_graph_list_is_a_typed_error():
 
     with pytest.raises(EmptyInputError):
         cut_trajectories([])
+
+
+def test_empty_universes_are_checked_and_equivalent():
+    from cdgwl import Cdg, StartGraph
+
+    g0 = Cdg(StartGraph({}, {}), [], dim=1)
+    report = verify_cut_cwl_correspondence([(g0, g0)])
+    assert report.ok and report.pairs_checked == 1 and report.timestamps_checked == 1
+    assert cut_trajectories([g0, g0]) == [{}, {}]
+    assert graph_cut_equivalent(g0, g0) == CutVerdict(True, {})

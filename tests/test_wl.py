@@ -181,3 +181,13 @@ def test_empty_graph_list_is_a_typed_error():
     with pytest.raises(EmptyInputError):
         cwl([])
     assert issubclass(EmptyInputError, CdgError)
+
+
+def test_first_divergence_on_an_empty_universe():
+    # the timestamp count comes from the stream, not from a first trajectory
+    empty = Cdg(StartGraph({}, {}), [], dim=1)
+    one = Cdg(StartGraph({"a": A}, {}), [], dim=1)
+    for g1, g2 in ((empty, one), (one, empty)):
+        verdict = compare_graphs(g1, g2)
+        assert not verdict.equivalent and verdict.first_divergence == 0
+    assert compare_graphs(empty, empty).equivalent
