@@ -47,7 +47,10 @@ def edge_key(u, v):
     """Normalize an undirected edge to its sorted endpoint pair."""
     if u == v:
         raise ValueError(f"self-loop at {u!r} not allowed")
-    return (u, v) if u <= v else (v, u)
+    try:
+        return (u, v) if u <= v else (v, u)
+    except TypeError:
+        raise ValueError(f"edge ({u!r}, {v!r}) mixes node id types") from None
 
 
 def _checked_attr(attr):

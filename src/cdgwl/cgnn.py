@@ -687,13 +687,11 @@ def expressivity_check(
     """
     report = ExpressivityReport()
     for idx, (g1, g2) in enumerate(pairs):
-        dictionary = ColorDictionary()
-        _universes, steps = _joint_timeline([g1, g2])
-        (colors,) = _joint_trajectories(
-            steps, lambda snap, joint: [_colors_at(snap, joint, dictionary, None)]
+        # Hidden ids are the stable colors, with None where color 0 marks absence.
+        colors, states = (
+            {(gi, v): tuple(tr) for gi in (0, 1) for v, tr in trajs[gi].items()}
+            for trajs in symbolic_state_trajectories([g1, g2])
         )
-        _h, sym_states = symbolic_state_trajectories([g1, g2], dictionary=dictionary, layers=None)
-        states = {(gi, v): tuple(tr) for gi in (0, 1) for v, tr in sym_states[gi].items()}
         n_t = len(g1.events) + 1
         exact = all(
             partition_of({t: tr[: i + 1] for t, tr in colors.items()})

@@ -1,10 +1,11 @@
 """Command-line surface: generation, comparison, verification, experiments.
 
-Comparison commands exit 0 when the verdict is positive (equivalent,
-isomorphic, matched) and 1 otherwise; verification and experiment commands
-exit 0 exactly when no counterexample was found.  Usage problems and
-invalid inputs exit 2.  ``CDGWL_CORPUS`` supplies the default corpus
-directory wherever ``--corpus`` is accepted.
+Each ``_cmd_*`` handler returns ``(payload, verdict)``; only ``main`` prints
+the payload as JSON and maps the verdict to an exit code: 0 for a positive
+verdict (equivalent, isomorphic, matched, no counterexample) or a command
+without one, 1 for a negative verdict and nothing else, 2 for usage errors,
+invalid inputs and unexpected errors.  ``CDGWL_CORPUS`` supplies the default
+corpus directory wherever ``--corpus`` is accepted.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .cdg import replay, universe
 from .cgnn import (
+    NUMERIC,
     PER_INTERVAL,
     SHARED_DT,
     CdynTarget,
@@ -30,6 +33,7 @@ from .cgnn import (
 from .components import components, is_disconnected, match_components
 from .errors import CdgError
 from .experiments import (
+    DEFAULT_SIZES,
     EXPERIMENT_NAMES,
     load_pair_corpus,
     load_stream_corpus,
@@ -48,15 +52,20 @@ from .trees import (
 )
 from .wl import BIJECTION, EXISTENCE, ColorDictionary, compare_graphs, cwl
 
-
-def _print(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2))
+# ``cdgwl run`` takes one flag per size parameter of any experiment, typed by
+# its default; ``run_experiment`` rejects a parameter the experiment lacks.
+SIZE_TYPES = {key: type(v) for sizes in DEFAULT_SIZES.values() for key, v in sizes.items()}
 
 
 def _corpus_dir(args):
     if args.corpus:
         return args.corpus
     raise ValueError("no corpus directory: pass --corpus or set CDGWL_CORPUS")
+
+
+def _checked(report):
+    """A certification report as a payload, with its verdict."""
+    return {**asdict(report), "passed": report.ok}, report.ok
 
 
 def _cmd_gen(args):
@@ -74,199 +83,120 @@ def _cmd_gen(args):
             )
         else:
             manifest = write_stream_corpus(out_dir, args.seed, args.streams, cfg)
-        _print({"corpus": str(out_dir), "manifest": manifest})
-        return 0
+        return {"corpus": str(out_dir), "manifest": manifest}, True
     text = cdg_to_jsonl(generate(cfg, args.seed))
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    return None, True
 
 
 def _cmd_cwl_run(args):
-    g = load_cdg(args.file)
-    trajs = cwl([g], depth=args.depth)[0]
-    _print(
-        {
-            "depth": args.depth,
-            "trajectories": {v: list(tr) for v, tr in sorted(trajs.items())},
-        }
-    )
-    return 0
+    trajs = cwl([load_cdg(args.file)], depth=args.depth)[0]
+    trajectories = {v: list(tr) for v, tr in sorted(trajs.items())}
+    return {"depth": args.depth, "trajectories": trajectories}, True
 
 
 def _cmd_cwl_compare(args):
     a, b = load_cdg(args.file_a), load_cdg(args.file_b)
-    mode = BIJECTION if args.mode == "bijection" else EXISTENCE
-    verdict = compare_graphs(a, b, mode=mode)
-    _print(
-        {
-            "equivalent": verdict.equivalent,
-            "mode": args.mode,
-            "first_divergence": verdict.first_divergence,
-        }
-    )
-    return 0 if verdict.equivalent else 1
+    verdict = compare_graphs(a, b, mode=args.mode)
+    payload = {
+        "equivalent": verdict.equivalent,
+        "mode": args.mode,
+        "first_divergence": verdict.first_divergence,
+    }
+    return payload, verdict.equivalent
 
 
 def _cmd_utree_build(args):
     g = load_cdg(args.file)
-    snap = replay(g, args.t)
-    sigs = tree_sigs_at_depth(snap, universe(g), ColorDictionary(), args.depth)
+    sigs = tree_sigs_at_depth(replay(g, args.t), universe(g), ColorDictionary(), args.depth)
     if args.node not in sigs:
         raise ValueError(f"node {args.node!r} is not in the universe")
-    _print(
-        {
-            "node": args.node,
-            "t": args.t,
-            "depth": args.depth,
-            "signature_id": sigs[args.node],
-            "all_signatures": dict(sorted(sigs.items())),
-        }
-    )
-    return 0
+    return {
+        "node": args.node,
+        "t": args.t,
+        "depth": args.depth,
+        "signature_id": sigs[args.node],
+        "all_signatures": dict(sorted(sigs.items())),
+    }, True
 
 
 def _cmd_utree_compare(args):
     a, b = load_cdg(args.file_a), load_cdg(args.file_b)
     verdict = graph_cut_equivalent(a, b, depth=args.depth)
-    _print({"equivalent": verdict.equivalent, "bijection": verdict.bijection})
-    return 0 if verdict.equivalent else 1
+    return asdict(verdict), verdict.equivalent
 
 
 def _cmd_iso(args):
     a, b = load_cdg(args.file_a), load_cdg(args.file_b)
-    mode = IDENTITY if args.mode == "identity" else RENAMING
-    verdict = brute_force_isomorphic(a, b, mode)
-    _print({"isomorphic": verdict.isomorphic, "mapping": verdict.mapping})
-    return 0 if verdict.isomorphic else 1
+    verdict = brute_force_isomorphic(a, b, args.mode)
+    return asdict(verdict), verdict.isomorphic
 
 
 def _cmd_decompose(args):
-    g = load_cdg(args.file)
-    snap = replay(g, args.t)
-    part = components(snap)
-    _print(
-        {
-            "t": args.t,
-            "components": [list(c) for c in part.components],
-            "disconnected": is_disconnected(snap),
-        }
-    )
-    return 0
+    snap = replay(load_cdg(args.file), args.t)
+    return {
+        "t": args.t,
+        "components": [list(c) for c in components(snap).components],
+        "disconnected": is_disconnected(snap),
+    }, True
 
 
 def _cmd_match_components(args):
     a, b = load_cdg(args.file_a), load_cdg(args.file_b)
     verdict = match_components(replay(a, args.t), replay(b, args.t))
-    _print(
-        {
-            "t": args.t,
-            "class_counts_match": verdict.class_counts_match,
-            "component_counts_match": verdict.component_counts_match,
-            "component_bijection": verdict.bijection,
-        }
-    )
-    return 0 if verdict.class_counts_match else 1
+    payload = {
+        "t": args.t,
+        "class_counts_match": verdict.class_counts_match,
+        "component_counts_match": verdict.component_counts_match,
+        "component_bijection": verdict.bijection,
+    }
+    return payload, verdict.class_counts_match
 
 
 def _cmd_cgnn_expressivity(args):
     pairs, _ = load_pair_corpus(_corpus_dir(args))
-    report = expressivity_check(pairs, seeds=args.seeds, layers=args.layers)
-    _print(
-        {
-            "instances": report.instances,
-            "symbolic_exact": report.symbolic_exact,
-            "numeric_violations": report.numeric_violations,
-            "passed": report.ok,
-        }
-    )
-    return 0 if report.ok else 1
+    return _checked(expressivity_check(pairs, seeds=args.seeds, layers=args.layers))
 
 
 def _cmd_cgnn_train(args):
     corpus, _ = load_stream_corpus(_corpus_dir(args))
     target = CdynTarget.from_json(Path(args.target).read_text())
-    mode = PER_INTERVAL if args.mode == "per-interval" else SHARED_DT
     result = train_to_target(
         corpus, target,
-        SgnnConfig(mode="numeric", layers=args.layers, hidden_dim=args.hidden_dim),
-        TemporalConfig(mode=mode, state_dim=args.state_dim),
+        SgnnConfig(mode=NUMERIC, layers=args.layers, hidden_dim=args.hidden_dim),
+        TemporalConfig(mode=args.mode, state_dim=args.state_dim),
         steps=args.epochs, lr=args.lr, seed=args.seed, goal=args.goal,
     )
     if args.out:
         Path(args.out).write_text(model_params_json(result.model) + "\n")
-    _print(
-        {
-            "initial_loss": result.initial_loss,
-            "final_loss": result.final_loss,
-            "steps_run": result.steps_run,
-        }
-    )
-    return 0
+    return {k: getattr(result, k) for k in ("initial_loss", "final_loss", "steps_run")}, True
 
 
 def _cmd_cgnn_gradcheck(args):
     probe = load_cdg(args.probe)
-    modes = [args.mode] if args.mode else [PER_INTERVAL, SHARED_DT]
+    sgnn = SgnnConfig(mode=NUMERIC, layers=args.layers, hidden_dim=args.hidden_dim)
     checks = []
-    for mode in modes:
-        err = gradient_check(
-            probe,
-            SgnnConfig(mode="numeric", layers=args.layers, hidden_dim=args.hidden_dim),
-            TemporalConfig(mode=mode, state_dim=args.state_dim),
-            n_samples=args.samples,
-            seed=args.seed,
-        )
+    for mode in [args.mode] if args.mode else [PER_INTERVAL, SHARED_DT]:
+        temporal = TemporalConfig(mode=mode, state_dim=args.state_dim)
+        err = gradient_check(probe, sgnn, temporal, n_samples=args.samples, seed=args.seed)
         checks.append({"mode": mode, "max_relative_error": err})
-    worst = max(c["max_relative_error"] for c in checks)
-    _print({"checks": checks, "tolerance": args.tolerance, "passed": worst <= args.tolerance})
-    return 0 if worst <= args.tolerance else 1
+    passed = max(c["max_relative_error"] for c in checks) <= args.tolerance
+    return {"checks": checks, "tolerance": args.tolerance, "passed": passed}, passed
 
 
 def _cmd_verify(args):
     pairs, _ = load_pair_corpus(_corpus_dir(args))
     if args.what == "cut-cwl":
-        report = verify_cut_cwl_correspondence(pairs, depth=args.depth)
-        out = {
-            "pairs_checked": report.pairs_checked,
-            "timestamps_checked": report.timestamps_checked,
-            "mismatches": report.mismatches,
-            "passed": report.ok,
-        }
-    else:
-        report = verify_depth_bound(pairs, n_bound=args.n_bound)
-        out = {
-            "pairs_checked": report.pairs_checked,
-            "node_pairs_checked": report.node_pairs_checked,
-            "disconnected_timestamps": report.disconnected_timestamps,
-            "violations": report.violations,
-            "passed": report.ok,
-        }
-    _print(out)
-    return 0 if report.ok else 1
+        return _checked(verify_cut_cwl_correspondence(pairs, depth=args.depth))
+    return _checked(verify_depth_bound(pairs, n_bound=args.n_bound))
 
 
 def _cmd_run(args):
-    overrides = {
-        "pairs": args.pairs,
-        "n_nodes": args.n_nodes,
-        "disconnected_pairs": args.disconnected_pairs,
-        "seeds": args.seeds,
-        "layers": args.layers,
-        "graphs": args.graphs,
-        "steps": args.steps,
-        "lr": args.lr,
-        "goal": args.goal,
-        "min_successes": args.min_successes,
-        "probes": args.probes,
-        "samples": args.samples,
-        "tolerance": args.tolerance,
-    }
-    report = run_experiment(
-        args.experiment, seed=args.seed, jobs=args.jobs, out=args.out, **overrides
-    )
+    sizes = {key: getattr(args, key) for key in SIZE_TYPES}
+    report = run_experiment(args.experiment, seed=args.seed, jobs=args.jobs, out=args.out, **sizes)
     summary = {
         "experiment": report.experiment,
         "passed": report.passed,
@@ -275,8 +205,7 @@ def _cmd_run(args):
     }
     if args.out:
         summary["report"] = str(args.out)
-    _print(summary)
-    return 0 if report.passed else 1
+    return summary, report.passed
 
 
 def _add_corpus(p):
@@ -317,7 +246,7 @@ def build_parser():
     q = cwl_sub.add_parser("compare", help="compare two streams")
     q.add_argument("file_a")
     q.add_argument("file_b")
-    q.add_argument("--mode", choices=["bijection", "existence"], default="bijection")
+    q.add_argument("--mode", choices=[BIJECTION, EXISTENCE], default=BIJECTION)
     q.set_defaults(func=_cmd_cwl_compare)
 
     p = sub.add_parser("utree", help="unfolding-tree signatures")
@@ -337,7 +266,7 @@ def build_parser():
     p = sub.add_parser("iso", help="brute-force isomorphism of two streams")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--mode", choices=["identity", "renaming"], default="identity")
+    p.add_argument("--mode", choices=[IDENTITY, RENAMING], default=IDENTITY)
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("decompose", help="connected components at a timestamp")
@@ -364,7 +293,7 @@ def build_parser():
     q.add_argument("--epochs", type=int, default=2000)
     q.add_argument("--lr", type=float, default=0.3)
     q.add_argument("--goal", type=float, help="stop early at this MSE")
-    q.add_argument("--mode", choices=["per-interval", "shared-dt"], default="per-interval")
+    q.add_argument("--mode", choices=[PER_INTERVAL, SHARED_DT], default=PER_INTERVAL)
     q.add_argument("--layers", type=int, default=2)
     q.add_argument("--hidden-dim", type=int, default=8)
     q.add_argument("--state-dim", type=int, default=8)
@@ -394,35 +323,26 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the full JSON report here")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--n-nodes", type=int)
-    p.add_argument("--disconnected-pairs", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--graphs", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--goal", type=float)
-    p.add_argument("--min-successes", type=int)
-    p.add_argument("--probes", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--tolerance", type=float)
+    for key, kind in SIZE_TYPES.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.set_defaults(func=_cmd_run)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, verdict = args.func(args)
+        if payload is not None:
+            print(json.dumps(payload, sort_keys=True, indent=2))
     except (CdgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 means a negative verdict, never a crash
         print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    return 0 if verdict else 1
 
 
 if __name__ == "__main__":

@@ -41,8 +41,6 @@ from .wl import (
     partition_of,
 )
 
-EMPTY_SIGNATURE = 0
-
 
 @dataclass(frozen=True)
 class UnfoldingTree:
@@ -68,7 +66,7 @@ class UnfoldingTree:
 EMPTY_TREE = UnfoldingTree(None)
 
 
-def unfolding_tree(snapshot, v, depth, adj=None):
+def unfolding_tree(snapshot, v, depth):
     """Materialize the depth-``depth`` unfolding tree of ``v``.
 
     Exponential in ``depth``; intended for small-depth oracle checks.
@@ -77,8 +75,7 @@ def unfolding_tree(snapshot, v, depth, adj=None):
         raise ValueError("depth must be non-negative")
     if v not in snapshot.nodes:
         return EMPTY_TREE
-    if adj is None:
-        adj = adjacency(snapshot)
+    adj = adjacency(snapshot)
 
     def expand(u, d):
         a = snapshot.nodes[u]
@@ -107,14 +104,14 @@ def signature(tree):
     )
 
 
-def tree_sig_levels(snapshot, universe_, dictionary, max_depth, adj=None):
+def tree_sig_levels(snapshot, universe_, dictionary, max_depth):
     """Signature ids per depth 0..max_depth, computed bottom-up.
 
     Level d of a live node keys on its attribute plus the sorted multiset
     of (edge attribute, neighbor level d-1) pairs; dead nodes carry the
     reserved empty signature 0 at every level.
     """
-    return _refine(snapshot, universe_, dictionary, max_depth, tree=True, adj=adj)
+    return _refine(snapshot, universe_, dictionary, max_depth, tree=True)
 
 
 def tree_sigs_at_depth(snapshot, universe_, dictionary, depth):

@@ -56,8 +56,7 @@ class ColorDictionary:
         return len(self._ids)
 
 
-def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=False,
-            adj=None, first=None):
+def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=False, first=None):
     """Levels 0..``rounds`` of attributed refinement, for colors and trees.
 
     Level 0 keys a live node on its attribute; level d+1 on a self part plus
@@ -79,7 +78,7 @@ def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=Fa
     levels = [dict(zip(order, ids))]
     if rounds < 1:
         return levels
-    adj = adjacency(snapshot) if adj is None else adj
+    adj = adjacency(snapshot)
     pos = {v: i for i, v in enumerate(order)}
     nbrs = [[(attr_bytes(w), pos[u]) for u, w in adj[v]] if v in nodes else None for v in order]
 
@@ -120,14 +119,14 @@ def awl_init(snapshot, universe_, dictionary):
     return _refine(snapshot, universe_, dictionary, 0)[0]
 
 
-def awl_step(snapshot, prev, dictionary, adj=None):
+def awl_step(snapshot, prev, dictionary):
     """One refinement round.
 
     A live node's new color keys on its previous color plus the multiset of
     (edge attribute, neighbor color) pairs, sorted canonically.  Nodes that
     are not alive keep color 0.
     """
-    return _refine(snapshot, prev, dictionary, 1, adj=adj, first=prev)[1]
+    return _refine(snapshot, prev, dictionary, 1, first=prev)[1]
 
 
 def partition_of(coloring):

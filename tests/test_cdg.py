@@ -137,6 +137,15 @@ def test_edge_key_normalizes_and_rejects_self_loops():
         Event(1.0, EDGE, ("a", "a"), ADD, A)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: StartGraph({"a": A, 3: A}, {("a", 3): A}),
+    lambda: Event(1.0, EDGE, ("a", 3), ADD, A),
+], ids=["start-graph", "event"])
+def test_mixed_id_edge_is_a_value_error_naming_both_ids(build):
+    with pytest.raises(ValueError, match=r"edge \('a', 3\) mixes node id types"):
+        build()
+
+
 def test_event_field_validation():
     with pytest.raises(ValueError):
         Event(1.0, NODE, "a", DELETE, A)      # delete with attribute

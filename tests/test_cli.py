@@ -5,6 +5,8 @@ import json
 import pytest
 
 from cdgwl import cli
+from cdgwl.cgnn import ExpressivityReport
+from cdgwl.experiments import DEFAULT_SIZES, Report
 from cdgwl.serialize import load_cdg, save_cdg
 from cdgwl.generate import GeneratorConfig, generate, generate_isomorphic_pair
 from cdgwl.generate import six_cycle, two_triangles
@@ -146,6 +148,16 @@ def test_cgnn_expressivity_over_corpus(tmp_path, capsys):
     assert code == 0 and payload["passed"] is True
 
 
+def test_cgnn_expressivity_names_symbolic_mismatch(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "xp"
+    run_cli(capsys, "gen", "--pairs", "2", "--n-nodes", "4", "--corpus", str(corpus))
+    report = ExpressivityReport(instances=2, symbolic_exact=1, symbolic_mismatches=[{"pair": 1}])
+    monkeypatch.setattr(cli, "expressivity_check", lambda pairs, seeds, layers: report)
+    code, payload, _ = run_cli(capsys, "cgnn", "expressivity", "--corpus", str(corpus))
+    assert code == 1 and payload["passed"] is False
+    assert payload["symbolic_mismatches"] == [{"pair": 1}]
+
+
 def test_cgnn_train_writes_params(tmp_path, capsys):
     corpus = tmp_path / "tr"
     run_cli(capsys, "gen", "--streams", "2", "--n-nodes", "3", "--events", "2",
@@ -243,6 +255,24 @@ def test_run_failure_exit_code(tmp_path, capsys):
         "--tolerance", "0.0",
     )
     assert code == 1 and payload["passed"] is False
+
+
+def test_run_takes_one_flag_per_size_parameter(capsys, monkeypatch):
+    seen = {}
+
+    def fake_run(name, seed, jobs, out, **sizes):
+        seen.update(sizes)
+        return Report(name, seed, {}, {}, [], True, 0.0)
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    defaults = {key: v for sizes in DEFAULT_SIZES.values() for key, v in sizes.items()}
+    argv, want = ["run", "gradcheck"], {}
+    for i, (key, default) in enumerate(sorted(defaults.items())):
+        want[key] = type(default)(i + 2)
+        argv += ["--" + key.replace("_", "-"), str(want[key])]
+    code, payload, _ = run_cli(capsys, *argv)
+    assert code == 0 and payload["passed"] is True
+    assert seen == want
 
 
 def test_bad_file_is_exit_2(capsys):
