@@ -1,6 +1,7 @@
 """Properties drawn by hypothesis: verdicts do not depend on node names, the
-wire format round-trips on canonical text, and a mutated stream never
-reaches the exit code of a negative verdict."""
+wire format round-trips on canonical text, a mutated stream never reaches
+the exit code of a negative verdict, and the refinement kernel mints the
+ids of a full recompute on arbitrary streams."""
 
 import contextlib
 import io
@@ -12,20 +13,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdgwl import (
+    ADD,
+    ATTR_CHANGE,
     BIJECTION,
+    DELETE,
+    EDGE,
     EXISTENCE,
+    NODE,
+    Cdg,
     CdgError,
+    ColorDictionary,
+    Event,
     GeneratorConfig,
+    StartGraph,
+    awl_stable,
     cdg_from_jsonl,
     cdg_to_jsonl,
     cli,
     compare_graphs,
     generate,
     graph_cut_equivalent,
+    merged_snapshot,
+    refine_at_depth,
     relabel_cdg,
+    snapshots,
+    tree_sigs_at_depth,
+    tree_sigs_stable,
     universe,
     verify_cut_cwl_correspondence,
 )
+from cdgwl.trees import tree_sig_levels
+from test_golden import ref_levels, ref_stable
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,3 +143,77 @@ def test_mutated_stream_exits_0_or_2_never_1(text):
             code = cli.main(["cwl", "compare", str(path), str(path)])
     assert code == (2 if invalid else 0)
     assert "unexpected" not in err.getvalue()
+
+
+@st.composite
+def streams(draw, dim, n_events):
+    """A valid stream over integer ids 0..7 with attributes from {0.0, -0.0, 1.0}.
+
+    Every event is drawn among those that apply to the current state, so
+    nodes get deleted and re-added and edges toggle off and on; the start
+    graph may be empty, and so may the whole universe.
+    """
+    attrs = st.tuples(*[st.sampled_from((0.0, -0.0, 1.0))] * dim)
+    ids = range(draw(st.integers(0, 8)))
+    nodes = {v: draw(attrs) for v in ids if draw(st.booleans())}
+    pairs = [(u, v) for u in nodes for v in nodes if u < v]
+    edges = {}
+    if pairs:  # sparse, so that components have long paths
+        for pair in draw(st.lists(st.sampled_from(pairs), max_size=len(nodes))):
+            edges[pair] = draw(attrs)
+    start = StartGraph(dict(nodes), dict(edges))
+    events = []
+    for t in range(1, n_events + 1):
+        moves = [(NODE, v, ADD) for v in ids if v not in nodes]
+        moves += [(NODE, v, kind) for v in nodes for kind in (DELETE, ATTR_CHANGE)]
+        moves += [
+            (EDGE, (u, v), ADD) for u in nodes for v in nodes if u < v and (u, v) not in edges
+        ]
+        moves += [(EDGE, pair, kind) for pair in edges for kind in (DELETE, ATTR_CHANGE)]
+        if not moves:  # an empty id range: the stream ends here
+            break
+        item, key, kind = draw(st.sampled_from(moves))
+        attr = None if kind == DELETE else draw(attrs)
+        events.append(Event(float(t), item, key, kind, attr))
+        table = nodes if item == NODE else edges
+        if kind == DELETE:
+            del table[key]
+            if item == NODE:
+                edges = {p: a for p, a in edges.items() if key not in p}
+        else:
+            table[key] = attr
+    return Cdg(start, tuple(events), dim=dim)
+
+
+KERNEL_CALLS = ("levels", "at_depth", "colors", "awl_stable", "tree_stable")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), n_events=st.integers(0, 10))
+def test_kernel_mints_full_recompute_ids_on_arbitrary_streams(data, dim, n_events):
+    g1 = data.draw(streams(dim, n_events))
+    g2 = data.draw(st.one_of(st.just(g1), streams(dim, len(g1.events))))
+    if len(g2.events) != len(g1.events):
+        g1 = Cdg(g1.start, g1.events[: len(g2.events)], dim=dim)
+    universes = [universe(g1), universe(g2)]
+    got, ref = ColorDictionary(), ColorDictionary()
+    for s1, s2 in zip(snapshots(g1), snapshots(g2)):
+        s, joint = merged_snapshot([s1, s2], universes)
+        for _ in range(data.draw(st.integers(1, 3))):
+            call = data.draw(st.sampled_from(KERNEL_CALLS))
+            depth = data.draw(st.integers(0, 2 * len(joint) + 2))
+            if call == "levels":
+                want = ref_levels(s, joint, ref, depth, True)
+                assert tree_sig_levels(s, joint, got, depth) == want
+            elif call == "at_depth":
+                want = ref_levels(s, joint, ref, depth, True)[-1]
+                assert tree_sigs_at_depth(s, joint, got, depth) == want
+            elif call == "colors":
+                want = ref_levels(s, joint, ref, depth, False)[-1]
+                assert refine_at_depth(s, joint, got, depth) == want
+            elif call == "awl_stable":
+                assert awl_stable(s, joint, got) == ref_stable(s, joint, ref, False)
+            else:
+                assert tree_sigs_stable(s, joint, got) == ref_stable(s, joint, ref, True)
+    assert len(got) == len(ref)
+    assert list(got._ids.items()) == list(ref._ids.items())
