@@ -13,11 +13,43 @@ for small depths.
 Signatures and colors come from one kernel (``wl._refine``).  Depth d+1
 refines depth d, so once one level leaves the partition unchanged every
 deeper level does too (usually within a few levels, far short of the
-decisive depth ``2n - 1``).  From then on the kernel keys each class once,
-on its smallest member, taking classes in sorted order.  A full recompute
-visits nodes in sorted order and the other members share that key, so it
-would only hit the dictionary for them: the same keys are minted in the
-same order and every id is unchanged.
+decisive depth ``2n - 1``).  A full recompute then keys each stable class
+on its smallest member, classes in sorted order, and only hits the
+dictionary for the other members.  The kernel (``wl._stable_tail``) goes
+further: it stops keying a component of the class graph once its later ids
+are known.  Two facts carry this.  Ids name trees: a level-d key holds
+level-(d-1) ids, so by induction two non-isolated nodes share a level-d id
+exactly when their depth-d trees are equal, and each such id belongs to one
+depth.
+
+(a) Fresh ids stay fresh.  Let a non-isolated class get, at a level d at or
+past the stable level, an id no earlier key had.  Its depth-(d+1) tree
+truncates to its depth-d tree; had it been keyed before, by an earlier call
+or by another class of this one, its truncation would have been keyed
+before too (or the two classes would be one).  So its level-(d+1) key is
+new, and likewise at every later level.  A color key holds the class's own
+previous id, so the same holds for colors, isolated classes included.  A
+fresh class makes its neighbours fresh one level later, so once a whole
+component is fresh, every later level mints exactly one id per fresh class,
+in class order, and nothing else mints: the kernel stores that run as a
+tail block of the dictionary (first id, first level, the classes' shapes)
+instead of keying it.
+
+(b) Components that only hit follow an earlier chain.  Suppose every class
+c of a component has, at a level d at or past both stable levels, the id a
+class pi(c) of an earlier call held at level d.  Equal ids mean equal keys:
+equal attributes (or previous colors) and equal multisets of (edge
+attribute, level-(d-1) id) over the neighbours.  The neighbours' ids match
+under pi one level down too, and the earlier call's level-(d-1) ids tell
+its classes apart, so pi maps the neighbour multiset of c onto that of
+pi(c).  Hence c and pi(c) have equal level-(d+1) keys, and by induction c
+holds pi(c)'s id at every level the earlier call reached.  Past that level
+the component is keyed again: it may hit a deeper call's ids, or turn fresh
+and start a new block.  An isolated tree class keys on (attribute, ()) at
+every level from 1 on and keeps one id.
+
+Every id the kernel does not key is therefore the id a full recompute would
+mint or hit, in the same order, and no id changes.
 """
 
 from __future__ import annotations
@@ -115,7 +147,7 @@ def tree_sig_levels(snapshot, universe_, dictionary, max_depth):
 
 
 def tree_sigs_at_depth(snapshot, universe_, dictionary, depth):
-    return tree_sig_levels(snapshot, universe_, dictionary, depth)[-1]
+    return _refine(snapshot, universe_, dictionary, depth, tree=True, last=True)
 
 
 def tree_sigs_stable(snapshot, universe_, dictionary):

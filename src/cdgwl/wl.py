@@ -20,10 +20,11 @@ graphs, replays each once, and merges one timestamp's snapshots at a time.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .cdg import Snapshot, adjacency, attr_bytes, edge_key, snapshots, universe
+from .cdg import Snapshot, adjacency, attr_bytes, edge_key, snapshots, timestamps, universe
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -38,25 +39,274 @@ EXISTENCE = "existence"
 
 
 class ColorDictionary:
-    """Injective, append-only mapping from canonical keys to ids >= 1."""
+    """Injective, append-only mapping from canonical keys to ids >= 1.
+
+    Most keys are stored one by one.  A *tail block* stores, as one range of
+    ids, the keys a refinement call mints for a fixed list of stable classes
+    over a run of levels in which nothing else is minted: ``size`` ids per
+    level, one per class in class order, so class ``r`` at level ``j`` of the
+    block has id ``start + j * size + r``.  The block's first level is stored
+    key by key; ``id_of`` decodes a key of a later level from the classes'
+    shapes (their keys with block ids replaced by ranks).  ``len`` counts
+    every id, stored or in a block, and ``items()`` yields every
+    (key, id) pair in id order, blocks expanded.
+
+    The dictionary also remembers, for ids that refinement calls held past
+    their stable level, the latest call and class that held each (see
+    ``_Chain``), so later calls in the session can follow those ids instead
+    of keying them.
+    """
 
     def __init__(self):
         self._ids = {}
         self._next = 1
+        self._blocks = []
+        self._starts = []
+        self._owners = {}
 
     def id_of(self, key):
         got = self._ids.get(key)
         if got is None:
-            got = self._next
-            self._ids[key] = got
-            self._next += 1
+            got = self._blocks and self._decode(key)
+            if not got:
+                got = self._next
+                self._ids[key] = got
+                self._next += 1
         return got
 
     def __len__(self):
-        return len(self._ids)
+        return self._next - 1
+
+    def items(self):
+        """Every (key, id) pair in id order, block keys expanded."""
+        blocks = iter(self._blocks)
+        block = next(blocks, None)
+        for key, i in self._ids.items():
+            while block is not None and block.start + block.size < i:
+                yield from block.items()
+                block = next(blocks, None)
+            yield key, i
+        while block is not None:
+            yield from block.items()
+            block = next(blocks, None)
+
+    def _locate(self, i):
+        """(block, level index, rank) of an id in a block's range, else None."""
+        k = bisect_right(self._starts, i) - 1
+        if k >= 0:
+            block = self._blocks[k]
+            level, rank = divmod(i - block.start, block.size)
+            if level < block.count:
+                return block, level, rank
+        return None
+
+    def _decode(self, key):
+        """The id of a block key past its block's first level, else None."""
+        if len(key) != 3:
+            return None
+        tag, own, nbrs = key
+        if tag == "c":
+            probe = own
+        elif tag == "t" and nbrs:
+            probe = nbrs[0][1]
+        else:
+            return None
+        k = bisect_right(self._starts, probe) - 1
+        if k < 0:
+            return None
+        block = self._blocks[k]
+        level = (probe - block.start) // block.size
+        if level + 1 >= block.count or block.tag != tag:
+            return None
+        lo = block.start + level * block.size
+        hi = lo + block.size
+        if not all(lo <= i < hi for _, i in nbrs):
+            return None
+        shape = (own - lo if tag == "c" else own, tuple([(w, i - lo) for w, i in nbrs]))
+        rank = block.shapes.get(shape)
+        return None if rank is None else hi + rank
+
+    def _owner(self, i):
+        """(chain, class, level) of a class that held id ``i`` past its stable level."""
+        found = self._blocks and self._locate(i)
+        if found:
+            block, level, rank = found
+            return block.chain, block.classes[rank], block.level0 + level
+        return self._owners.get(i)
+
+    def _add_block(self, block):
+        """Register a block whose first level was just minted; reserve the rest."""
+        self._blocks.append(block)
+        self._starts.append(block.start)
+        self._next = block.start + block.count * block.size
 
 
-def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=False, first=None):
+class _Block:
+    """``count`` levels of ids for the fresh classes of one call, from ``level0``."""
+
+    __slots__ = ("start", "size", "count", "level0", "tag", "shapes", "chain", "classes")
+
+    def __init__(self, start, count, level0, tag, shapes, chain, classes):
+        self.start, self.size, self.count, self.level0 = start, len(classes), count, level0
+        self.tag, self.shapes, self.chain, self.classes = tag, shapes, chain, classes
+
+    def items(self):
+        for level in range(1, self.count):
+            lo = self.start + (level - 1) * self.size
+            for (own, nbrs), rank in self.shapes.items():
+                own_key = lo + own if self.tag == "c" else own
+                key = (self.tag, own_key, tuple((w, lo + j) for w, j in nbrs))
+                yield key, lo + self.size + rank
+
+
+BLOCK, FOLLOW, CONST = range(3)
+NO_ROW = {}
+
+
+class _Chain:
+    """The ids one call gave its stable classes, from its stable level to ``last``.
+
+    ``rows`` maps a level to the ids keyed at it, by class.  Past its keyed
+    levels a class has segments ``(from level, kind, a, b)``: the ids of a
+    block ``a`` at rank ``b``, the ids of class ``b`` of an earlier chain
+    ``a``, or one constant id ``a``.
+    """
+
+    __slots__ = ("last", "rows", "segs")
+
+    def __init__(self, last, n):
+        self.last, self.rows, self.segs = last, {}, [[] for _ in range(n)]
+
+    def id_at(self, c, level):
+        chain = self
+        while True:
+            got = chain.rows.get(level, NO_ROW).get(c)
+            if got is not None:
+                return got
+            for start, kind, a, b in reversed(chain.segs[c]):
+                if start <= level:
+                    break
+            if kind == BLOCK:
+                return a.start + (level - a.level0) * a.size + b
+            if kind == CONST:
+                return a
+            chain, c = a, b
+
+
+def _keys(tag, tree, own, prev, nbrs, members):
+    """Next-level keys of ``members`` (None for dead ones) from their ids ``prev``."""
+    return [
+        None
+        if nbrs[i] is None
+        else (tag, own[i] if tree else prev[i], tuple(sorted([(w, prev[j]) for w, j in nbrs[i]])))
+        for i in members
+    ]
+
+
+def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
+    """Ids of the stable classes from ``level`` (stable) to ``rounds``, as a chain.
+
+    ``cur`` holds the classes' ids at ``level``, ``own`` their attributes,
+    ``nbrs`` their (edge attribute, class) lists (None for dead nodes), and
+    ``mark`` the first id minted at ``level``.  Each component of the class
+    graph is keyed level by level until its later ids are known: all of its
+    classes fresh (then it joins the block of fresh classes), or all of its
+    ids held, at this level, by the classes of one earlier chain (then it
+    follows that chain while the chain lasts).  Isolated tree classes keep
+    one id.  See ``trees`` for why both hold.
+    """
+    tag = "t" if tree else "c"
+    n = len(cur)
+    chain = _Chain(rounds, n)
+    owners, id_of = dictionary._owners, dictionary.id_of
+    comp, comps = [None] * n, []
+    for c in range(n):
+        if nbrs[c] is None or (tree and not nbrs[c]):
+            chain.segs[c].append((level, CONST, cur[c], None))
+        elif comp[c] is None:
+            comp[c], todo, members = len(comps), [c], []
+            while todo:
+                x = todo.pop()
+                members.append(x)
+                for _, y in nbrs[x]:
+                    if comp[y] is None:
+                        comp[y] = comp[c]
+                        todo.append(y)
+            comps.append(sorted(members))
+
+    def hold(members):
+        for c in members:
+            owners[cur[c]] = (chain, c, level)
+
+    fresh, follow = [], {}
+
+    def settle(candidates):
+        """Components still unknown at ``level`` after sorting out the rest."""
+        unknown = []
+        for k in candidates:
+            members = comps[k]
+            new = [cur[c] >= mark for c in members]
+            held = not any(new) and [dictionary._owner(cur[c]) for c in members]
+            src = held and held[0] and held[0][0]
+            if (
+                src and src is not chain and level < src.last
+                and all(o and o[0] is src and o[2] == level for o in held)
+            ):
+                for c, o in zip(members, held):
+                    chain.segs[c].append((level + 1, FOLLOW, src, o[1]))
+                follow[k] = src.last
+                continue
+            if all(new):
+                fresh.extend(members)
+            else:
+                unknown.append(k)
+            hold(members)
+        return unknown
+
+    chain.rows[level] = {c: cur[c] for members in comps for c in members}
+    unknown = settle(range(len(comps)))
+    while level < rounds:
+        if unknown:
+            stepped = sorted(fresh + [c for k in unknown for c in comps[k]])
+            mark = dictionary._next
+            new = [id_of(key) for key in _keys(tag, tree, own, cur, nbrs, stepped)]
+            level += 1
+            chain.rows[level] = dict(zip(stepped, new))
+            for c, i in zip(stepped, new):
+                cur[c] = i
+            hold(fresh)
+        else:
+            end = min(rounds, *follow.values()) if follow else rounds
+            if fresh:
+                fresh.sort()
+                rank = {c: r for r, c in enumerate(fresh)}
+                shapes = {
+                    (own[c] if tree else r, tuple(sorted([(w, rank[j]) for w, j in nbrs[c]]))): r
+                    for r, c in enumerate(fresh)
+                }
+                block = _Block(
+                    dictionary._next, end - level, level + 1, tag, shapes, chain, tuple(fresh)
+                )
+                for key in _keys(tag, tree, own, cur, nbrs, fresh):
+                    id_of(key)
+                dictionary._add_block(block)
+                for r, c in enumerate(fresh):
+                    chain.segs[c].append((level + 1, BLOCK, block, r))
+                    cur[c] = block.start + (end - level - 1) * block.size + r
+            level, mark = end, dictionary._next
+        if level == rounds:
+            break
+        ended = [k for k, last in follow.items() if last == level]
+        for k in ended:
+            del follow[k]
+            for c in comps[k]:
+                cur[c] = chain.id_at(c, level)
+        unknown = settle(unknown + ended)
+    return chain
+
+
+def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=False, first=None,
+            last=False):
     """Levels 0..``rounds`` of attributed refinement, for colors and trees.
 
     Level 0 keys a live node on its attribute; level d+1 on a self part plus
@@ -64,8 +314,9 @@ def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=Fa
     self part is the level-d color for refinement (tags ``c0``/``c``) and the
     node's attribute for trees (``t0``/``t``); dead nodes carry 0.  ``first``
     replaces level 0; ``until_stable`` stops at the first level that leaves
-    the partition unchanged.  Attributes are encoded once per call, and once
-    the partition is stable each class is keyed once (see ``trees``).
+    the partition unchanged; ``last`` returns only the deepest level's map.
+    Attributes are encoded once per call, and once the partition is stable
+    the classes go to ``_stable_tail`` (see ``trees``).
     """
     order = sorted(universe_)
     nodes = snapshot.nodes
@@ -75,43 +326,50 @@ def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=Fa
     if first is None:
         first = {v: id_of((tag + "0", b)) if b is not None else BOTTOM for v, b in zip(order, own)}
     ids = [first[v] for v in order]
-    levels = [dict(zip(order, ids))]
-    if rounds < 1:
-        return levels
-    adj = adjacency(snapshot)
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = [[(attr_bytes(w), pos[u]) for u, w in adj[v]] if v in nodes else None for v in order]
-
-    def step(prev, nbrs, own):
-        return [
-            id_of((tag, own[i] if tree else prev[i], tuple(sorted([(w, prev[j]) for w, j in nb]))))
-            if nb is not None
-            else BOTTOM
-            for i, nb in enumerate(nbrs)
+    levels = [ids]
+    if rounds >= 1:
+        adj = adjacency(snapshot)
+        pos = {v: i for i, v in enumerate(order)}
+        nbrs = [
+            [(attr_bytes(w), pos[u]) for u, w in adj[v]] if v in nodes else None for v in order
         ]
-
-    while len(levels) <= rounds:
-        prev, ids = ids, step(ids, nbrs, own)
-        levels.append(dict(zip(order, ids)))
-        if len(set(ids)) == len(set(prev)):
-            break
-    if until_stable or len(levels) > rounds:
-        return levels
-    # Stable: step the classes instead, each keyed by its smallest member.
-    smallest = {}
-    for i, c in enumerate(ids):
-        smallest.setdefault(c, i)
-    slot = {c: k for k, c in enumerate(smallest)}
-    slot_of = [slot[c] for c in ids]
-    members = list(smallest.values())
-    class_nbrs = [
-        None if nbrs[i] is None else [(w, slot_of[j]) for w, j in nbrs[i]] for i in members
-    ]
-    class_own, class_ids = [own[i] for i in members], list(smallest)
-    while len(levels) <= rounds:
-        class_ids = step(class_ids, class_nbrs, class_own)
-        levels.append(dict(zip(order, map(class_ids.__getitem__, slot_of))))
-    return levels
+        while len(levels) <= rounds:
+            mark = dictionary._next
+            prev = ids
+            ids = [
+                BOTTOM if key is None else id_of(key)
+                for key in _keys(tag, tree, own, prev, nbrs, range(len(order)))
+            ]
+            levels.append(ids)
+            if len(set(ids)) == len(set(prev)):
+                break
+        if not until_stable and len(levels) <= rounds:
+            # Stable: hand the classes, each keyed by its smallest member, to the tail.
+            smallest = {}
+            for i, c in enumerate(ids):
+                smallest.setdefault(c, i)
+            slot = {c: k for k, c in enumerate(smallest)}
+            slot_of = [slot[c] for c in ids]
+            members = list(smallest.values())
+            class_nbrs = [
+                None if nbrs[i] is None else [(w, slot_of[j]) for w, j in nbrs[i]] for i in members
+            ]
+            chain = _stable_tail(
+                dictionary,
+                tree,
+                [own[i] for i in members],
+                class_nbrs,
+                list(smallest),
+                mark,
+                len(levels) - 1,
+                rounds,
+            )
+            for d in [rounds] if last else range(len(levels), rounds + 1):
+                at = [chain.id_at(c, d) for c in range(len(members))]
+                levels.append([at[k] for k in slot_of])
+    if last:
+        return dict(zip(order, levels[-1]))
+    return [dict(zip(order, ids)) for ids in levels]
 
 
 def awl_init(snapshot, universe_, dictionary):
@@ -166,14 +424,14 @@ def check_comparable(cdgs):
     dims = {g.dim for g in cdgs}
     if len(dims) > 1:
         raise DimensionMismatchError(f"attribute dimensions differ: {sorted(dims)}")
-    counts = {len(g.events) for g in cdgs}
+    counts = {len(timestamps(g)) for g in cdgs}
     if len(counts) > 1:
         raise TimestampMismatchError(f"timestamp counts differ: {sorted(counts)}")
 
 
 def refine_at_depth(snapshot, universe_, dictionary, depth):
     """Colors after exactly ``depth`` rounds (depth 0 = initial colors)."""
-    return _refine(snapshot, universe_, dictionary, depth)[-1]
+    return _refine(snapshot, universe_, dictionary, depth, last=True)
 
 
 def _colors_at(snapshot, universe_, dictionary, depth):

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, JSON payloads, corpus env var."""
 
 import json
+import re
 
 import pytest
 
@@ -120,6 +121,21 @@ def test_iso_exit_codes(pair_files, blind_spot_files, capsys):
     ba, bb = blind_spot_files
     code, payload, _ = run_cli(capsys, "iso", ba, bb)
     assert code == 1 and payload["mapping"] is None
+
+
+def test_cwl_compare_and_iso_name_the_same_timestamp_counts(tmp_path, capsys):
+    """8 events against 5: both commands report 9 and 6 timestamps."""
+    files = []
+    for name, n_events in (("long", 8), ("short", 5)):
+        path = tmp_path / f"{name}.jsonl"
+        save_cdg(path, generate(GeneratorConfig(n_nodes=3, n_events=n_events), seed=1))
+        files.append(str(path))
+    counts = []
+    for command in (["cwl", "compare"], ["iso"]):
+        code, _, err = run_cli(capsys, *command, *files)
+        assert code == 2 and "timestamp counts differ" in err
+        counts.append(sorted(map(int, re.findall(r"\d+", err))))
+    assert counts == [[6, 9], [6, 9]]
 
 
 def test_decompose_payload(blind_spot_files, capsys):

@@ -214,7 +214,7 @@ def test_kernel_matches_reference_on_hand_snapshots(case, tree):
             assert tree_sig_levels(s, us, got_d, max_depth) == ref
         else:
             assert refine_at_depth(s, us, got_d, max_depth) == ref[-1]
-        assert list(got_d._ids.items()) == list(ref_d._ids.items())
+        assert list(got_d.items()) == list(ref_d.items())
 
 
 def test_kernel_matches_reference_in_one_shared_session():
@@ -228,4 +228,4 @@ def test_kernel_matches_reference_in_one_shared_session():
         assert awl_step(s, colors, got_d) == ref_round(s, colors, ref_d, False)
         assert awl_stable(s, joint, got_d) == ref_stable(s, joint, ref_d, False)
         assert tree_sigs_stable(s, joint, got_d) == ref_stable(s, joint, ref_d, True)
-    assert list(got_d._ids.items()) == list(ref_d._ids.items())
+    assert list(got_d.items()) == list(ref_d.items())

@@ -216,4 +216,4 @@ def test_kernel_mints_full_recompute_ids_on_arbitrary_streams(data, dim, n_event
             else:
                 assert tree_sigs_stable(s, joint, got) == ref_stable(s, joint, ref, True)
     assert len(got) == len(ref)
-    assert list(got._ids.items()) == list(ref._ids.items())
+    assert list(got.items()) == list(ref.items())

@@ -197,3 +197,27 @@ def test_empty_universes_are_checked_and_equivalent():
     assert report.ok and report.pairs_checked == 1 and report.timestamps_checked == 1
     assert cut_trajectories([g0, g0]) == [{}, {}]
     assert graph_cut_equivalent(g0, g0) == CutVerdict(True, {})
+
+
+class CountingDictionary(ColorDictionary):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def id_of(self, key):
+        self.calls += 1
+        return super().id_of(key)
+
+
+def test_cut_keys_a_quarter_of_the_levels_of_a_full_walk():
+    """Past the stable level, components follow earlier chains or fill tail blocks.
+
+    On this n=40/k=150 pair the walk over all 79 levels made 199 596
+    ``id_of`` calls; the tail makes 32 911.  Both mint the same 89 938 ids.
+    """
+    config = GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1)
+    a, b, _ = generate_isomorphic_pair(config, 0)
+    dictionary = CountingDictionary()
+    cut_trajectories([a, b], dictionary=dictionary)
+    assert len(dictionary) == 89938
+    assert dictionary.calls <= 199596 // 4
