@@ -111,11 +111,10 @@ class ColorDictionary:
             probe = nbrs[0][1]
         else:
             return None
-        k = bisect_right(self._starts, probe) - 1
-        if k < 0:
+        found = self._locate(probe)
+        if found is None:
             return None
-        block = self._blocks[k]
-        level = (probe - block.start) // block.size
+        block, level, _ = found
         if level + 1 >= block.count or block.tag != tag:
             return None
         lo = block.start + level * block.size
@@ -235,6 +234,8 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
             comps.append(sorted(members))
 
     def hold(members):
+        # The latest holder wins: a component that repeats the previous
+        # timestamp's then follows that call, not an older one.
         for c in members:
             owners[cur[c]] = (chain, c, level)
 
