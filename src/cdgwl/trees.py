@@ -11,16 +11,17 @@ hashes.  Explicit materialization stays available as a cross-check oracle
 for small depths.
 
 Signatures and colors come from one kernel (``wl._refine``).  Depth d+1
-refines depth d, so once one level leaves the partition unchanged every
-deeper level does too (usually within a few levels, far short of the
-decisive depth ``2n - 1``).  A full recompute then keys each stable class
-on its smallest member, classes in sorted order, and only hits the
-dictionary for the other members.  The kernel (``wl._stable_tail``) goes
-further: it stops keying a component of the class graph once its later ids
-are known.  Two facts carry this.  Ids name trees: a level-d key holds
-level-(d-1) ids, so by induction two non-isolated nodes share a level-d id
-exactly when their depth-d trees are equal, and each such id belongs to one
-depth.
+refines depth d, so once one level leaves the partition unchanged (the
+stable level) every deeper level does too, and the level before it already
+tells the stable classes apart.  The stable level usually comes within a
+few levels, far short of the decisive depth ``2n - 1``.  From there a full
+recompute keys each stable class on its smallest member, classes in sorted
+order, and only hits the dictionary for the other members.  The kernel
+(``wl._stable_tail``) goes further: it stops keying a component of the
+class graph once its later ids are known.  Two facts carry this.  Ids name
+trees: a level-d key holds level-(d-1) ids, so by induction two
+non-isolated nodes share a level-d id exactly when their depth-d trees are
+equal, and each such id belongs to one depth.
 
 (a) Fresh ids stay fresh.  Let a non-isolated class get, at a level d at or
 past the stable level, an id no earlier key had.  Its depth-(d+1) tree

@@ -126,11 +126,15 @@ class ColorDictionary:
         return None if rank is None else hi + rank
 
     def _owner(self, i):
-        """(chain, class, level) of a class that held id ``i`` past its stable level."""
+        """(chain, class) that last held id ``i`` past its stable level, else None.
+
+        Such an id belongs to one level (its key holds ids of the level
+        before), so the pair also names the level.
+        """
         found = self._blocks and self._locate(i)
         if found:
-            block, level, rank = found
-            return block.chain, block.classes[rank], block.level0 + level
+            block, _, rank = found
+            return block.chain, block.classes[rank]
         return self._owners.get(i)
 
     def _add_block(self, block):
@@ -237,7 +241,7 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
         # The latest holder wins: a component that repeats the previous
         # timestamp's then follows that call, not an older one.
         for c in members:
-            owners[cur[c]] = (chain, c, level)
+            owners[cur[c]] = (chain, c)
 
     fresh, follow = [], {}
 
@@ -251,7 +255,7 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
             src = held and held[0] and held[0][0]
             if (
                 src and src is not chain and level < src.last
-                and all(o and o[0] is src and o[2] == level for o in held)
+                and all(o and o[0] is src for o in held)
             ):
                 for c, o in zip(members, held):
                     chain.segs[c].append((level + 1, FOLLOW, src, o[1]))
