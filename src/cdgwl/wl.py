@@ -162,46 +162,55 @@ class _Block:
                 yield key, lo + self.size + rank
 
 
-BLOCK, FOLLOW, CONST = range(3)
-NO_ROW = {}
+EXPLICIT, BLOCK, FOLLOW, CONST = range(4)
 
 
 class _Chain:
     """The ids one call gave its stable classes, from its stable level to ``last``.
 
-    ``rows`` maps a level to the ids keyed at it, by class.  Past its keyed
-    levels a class has segments ``(from level, kind, a, b)``: the ids of a
-    block ``a`` at rank ``b``, the ids of class ``b`` of an earlier chain
-    ``a``, or one constant id ``a``.
+    Each class has a list of segments ``(from level, kind, a, b)``, each
+    running until the next one starts: ids keyed one per level (list ``a``),
+    the ids of a block ``a`` at rank ``b``, the ids of class ``b`` of an
+    earlier chain ``a``, or one constant id ``a``.
     """
 
-    __slots__ = ("last", "rows", "segs")
+    __slots__ = ("last", "segs")
 
     def __init__(self, last, n):
-        self.last, self.rows, self.segs = last, {}, [[] for _ in range(n)]
+        self.last, self.segs = last, [[] for _ in range(n)]
 
-    def id_at(self, c, level):
-        chain = self
-        while True:
-            got = chain.rows.get(level, NO_ROW).get(c)
-            if got is not None:
-                return got
-            for start, kind, a, b in reversed(chain.segs[c]):
-                if start <= level:
-                    break
-            if kind == BLOCK:
-                return a.start + (level - a.level0) * a.size + b
-            if kind == CONST:
-                return a
-            chain, c = a, b
+    def ids(self, c, lo, hi):
+        """Ids of class ``c`` at levels ``lo``..``hi``."""
+        segs = self.segs[c]
+        k = len(segs) - 1
+        while segs[k][0] > lo:
+            k -= 1
+        out = []
+        while lo <= hi:
+            start, kind, a, b = segs[k]
+            k += 1
+            end = min(hi, segs[k][0] - 1) if k < len(segs) else hi
+            if kind == EXPLICIT:
+                out += a[lo - start : end - start + 1]
+            elif kind == BLOCK:
+                first = a.start + (lo - a.level0) * a.size + b
+                out += range(first, first + (end - lo) * a.size + 1, a.size)
+            elif kind == CONST:
+                out += [a] * (end - lo + 1)
+            else:
+                out += a.ids(b, lo, end)
+            lo = end + 1
+        return out
 
 
-def _keys(tag, tree, own, prev, nbrs, members):
-    """Next-level keys of ``members`` (None for dead ones) from their ids ``prev``."""
+def _step(id_of, tag, tree, own, prev, nbrs, members):
+    """Next-level ids of ``members`` (0 for dead ones) from their ids ``prev``."""
     return [
-        None
+        BOTTOM
         if nbrs[i] is None
-        else (tag, own[i] if tree else prev[i], tuple(sorted([(w, prev[j]) for w, j in nbrs[i]])))
+        else id_of(
+            (tag, own[i] if tree else prev[i], tuple(sorted([(w, prev[j]) for w, j in nbrs[i]])))
+        )
         for i in members
     ]
 
@@ -268,17 +277,23 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
             hold(members)
         return unknown
 
-    chain.rows[level] = {c: cur[c] for members in comps for c in members}
+    for members in comps:
+        for c in members:
+            chain.segs[c].append((level, EXPLICIT, [cur[c]], None))
     unknown = settle(range(len(comps)))
     while level < rounds:
         if unknown:
             stepped = sorted(fresh + [c for k in unknown for c in comps[k]])
             mark = dictionary._next
-            new = [id_of(key) for key in _keys(tag, tree, own, cur, nbrs, stepped)]
+            new = _step(id_of, tag, tree, own, cur, nbrs, stepped)
             level += 1
-            chain.rows[level] = dict(zip(stepped, new))
             for c, i in zip(stepped, new):
                 cur[c] = i
+                segs = chain.segs[c]
+                if segs[-1][1] == EXPLICIT:
+                    segs[-1][2].append(i)
+                else:
+                    segs.append((level, EXPLICIT, [i], None))
             hold(fresh)
         else:
             end = min(rounds, *follow.values()) if follow else rounds
@@ -292,8 +307,7 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
                 block = _Block(
                     dictionary._next, end - level, level + 1, tag, shapes, chain, tuple(fresh)
                 )
-                for key in _keys(tag, tree, own, cur, nbrs, fresh):
-                    id_of(key)
+                _step(id_of, tag, tree, own, cur, nbrs, fresh)
                 dictionary._add_block(block)
                 for r, c in enumerate(fresh):
                     chain.segs[c].append((level + 1, BLOCK, block, r))
@@ -305,7 +319,7 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
         for k in ended:
             del follow[k]
             for c in comps[k]:
-                cur[c] = chain.id_at(c, level)
+                cur[c] = chain.ids(c, level, level)[0]
         unknown = settle(unknown + ended)
     return chain
 
@@ -341,10 +355,7 @@ def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=Fa
         while len(levels) <= rounds:
             mark = dictionary._next
             prev = ids
-            ids = [
-                BOTTOM if key is None else id_of(key)
-                for key in _keys(tag, tree, own, prev, nbrs, range(len(order)))
-            ]
+            ids = _step(id_of, tag, tree, own, prev, nbrs, range(len(order)))
             levels.append(ids)
             if len(set(ids)) == len(set(prev)):
                 break
@@ -369,9 +380,9 @@ def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=Fa
                 len(levels) - 1,
                 rounds,
             )
-            for d in [rounds] if last else range(len(levels), rounds + 1):
-                at = [chain.id_at(c, d) for c in range(len(members))]
-                levels.append([at[k] for k in slot_of])
+            lo = rounds if last else len(levels)
+            columns = [chain.ids(c, lo, rounds) for c in range(len(members))]
+            levels += ([columns[k][d] for k in slot_of] for d in range(rounds + 1 - lo))
     if last:
         return dict(zip(order, levels[-1]))
     return [dict(zip(order, ids)) for ids in levels]

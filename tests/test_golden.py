@@ -193,6 +193,7 @@ def dead_snapshot():
 HAND_CASES = [
     (isolated_snapshot(), ["a", "b", "c", "d", "i", "j"]),
     (dead_snapshot(), ["a", "b", "c", "ghost", "x", "zz"]),
+    (snap({}), []),
 ]
 
 
@@ -207,7 +208,7 @@ def merged_cases():
 @pytest.mark.parametrize("case", range(len(HAND_CASES)))
 def test_kernel_matches_reference_on_hand_snapshots(case, tree):
     s, us = HAND_CASES[case]
-    for max_depth in (0, 1, 2 * len(us) + 1):
+    for max_depth in (0, 1, 3, 2 * len(us) + 1):
         got_d, ref_d = ColorDictionary(), ColorDictionary()
         ref = ref_levels(s, us, ref_d, max_depth, tree)
         if tree:
