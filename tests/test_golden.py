@@ -224,6 +224,8 @@ def test_kernel_matches_reference_in_one_shared_session():
         max_depth = 2 * len(joint) + 1
         ref = ref_levels(s, joint, ref_d, max_depth, True)
         assert tree_sig_levels(s, joint, got_d, max_depth) == ref
+        # A shallower call after a deep one mixes depths in the session.
+        assert tree_sig_levels(s, joint, got_d, 3) == ref_levels(s, joint, ref_d, 3, True)
         colors = refine_at_depth(s, joint, got_d, 3)
         assert colors == ref_levels(s, joint, ref_d, 3, False)[-1]
         assert awl_step(s, colors, got_d) == ref_round(s, colors, ref_d, False)
