@@ -78,8 +78,8 @@ class DepthMismatchError(CdgError):
     """Compared tree trajectories were built at different depths."""
 
 
-class InvalidBoundError(CdgError):
-    """Depth bound requested for an infeasible node count."""
+class InvalidBoundError(CdgError, ValueError):
+    """A depth or node bound out of range (a ``ValueError`` too)."""
 
 
 class GenerationExhaustedError(CdgError):

@@ -485,7 +485,10 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
     """Run one named certification and return its report.
 
     Size overrides with value None fall back to the experiment's defaults;
-    ``out`` additionally writes the JSON report to that path.
+    an integer size below 1 (below 0 for ``disconnected_pairs``, ``steps``
+    and ``min_successes``) raises ``ValueError``, so no certification passes
+    on an empty corpus.  ``out`` additionally writes the JSON report to that
+    path.
     """
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
@@ -495,6 +498,9 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
             continue
         if k not in sizes:
             raise ValueError(f"experiment {name!r} takes no parameter {k!r}")
+        least = 0 if k in ("disconnected_pairs", "steps", "min_successes") else 1
+        if isinstance(sizes[k], int) and v < least:
+            raise ValueError(f"experiment {name!r}: {k} must be at least {least}, got {v}")
         sizes[k] = v
     t0 = time.perf_counter()
     results, ces = _RUNNERS[name](seed, sizes, jobs)

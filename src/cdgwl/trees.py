@@ -44,10 +44,11 @@ attribute, level-(d-1) id) over the neighbours.  The neighbours' ids match
 under pi one level down too, and the earlier call's level-(d-1) ids tell
 its classes apart, so pi maps the neighbour multiset of c onto that of
 pi(c).  Hence c and pi(c) have equal level-(d+1) keys, and by induction c
-holds pi(c)'s id at every level the earlier call reached.  Past that level
-the component is keyed again: it may hit a deeper call's ids, or turn fresh
-and start a new block.  An isolated tree class keys on (attribute, ()) at
-every level from 1 on and keeps one id.
+holds pi(c)'s id at every level the earlier call reached.  The kernel
+follows only an earlier call at least as deep as its own, by copying its
+ids; a component whose holder is shallower is keyed instead, which mints
+and hits the same ids as a full recompute.  An isolated tree class keys on
+(attribute, ()) at every level from 1 on and keeps one id.
 
 Every id the kernel does not key is therefore the id a full recompute would
 mint or hit, in the same order, and no id changes.
@@ -105,7 +106,7 @@ def unfolding_tree(snapshot, v, depth):
     Exponential in ``depth``; intended for small-depth oracle checks.
     """
     if depth < 0:
-        raise ValueError("depth must be non-negative")
+        raise InvalidBoundError(f"depth must be non-negative, got {depth}")
     if v not in snapshot.nodes:
         return EMPTY_TREE
     adj = adjacency(snapshot)

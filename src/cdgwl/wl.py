@@ -28,6 +28,7 @@ from .cdg import Snapshot, adjacency, attr_bytes, edge_key, snapshots, timestamp
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
+    InvalidBoundError,
     LengthMismatchError,
     TimestampMismatchError,
 )
@@ -42,8 +43,8 @@ class ColorDictionary:
     """Injective, append-only mapping from canonical keys to ids >= 1.
 
     Most keys are stored one by one.  A *tail block* stores, as one range of
-    ids, the keys a refinement call mints for a fixed list of stable classes
-    over a run of levels in which nothing else is minted: ``size`` ids per
+    ids, the keys a refinement call mints for its fresh stable classes over
+    its last levels, in which nothing else is minted: ``size`` ids per
     level, one per class in class order, so class ``r`` at level ``j`` of the
     block has id ``start + j * size + r``.  The block's first level is stored
     key by key; ``id_of`` decodes a key of a later level from the classes'
@@ -52,9 +53,10 @@ class ColorDictionary:
     (key, id) pair in id order, blocks expanded.
 
     The dictionary also remembers, for ids that refinement calls held past
-    their stable level, the latest call and class that held each (see
-    ``_Chain``), so later calls in the session can follow those ids instead
-    of keying them.
+    their stable level, the latest call and class that held each.  Each
+    call's classes have one keyed run and at most one tail (see ``_Chain``),
+    so a later call in the session that is no deeper can copy them instead
+    of keying.
     """
 
     def __init__(self):
@@ -145,12 +147,12 @@ class ColorDictionary:
 
 
 class _Block:
-    """``count`` levels of ids for the fresh classes of one call, from ``level0``."""
+    """``count`` levels of ids for the fresh classes of one call."""
 
-    __slots__ = ("start", "size", "count", "level0", "tag", "shapes", "chain", "classes")
+    __slots__ = ("start", "size", "count", "tag", "shapes", "chain", "classes")
 
-    def __init__(self, start, count, level0, tag, shapes, chain, classes):
-        self.start, self.size, self.count, self.level0 = start, len(classes), count, level0
+    def __init__(self, start, count, tag, shapes, chain, classes):
+        self.start, self.size, self.count = start, len(classes), count
         self.tag, self.shapes, self.chain, self.classes = tag, shapes, chain, classes
 
     def items(self):
@@ -162,44 +164,29 @@ class _Block:
                 yield key, lo + self.size + rank
 
 
-EXPLICIT, BLOCK, FOLLOW, CONST = range(4)
-
-
 class _Chain:
-    """The ids one call gave its stable classes, from its stable level to ``last``.
+    """The ids one call gave its stable classes, from its stable ``level`` to ``last``.
 
-    Each class has a list of segments ``(from level, kind, a, b)``, each
-    running until the next one starts: ids keyed one per level (list ``a``),
-    the ids of a block ``a`` at rank ``b``, the ids of class ``b`` of an
-    earlier chain ``a``, or one constant id ``a``.
+    Class ``c`` has one run of keyed ids, ``keyed[c]``, from the stable level
+    on, and past it at most one tail, ``tails[c] = (first, at, step)``: id
+    ``first`` at level ``at`` and ``step`` more per level, so a constant id
+    (step 0) or a class of a block (step the block's size).
     """
 
-    __slots__ = ("last", "segs")
+    __slots__ = ("level", "last", "keyed", "tails")
 
-    def __init__(self, last, n):
-        self.last, self.segs = last, [[] for _ in range(n)]
+    def __init__(self, level, last, cur):
+        self.level, self.last = level, last
+        self.keyed, self.tails = [[i] for i in cur], [None] * len(cur)
 
     def ids(self, c, lo, hi):
         """Ids of class ``c`` at levels ``lo``..``hi``."""
-        segs = self.segs[c]
-        k = len(segs) - 1
-        while segs[k][0] > lo:
-            k -= 1
-        out = []
-        while lo <= hi:
-            start, kind, a, b = segs[k]
-            k += 1
-            end = min(hi, segs[k][0] - 1) if k < len(segs) else hi
-            if kind == EXPLICIT:
-                out += a[lo - start : end - start + 1]
-            elif kind == BLOCK:
-                first = a.start + (lo - a.level0) * a.size + b
-                out += range(first, first + (end - lo) * a.size + 1, a.size)
-            elif kind == CONST:
-                out += [a] * (end - lo + 1)
-            else:
-                out += a.ids(b, lo, end)
-            lo = end + 1
+        keyed, tail = self.keyed[c], self.tails[c]
+        out = keyed[lo - self.level : hi + 1 - self.level]
+        if tail:
+            first, at, step = tail
+            lo = max(lo, self.level + len(keyed))
+            out += [first + (d - at) * step for d in range(lo, hi + 1)]
         return out
 
 
@@ -222,19 +209,21 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
     ``nbrs`` their (edge attribute, class) lists (None for dead nodes), and
     ``mark`` the first id minted at ``level``.  Each component of the class
     graph is keyed level by level until its later ids are known: all of its
-    classes fresh (then it joins the block of fresh classes), or all of its
-    ids held, at this level, by the classes of one earlier chain (then it
-    follows that chain while the chain lasts).  Isolated tree classes keep
-    one id.  See ``trees`` for why both hold.
+    classes fresh, or all of its ids held, at this level, by the classes of
+    one earlier chain that reaches ``rounds`` (then it copies their keyed runs
+    and tails).  Once no component is unknown, the fresh classes take one
+    block up to ``rounds``.  Dead and isolated tree classes keep one id.  So
+    each class gets one keyed run and at most one tail; see ``trees`` for why
+    the ids are those of a full recompute.
     """
     tag = "t" if tree else "c"
-    n = len(cur)
-    chain = _Chain(rounds, n)
+    chain = _Chain(level, rounds, cur)
+    keyed, tails = chain.keyed, chain.tails
     owners, id_of = dictionary._owners, dictionary.id_of
-    comp, comps = [None] * n, []
-    for c in range(n):
+    comp, comps = [None] * len(cur), []
+    for c in range(len(cur)):
         if nbrs[c] is None or (tree and not nbrs[c]):
-            chain.segs[c].append((level, CONST, cur[c], None))
+            tails[c] = (cur[c], level, 0)
         elif comp[c] is None:
             comp[c], todo, members = len(comps), [c], []
             while todo:
@@ -248,11 +237,11 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
 
     def hold(members):
         # The latest holder wins: a component that repeats the previous
-        # timestamp's then follows that call, not an older one.
+        # timestamp's then copies that call, not an older one.
         for c in members:
             owners[cur[c]] = (chain, c)
 
-    fresh, follow = [], {}
+    fresh = []
 
     def settle(candidates):
         """Components still unknown at ``level`` after sorting out the rest."""
@@ -263,12 +252,12 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
             held = not any(new) and [dictionary._owner(cur[c]) for c in members]
             src = held and held[0] and held[0][0]
             if (
-                src and src is not chain and level < src.last
+                src and src is not chain and src.last >= rounds
                 and all(o and o[0] is src for o in held)
             ):
-                for c, o in zip(members, held):
-                    chain.segs[c].append((level + 1, FOLLOW, src, o[1]))
-                follow[k] = src.last
+                for c, (_, o) in zip(members, held):
+                    keyed[c] += src.keyed[o][level + 1 - src.level :]
+                    tails[c] = src.tails[o]
                 continue
             if all(new):
                 fresh.extend(members)
@@ -277,50 +266,30 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
             hold(members)
         return unknown
 
-    for members in comps:
-        for c in members:
-            chain.segs[c].append((level, EXPLICIT, [cur[c]], None))
-    unknown = settle(range(len(comps)))
+    unknown = range(len(comps))
     while level < rounds:
-        if unknown:
-            stepped = sorted(fresh + [c for k in unknown for c in comps[k]])
-            mark = dictionary._next
-            new = _step(id_of, tag, tree, own, cur, nbrs, stepped)
-            level += 1
-            for c, i in zip(stepped, new):
-                cur[c] = i
-                segs = chain.segs[c]
-                if segs[-1][1] == EXPLICIT:
-                    segs[-1][2].append(i)
-                else:
-                    segs.append((level, EXPLICIT, [i], None))
-            hold(fresh)
-        else:
-            end = min(rounds, *follow.values()) if follow else rounds
-            if fresh:
-                fresh.sort()
-                rank = {c: r for r, c in enumerate(fresh)}
-                shapes = {
-                    (own[c] if tree else r, tuple(sorted([(w, rank[j]) for w, j in nbrs[c]]))): r
-                    for r, c in enumerate(fresh)
-                }
-                block = _Block(
-                    dictionary._next, end - level, level + 1, tag, shapes, chain, tuple(fresh)
-                )
-                _step(id_of, tag, tree, own, cur, nbrs, fresh)
-                dictionary._add_block(block)
-                for r, c in enumerate(fresh):
-                    chain.segs[c].append((level + 1, BLOCK, block, r))
-                    cur[c] = block.start + (end - level - 1) * block.size + r
-            level, mark = end, dictionary._next
-        if level == rounds:
+        unknown = settle(unknown)
+        if not unknown:
             break
-        ended = [k for k, last in follow.items() if last == level]
-        for k in ended:
-            del follow[k]
-            for c in comps[k]:
-                cur[c] = chain.ids(c, level, level)[0]
-        unknown = settle(unknown + ended)
+        stepped = sorted(fresh + [c for k in unknown for c in comps[k]])
+        mark = dictionary._next
+        level += 1
+        for c, i in zip(stepped, _step(id_of, tag, tree, own, cur, nbrs, stepped)):
+            cur[c] = i
+            keyed[c].append(i)
+        hold(fresh)
+    if fresh and level < rounds:
+        fresh.sort()
+        rank = {c: r for r, c in enumerate(fresh)}
+        shapes = {
+            (own[c] if tree else r, tuple(sorted([(w, rank[j]) for w, j in nbrs[c]]))): r
+            for r, c in enumerate(fresh)
+        }
+        start = dictionary._next
+        _step(id_of, tag, tree, own, cur, nbrs, fresh)
+        dictionary._add_block(_Block(start, rounds - level, tag, shapes, chain, tuple(fresh)))
+        for r, c in enumerate(fresh):
+            tails[c] = (start + r, level + 1, len(fresh))
     return chain
 
 
@@ -337,6 +306,8 @@ def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=Fa
     Attributes are encoded once per call, and once the partition is stable
     the classes go to ``_stable_tail`` (see ``trees``).
     """
+    if rounds < 0:
+        raise InvalidBoundError(f"depth must be non-negative, got {rounds}")
     order = sorted(universe_)
     nodes = snapshot.nodes
     own = [attr_bytes(nodes[v]) if v in nodes else None for v in order]

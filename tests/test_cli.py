@@ -291,6 +291,26 @@ def test_run_takes_one_flag_per_size_parameter(capsys, monkeypatch):
     assert seen == want
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cwl", "run", "{a}", "--depth", "-3"],
+        ["utree", "build", "{a}", "--node", "{node}", "--t", "0.0", "--depth", "-2"],
+        ["utree", "compare", "{a}", "{a}", "--depth", "-5"],
+    ],
+)
+def test_negative_depth_exits_2(argv, pair_files, capsys):
+    fa = pair_files[0]
+    node = sorted(load_cdg(fa).start.nodes)[0]
+    code, payload, err = run_cli(capsys, *(x.format(a=fa, node=node) for x in argv))
+    assert code == 2 and payload is None and "depth must be non-negative" in err
+
+
+def test_run_size_below_one_exits_2(capsys):
+    code, payload, err = run_cli(capsys, "run", "cut-cwl", "--pairs", "-1")
+    assert code == 2 and payload is None and "pairs must be at least 1" in err
+
+
 def test_bad_file_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "cwl", "run", "/nonexistent/file.jsonl")
     assert code == 2 and err.startswith("error:")

@@ -82,6 +82,29 @@ def test_unknown_experiment_and_override_rejected():
         run_experiment("cut-cwl", seed=0, bogus_flag=3)
 
 
+@pytest.mark.parametrize(
+    "name, sizes, bad",
+    [
+        ("cut-cwl", {"pairs": -3}, "pairs"),
+        ("decomposition", {"pairs": -1}, "pairs"),
+        ("depth-bound", {"pairs": 0, "disconnected_pairs": 0}, "pairs"),
+        ("depth-bound", {"disconnected_pairs": -1}, "disconnected_pairs"),
+        ("gradcheck", {"samples": -4}, "samples"),
+        ("gradcheck", {"probes": 0}, "probes"),
+        ("approximation", {"steps": -1}, "steps"),
+        ("expressivity", {"layers": 0}, "layers"),
+    ],
+)
+def test_sizes_below_the_least_are_rejected(name, sizes, bad):
+    with pytest.raises(ValueError, match=f"experiment {name!r}: {bad} must be at least"):
+        run_experiment(name, seed=0, **sizes)
+
+
+def test_zero_is_allowed_where_a_run_still_certifies():
+    report = run_experiment("depth-bound", seed=0, pairs=2, disconnected_pairs=0)
+    assert report.passed and report.results["pairs_checked"] == 2
+
+
 def test_report_written_to_disk(tmp_path):
     out = tmp_path / "r.json"
     run_experiment("gradcheck", seed=1, probes=1, samples=10, out=out)
