@@ -260,5 +260,6 @@ NEGATIVE_DEPTH = {
 
 @pytest.mark.parametrize("call", sorted(NEGATIVE_DEPTH))
 def test_negative_depth_is_a_typed_error(call):
-    with pytest.raises(InvalidBoundError, match="depth must be non-negative"):
+    with pytest.raises(InvalidBoundError, match="depth must be non-negative") as info:
         NEGATIVE_DEPTH[call](path3(), ["a", "b", "c"])
+    assert isinstance(info.value, ValueError)
