@@ -1,6 +1,8 @@
 """Experiment runners, report determinism, corpus round trips."""
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +20,9 @@ from cdgwl import (
     write_pair_corpus,
     write_stream_corpus,
 )
+from cdgwl import experiments
 from cdgwl.errors import MalformedManifestError
+from cdgwl.iso import IsoVerdict
 
 
 def test_sub_seed_is_stable_and_keyed():
@@ -166,3 +170,117 @@ def test_pair_manifest_errors_name_the_field(tmp_path):
     with pytest.raises(MalformedManifestError) as err:
         load_pair_corpus(tmp_path)
     assert err.value.field == "pairs[1].b"
+
+
+# ---------------------------------------------------------------------------
+# Report shapes, pinned by digest: the passing path, the counterexample path
+# of every per-pair check, and the reduction rules of the trained experiments.
+
+
+def _digest(report):
+    return hashlib.sha256(report.to_json(include_wall_clock=False).encode()).hexdigest()
+
+
+PASSING_DIGESTS = {
+    ("cut-cwl", 0): "ef0104c2307c54b8aa8cec11f36da4e8695b0e11b51b6b93dafe47f7694f633f",
+    ("cut-cwl", 1): "257a70c378f02ec9651309b0120c1552cca557cb38570923800ef4c07492edee",
+    ("depth-bound", 0): "477302665700cf442a7c08aed376b0b0bbf06962db29f076b78926f35568f79f",
+    ("depth-bound", 1): "c915fd899dee515ed0f394ae15ab2dbc2fd8ae680c0e635c37b976ece18e9184",
+    ("iso-soundness", 0): "b663b4f0ec4008bccd51480b8484eaa59cc7a3965924b297c25f4aeb372dcb60",
+    ("iso-soundness", 1): "428e81c90df6a7a49e9b071e2655a1a2b0d67bc0c799f72b254eb02f14825085",
+    ("decomposition", 0): "997229a046aa88b03b24a46c264c6449fcb83801dbf823048beae6d79af30081",
+    ("decomposition", 1): "0b15603cc431057d5bdc2e1c503017fef8637526ce7a553ebe139dfec8adcf87",
+    ("expressivity", 0): "27bc95729a8b06fc93eb3605160f8deaad64ee1621f77ccf82fc8d7b3321803a",
+    ("expressivity", 1): "4d771da716557fe0efc32e1c9e6739520f9908c5cb8f52a742adddd92ff8264f",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PASSING_DIGESTS))
+def test_passing_report_is_pinned(name, seed):
+    report = run_experiment(name, seed=seed, jobs=1, **TINY[name])
+    assert report.passed
+    assert _digest(report) == PASSING_DIGESTS[name, seed]
+
+
+def _appending(real, field, entry):
+    """``real`` with ``entry`` appended to the ``field`` list of its report."""
+
+    def check(*args, **kwargs):
+        report = real(*args, **kwargs)
+        getattr(report, field).append(entry)
+        return report
+
+    return check
+
+
+def _add_expressivity_faults(real):
+    def check(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.symbolic_mismatches.append({"pair": 0})
+        report.numeric_violations.append(
+            {"seed": kwargs["base_seed"], "prefix_length": 1, "nodes": [[0, "n0"], [1, "n1"]]}
+        )
+        return report
+
+    return check
+
+
+FAULTS = {
+    "cut-cwl": (
+        "verify_cut_cwl_correspondence",
+        lambda real: _appending(real, "mismatches", {"pair": 0, "timestamp_index": 1}),
+    ),
+    "depth-bound": (
+        "verify_depth_bound",
+        lambda real: _appending(real, "violations", {
+            "pair": 0, "timestamp_index": 0, "nodes": [[0, "n0"], [1, "n1"]],
+            "equal_at": 7, "diverged_at": 8,
+        }),
+    ),
+    "iso-soundness": ("brute_force_isomorphic", lambda real: lambda *a, **k: IsoVerdict(False)),
+    "decomposition": (
+        "match_components",
+        lambda real: lambda *a, **k: replace(real(*a, **k), class_counts_match=False),
+    ),
+    "expressivity": ("expressivity_check", _add_expressivity_faults),
+}
+
+FAILING_DIGESTS = {
+    "cut-cwl": "fac2c3ba38490cb1a636412e6e42007fd9f020bc9d7850f31eb03605f335a75b",
+    "depth-bound": "fb365e89234e25193b4caaf673865689f2ac32064373bf951fce4d7b70a545a4",
+    "iso-soundness": "633e13f16f2c37b8c04904ff3623d045041ce062b5e0652329bbe4ad74f3d1b2",
+    "decomposition": "59ee377f92572bfbb8aed9ecf7bca8f33cfc03f11897120f41ebdb497080e31e",
+    "expressivity": "8050d4160d54bdc5e9fb28561a36d282fad9349c28adb0ff905f58855563a498",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_DIGESTS))
+def test_counterexample_report_is_pinned(name, monkeypatch):
+    attr, fault = FAULTS[name]
+    monkeypatch.setattr(experiments, attr, fault(getattr(experiments, attr)))
+    report = run_experiment(name, seed=0, jobs=1, **TINY[name])
+    assert not report.passed and report.counterexamples
+    assert _digest(report) == FAILING_DIGESTS[name]
+
+
+def test_gradcheck_counterexamples_are_the_checks_over_tolerance():
+    report = run_experiment("gradcheck", seed=0, jobs=1, probes=1, samples=10, tolerance=0.0)
+    by_text = lambda rows: sorted(rows, key=lambda r: json.dumps(r, sort_keys=True))
+    assert not report.passed
+    assert by_text(report.counterexamples) == by_text(report.results["checks"])
+    assert report.results["max_relative_error"] == max(
+        c["max_relative_error"] for c in report.results["checks"]
+    )
+
+
+@pytest.mark.parametrize("min_successes, missed", [(2, 2), (0, 0)])
+def test_approximation_counts_missed_seeds_against_min_successes(min_successes, missed):
+    report = run_experiment(
+        "approximation", seed=0, jobs=1, graphs=2, seeds=2, steps=0,
+        min_successes=min_successes,
+    )
+    kinds = [c["kind"] for c in report.counterexamples]
+    assert kinds == ["seed-missed-goal"] * missed
+    assert report.passed == (missed == 0)
+    assert report.results["successes"] == 0 and report.results["required"] == min_successes
+    assert [r["train_seed"] for r in report.results["runs"]] == [0, 1]
