@@ -31,7 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cdg import snapshots, universe
-from .errors import MalformedTargetError, TargetNotCutRespectingError, TargetUndefinedError
+from .errors import (
+    EmptyInputError,
+    MalformedTargetError,
+    TargetNotCutRespectingError,
+    TargetUndefinedError,
+)
 from .trees import cut_trajectories
 from .wl import (
     BOTTOM,
@@ -685,6 +690,8 @@ def expressivity_check(
     nodes whose color prefixes agree (their state prefixes must be
     bitwise equal).
     """
+    if not pairs:
+        raise EmptyInputError("no pairs given")
     report = ExpressivityReport()
     for idx, (g1, g2) in enumerate(pairs):
         # Hidden ids are the stable colors, with None where color 0 marks absence.

@@ -1,7 +1,11 @@
 """Certification experiments over seeded corpora, with JSON reports.
 
-Every experiment regenerates its instances from (root seed, index) pairs,
-so workers in a process pool rebuild exactly the instance they check and
+Every experiment is one entry of ``_EXPERIMENTS``: its default sizes, the
+worker args of its instances, a top-level worker that checks one instance
+and returns ``(row, counterexamples)``, and the reduction of all rows to
+the report's results (by default the pair count plus every row count
+summed).  Workers regenerate their instance from (root seed, index), so
+workers in a process pool rebuild exactly the instance they check and
 reports come out byte-identical for identical inputs (the wall-clock field
 aside).  Counterexamples embed full stream serializations for replay.
 """
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,34 +50,6 @@ from .trees import (
     verify_depth_bound,
 )
 from .wl import BIJECTION, graph_cwl_equivalent
-
-EXPERIMENT_NAMES = (
-    "cut-cwl",
-    "depth-bound",
-    "iso-soundness",
-    "decomposition",
-    "expressivity",
-    "approximation",
-    "gradcheck",
-)
-
-DEFAULT_SIZES = {
-    "cut-cwl": {"pairs": 1000, "n_nodes": 6},
-    "depth-bound": {"pairs": 1000, "disconnected_pairs": 300, "n_nodes": 6},
-    "iso-soundness": {"pairs": 200, "n_nodes": 6},
-    "decomposition": {"pairs": 200, "n_nodes": 6},
-    "expressivity": {"pairs": 120, "n_nodes": 6, "seeds": 5, "layers": 3},
-    "approximation": {
-        "graphs": 6,
-        "seeds": 5,
-        "steps": 5000,
-        "lr": 0.3,
-        "goal": 1e-2,
-        "min_successes": 4,
-    },
-    "gradcheck": {"probes": 3, "samples": 40, "tolerance": 1e-4},
-}
-
 
 def sub_seed(seed, *key):
     """Independent child seed for one instance of one stream of work."""
@@ -144,7 +121,7 @@ def _sorted_counterexamples(ces):
 
 
 def _parallel_map(fn, args_list, jobs):
-    if jobs and jobs > 1 and len(args_list) > 1:
+    if jobs > 1 and len(args_list) > 1:
         chunk = max(1, len(args_list) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, args_list, chunksize=chunk))
@@ -163,7 +140,7 @@ def _w_cut_cwl(args):
         {"pair_index": idx, "timestamp_index": m["timestamp_index"], **_pair_json(a, b)}
         for m in rep.mismatches
     ]
-    return {"timestamps": rep.timestamps_checked, "counterexamples": ces}
+    return {"timestamps_checked": rep.timestamps_checked, "mismatches": len(ces)}, ces
 
 
 def _w_depth_bound(args):
@@ -171,19 +148,16 @@ def _w_depth_bound(args):
     a, b = make_pair(seed, idx, n_nodes, disconnected=disconnected)
     rep = verify_depth_bound([(a, b)], n_bound=n_nodes)
     ces = [
-        {
-            "pair_index": idx,
-            "disconnected_corpus": disconnected,
-            "violation": {k: v for k, v in v_.items() if k != "pair"},
-            **_pair_json(a, b),
-        }
+        {"pair_index": idx, "disconnected_corpus": disconnected, **_pair_json(a, b),
+         "violation": {k: v for k, v in v_.items() if k != "pair"}}
         for v_ in rep.violations
     ]
     return {
-        "node_pairs": rep.node_pairs_checked,
+        "disconnected_pairs_checked": int(disconnected),
+        "node_pairs_checked": rep.node_pairs_checked,
         "disconnected_timestamps": rep.disconnected_timestamps,
-        "counterexamples": ces,
-    }
+        "violations": len(ces),
+    }, ces
 
 
 def _w_iso(args):
@@ -193,29 +167,28 @@ def _w_iso(args):
     witness_ok = check_isomorphism_witness(g1, g2, mapping, IDENTITY)
     oracle = brute_force_isomorphic(g1, g2, IDENTITY)
     cwl_ok = graph_cwl_equivalent(g1, g2, mode=BIJECTION)
-    ces = []
-    if not (witness_ok and oracle.isomorphic and cwl_ok):
-        ces.append({
-            "pair_index": idx,
-            "witness_verified": witness_ok,
-            "brute_force_isomorphic": oracle.isomorphic,
-            "cwl_equivalent": cwl_ok,
-            **_pair_json(g1, g2),
-        })
-    return {"counterexamples": ces}
+    if witness_ok and oracle.isomorphic and cwl_ok:
+        return {"pairs_passed": 1}, []
+    return {"pairs_passed": 0}, [{
+        "pair_index": idx,
+        "witness_verified": witness_ok,
+        "brute_force_isomorphic": oracle.isomorphic,
+        "cwl_equivalent": cwl_ok,
+        **_pair_json(g1, g2),
+    }]
 
 
 def _w_decomposition(args):
     seed, idx, n_nodes = args
     a, b = make_pair(seed, idx, n_nodes)
     if not graph_cwl_equivalent(a, b, mode=BIJECTION):
-        return {"equivalent": 0, "counterexamples": []}
+        return {"equivalent_pairs_checked": 0, "violations": 0}, []
     ces = [
         {"pair_index": idx, "timestamp_index": i, **_pair_json(a, b)}
         for i, (s1, s2) in enumerate(zip(snapshots(a), snapshots(b)))
         if not match_components(s1, s2).class_counts_match
     ]
-    return {"equivalent": 1, "counterexamples": ces}
+    return {"equivalent_pairs_checked": 1, "violations": len(ces)}, ces
 
 
 def _w_expressivity(args):
@@ -228,17 +201,11 @@ def _w_expressivity(args):
         for _ in rep.symbolic_mismatches
     ]
     ces += [
-        {
-            "pair_index": idx,
-            "kind": "numeric-refinement",
-            "seed": v["seed"],
-            "prefix_length": v["prefix_length"],
-            "nodes": v["nodes"],
-            **_pair_json(*pair),
-        }
+        {"pair_index": idx, "kind": "numeric-refinement", **_pair_json(*pair),
+         **{k: v[k] for k in ("seed", "prefix_length", "nodes")}}
         for v in rep.numeric_violations
     ]
-    return {"symbolic_exact": rep.symbolic_exact, "counterexamples": ces}
+    return {"symbolic_exact": rep.symbolic_exact, "violations": len(ces)}, ces
 
 
 APPROX_CONFIG = GeneratorConfig(n_nodes=4, n_events=3, dim=1, attr_values=2)
@@ -310,175 +277,143 @@ def _w_approximation(args):
     sgnn = SgnnConfig(mode="numeric", layers=2, hidden_dim=8)
     temporal = TemporalConfig(mode=PER_INTERVAL, state_dim=8)
     result = train_to_target(
-        corpus, target, sgnn, temporal,
-        steps=steps, lr=lr, seed=train_seed, goal=goal,
+        corpus, target, sgnn, temporal, steps=steps, lr=lr, seed=train_seed, goal=goal
     )
-    return {
-        "train_seed": train_seed,
-        "final_loss": result.final_loss,
-        "initial_loss": result.initial_loss,
-        "steps_run": result.steps_run,
-    }
+    run = {"train_seed": train_seed}
+    run.update((k, getattr(result, k)) for k in ("final_loss", "initial_loss", "steps_run"))
+    return run, [{"kind": "seed-missed-goal", **run}] if result.final_loss > goal else []
 
 
 GRADCHECK_CONFIG = GeneratorConfig(n_nodes=3, n_events=2, dim=1, attr_values=2)
 
 
 def _w_gradcheck(args):
-    seed, probe_idx, mode, samples = args
+    seed, probe_idx, mode, samples, tolerance = args
     probe = generate(GRADCHECK_CONFIG, sub_seed(seed, 1, probe_idx))
     sgnn = SgnnConfig(mode="numeric", layers=2, hidden_dim=4, mlp_hidden=8)
     temporal = TemporalConfig(mode=mode, state_dim=4, mlp_hidden=8)
-    err = gradient_check(
-        probe, sgnn, temporal, n_samples=samples, seed=probe_idx
-    )
-    return {"probe": probe_idx, "mode": mode, "max_relative_error": err}
+    err = gradient_check(probe, sgnn, temporal, n_samples=samples, seed=probe_idx)
+    check = {"probe": probe_idx, "mode": mode, "max_relative_error": err}
+    return check, [dict(check)] if err > tolerance else []
 
 
 # ---------------------------------------------------------------------------
-# Experiment bodies
+# Reductions and the table of experiments
 
 
-def _run_cut_cwl(seed, sizes, jobs):
-    args = [(seed, idx, sizes["n_nodes"]) for idx in range(sizes["pairs"])]
-    outs = _parallel_map(_w_cut_cwl, args, jobs)
-    ces = [c for o in outs for c in o["counterexamples"]]
-    results = {
-        "pairs_checked": len(outs),
-        "timestamps_checked": sum(o["timestamps"] for o in outs),
-        "mismatches": len(ces),
-    }
+def _summed(seed, sizes, rows, ces):
+    """The pair count plus every row count summed over the pairs."""
+    results = {"pairs_checked": len(rows)}
+    for row in rows:
+        for key, count in row.items():
+            results[key] = results.get(key, 0) + count
     return results, ces
 
 
-def _run_depth_bound(seed, sizes, jobs):
-    args = [(seed, idx, sizes["n_nodes"], False) for idx in range(sizes["pairs"])]
-    args += [
-        (seed, idx, sizes["n_nodes"], True)
-        for idx in range(sizes["disconnected_pairs"])
-    ]
-    outs = _parallel_map(_w_depth_bound, args, jobs)
-    ces = [c for o in outs for c in o["counterexamples"]]
-    results = {
-        "pairs_checked": len(outs),
-        "disconnected_pairs_checked": sizes["disconnected_pairs"],
-        "node_pairs_checked": sum(o["node_pairs"] for o in outs),
-        "disconnected_timestamps": sum(o["disconnected_timestamps"] for o in outs),
-        "violations": len(ces),
-    }
-    return results, ces
-
-
-def _run_iso(seed, sizes, jobs):
-    args = [(seed, idx, sizes["n_nodes"]) for idx in range(sizes["pairs"])]
-    outs = _parallel_map(_w_iso, args, jobs)
-    ces = [c for o in outs for c in o["counterexamples"]]
-    results = {
-        "pairs_checked": len(outs),
-        "pairs_passed": len(outs) - len({c["pair_index"] for c in ces}),
-    }
-    return results, ces
-
-
-def _run_decomposition(seed, sizes, jobs):
-    ces = []
-    demo = {}
-    tri, cyc = two_triangles(), six_cycle()
-    demo["cwl_equivalent"] = graph_cwl_equivalent(tri, cyc, mode=BIJECTION)
-    demo["cut_equivalent"] = graph_cut_equivalent(tri, cyc).equivalent
-    demo["isomorphic"] = brute_force_isomorphic(tri, cyc, IDENTITY).isomorphic
-    verdict = match_components(snapshots(tri)[0], snapshots(cyc)[0])
-    demo["class_counts_match"] = verdict.class_counts_match
-    demo["component_counts_match"] = verdict.component_counts_match
-    expected = {
-        "cwl_equivalent": True,
-        "cut_equivalent": True,
-        "isomorphic": False,
-        "class_counts_match": True,
-        "component_counts_match": False,
-    }
-    if demo != expected:
-        ces.append({"kind": "fixed-demo", "observed": demo, "expected": expected})
-    args = [(seed, idx, sizes["n_nodes"]) for idx in range(sizes["pairs"])]
-    outs = _parallel_map(_w_decomposition, args, jobs)
-    ces += [c for o in outs for c in o["counterexamples"]]
-    results = {
-        "fixed_demo": demo,
-        "pairs_checked": len(outs),
-        "equivalent_pairs_checked": sum(o["equivalent"] for o in outs),
-        "violations": len([c for c in ces if c.get("kind") != "fixed-demo"]),
-    }
-    return results, ces
-
-
-def _run_expressivity(seed, sizes, jobs):
-    args = [
-        (seed, idx, sizes["n_nodes"], sizes["seeds"], sizes["layers"])
-        for idx in range(sizes["pairs"])
-    ]
-    outs = _parallel_map(_w_expressivity, args, jobs)
-    ces = [c for o in outs for c in o["counterexamples"]]
-    results = {
-        "pairs_checked": len(outs),
-        "symbolic_exact": sum(o["symbolic_exact"] for o in outs),
-        "numeric_seeds_per_pair": sizes["seeds"],
-        "violations": len(ces),
-    }
-    return results, ces
-
-
-def _run_approximation(seed, sizes, jobs):
-    anchor_graph, anchor_node = _approx_anchor(approximation_corpus(seed, sizes["graphs"]))
-    args = [
-        (seed, s, sizes["graphs"], sizes["steps"], sizes["lr"], sizes["goal"])
-        for s in range(sizes["seeds"])
-    ]
-    outs = _parallel_map(_w_approximation, args, jobs)
-    successes = [o for o in outs if o["final_loss"] <= sizes["goal"]]
-    ces = [
-        {"kind": "seed-missed-goal", **o}
-        for o in outs
-        if o["final_loss"] > sizes["goal"]
-    ]
-    if len(successes) >= sizes["min_successes"]:
-        ces = []
-    results = {
-        "anchor_graph": anchor_graph,
-        "anchor_node": anchor_node,
-        "runs": outs,
-        "goal": sizes["goal"],
-        "successes": len(successes),
-        "required": sizes["min_successes"],
-    }
-    return results, ces
-
-
-def _run_gradcheck(seed, sizes, jobs):
-    args = [
-        (seed, p, mode, sizes["samples"])
-        for p in range(sizes["probes"])
-        for mode in (PER_INTERVAL, SHARED_DT)
-    ]
-    outs = _parallel_map(_w_gradcheck, args, jobs)
-    tol = sizes["tolerance"]
-    ces = [dict(o) for o in outs if o["max_relative_error"] > tol]
-    results = {
-        "checks": outs,
-        "tolerance": tol,
-        "max_relative_error": max(o["max_relative_error"] for o in outs),
-    }
-    return results, ces
-
-
-_RUNNERS = {
-    "cut-cwl": _run_cut_cwl,
-    "depth-bound": _run_depth_bound,
-    "iso-soundness": _run_iso,
-    "decomposition": _run_decomposition,
-    "expressivity": _run_expressivity,
-    "approximation": _run_approximation,
-    "gradcheck": _run_gradcheck,
+# Refinement and trees cannot tell two triangles from a six-cycle; the oracle
+# and component-level matching can.
+BLIND_SPOT_EXPECTED = {
+    "cwl_equivalent": True, "cut_equivalent": True, "isomorphic": False,
+    "class_counts_match": True, "component_counts_match": False,
 }
+
+
+def _decomposition_results(seed, sizes, rows, ces):
+    """Summed rows plus the fixed two-triangles vs six-cycle demonstration."""
+    tri, cyc = two_triangles(), six_cycle()
+    verdict = match_components(snapshots(tri)[0], snapshots(cyc)[0])
+    demo = {
+        "cwl_equivalent": graph_cwl_equivalent(tri, cyc, mode=BIJECTION),
+        "cut_equivalent": graph_cut_equivalent(tri, cyc).equivalent,
+        "isomorphic": brute_force_isomorphic(tri, cyc, IDENTITY).isomorphic,
+        "class_counts_match": verdict.class_counts_match,
+        "component_counts_match": verdict.component_counts_match,
+    }
+    results, ces = _summed(seed, sizes, rows, ces)
+    if demo != BLIND_SPOT_EXPECTED:
+        ces = ces + [{"kind": "fixed-demo", "observed": demo, "expected": BLIND_SPOT_EXPECTED}]
+    return {"fixed_demo": demo, **results}, ces
+
+
+def _expressivity_results(seed, sizes, rows, ces):
+    results, ces = _summed(seed, sizes, rows, ces)
+    return {**results, "numeric_seeds_per_pair": sizes["seeds"]}, ces
+
+
+def _approximation_results(seed, sizes, rows, ces):
+    """The runs; missed goals count only when fewer than ``min_successes`` met it."""
+    anchor_graph, anchor_node = _approx_anchor(approximation_corpus(seed, sizes["graphs"]))
+    successes = sum(run["final_loss"] <= sizes["goal"] for run in rows)
+    results = {
+        "anchor_graph": anchor_graph, "anchor_node": anchor_node, "runs": rows,
+        "goal": sizes["goal"], "successes": successes, "required": sizes["min_successes"],
+    }
+    return results, [] if successes >= sizes["min_successes"] else ces
+
+
+def _gradcheck_results(seed, sizes, rows, ces):
+    worst = max(check["max_relative_error"] for check in rows)
+    return {"checks": rows, "tolerance": sizes["tolerance"], "max_relative_error": worst}, ces
+
+
+def _indexed(count, *keys):
+    """Instances ``(seed, i, *sizes[keys])`` for every ``i`` below ``sizes[count]``."""
+    return lambda seed, sizes: [(seed, i, *(sizes[k] for k in keys)) for i in range(sizes[count])]
+
+
+_PAIRS = _indexed("pairs", "n_nodes")
+
+
+def _depth_bound_pairs(seed, sizes):
+    counts = ((False, sizes["pairs"]), (True, sizes["disconnected_pairs"]))
+    return [(seed, idx, sizes["n_nodes"], disc) for disc, n in counts for idx in range(n)]
+
+
+def _gradcheck_probes(seed, sizes):
+    return [
+        (seed, p, mode, sizes["samples"], sizes["tolerance"])
+        for p in range(sizes["probes"]) for mode in (PER_INTERVAL, SHARED_DT)
+    ]
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """Default sizes, ``instances(seed, sizes)`` -> worker args, worker, reduction."""
+
+    sizes: dict
+    instances: Callable
+    worker: Callable
+    results: Callable = _summed
+
+
+_EXPERIMENTS = {
+    "cut-cwl": _Experiment({"pairs": 1000, "n_nodes": 6}, _PAIRS, _w_cut_cwl),
+    "depth-bound": _Experiment(
+        {"pairs": 1000, "disconnected_pairs": 300, "n_nodes": 6},
+        _depth_bound_pairs, _w_depth_bound,
+    ),
+    "iso-soundness": _Experiment({"pairs": 200, "n_nodes": 6}, _PAIRS, _w_iso),
+    "decomposition": _Experiment(
+        {"pairs": 200, "n_nodes": 6}, _PAIRS, _w_decomposition, _decomposition_results
+    ),
+    "expressivity": _Experiment(
+        {"pairs": 120, "n_nodes": 6, "seeds": 5, "layers": 3},
+        _indexed("pairs", "n_nodes", "seeds", "layers"),
+        _w_expressivity, _expressivity_results,
+    ),
+    "approximation": _Experiment(
+        {"graphs": 6, "seeds": 5, "steps": 5000, "lr": 0.3, "goal": 1e-2, "min_successes": 4},
+        _indexed("seeds", "graphs", "steps", "lr", "goal"),
+        _w_approximation, _approximation_results,
+    ),
+    "gradcheck": _Experiment(
+        {"probes": 3, "samples": 40, "tolerance": 1e-4}, _gradcheck_probes,
+        _w_gradcheck, _gradcheck_results,
+    ),
+}
+
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
+DEFAULT_SIZES = {name: exp.sizes for name, exp in _EXPERIMENTS.items()}
 
 
 def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
@@ -487,12 +422,15 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
     Size overrides with value None fall back to the experiment's defaults;
     an integer size below 1 (below 0 for ``disconnected_pairs``, ``steps``
     and ``min_successes``) raises ``ValueError``, so no certification passes
-    on an empty corpus.  ``out`` additionally writes the JSON report to that
-    path.
+    on an empty corpus; so does ``jobs`` below 1.  ``out`` additionally writes
+    the JSON report to that path.
     """
-    if name not in _RUNNERS:
+    if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
-    sizes = dict(DEFAULT_SIZES[name])
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    experiment = _EXPERIMENTS[name]
+    sizes = dict(experiment.sizes)
     for k, v in overrides.items():
         if v is None:
             continue
@@ -503,7 +441,9 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
             raise ValueError(f"experiment {name!r}: {k} must be at least {least}, got {v}")
         sizes[k] = v
     t0 = time.perf_counter()
-    results, ces = _RUNNERS[name](seed, sizes, jobs)
+    outs = _parallel_map(experiment.worker, experiment.instances(seed, sizes), jobs)
+    rows = [row for row, _ in outs]
+    results, ces = experiment.results(seed, sizes, rows, [c for _, found in outs for c in found])
     report = Report(
         experiment=name,
         seed=int(seed),
@@ -524,6 +464,8 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
 
 def write_pair_corpus(dirpath, seed, n_pairs, n_nodes=6, disconnected=False, mixed=True):
     """Materialize the standard pair corpus as files plus a manifest."""
+    if n_pairs < 1:
+        raise ValueError(f"a pair corpus needs at least 1 pair, got {n_pairs}")
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -550,6 +492,8 @@ def write_pair_corpus(dirpath, seed, n_pairs, n_nodes=6, disconnected=False, mix
 
 def write_stream_corpus(dirpath, seed, n_streams, config=None):
     """Materialize mutually comparable single streams plus a manifest."""
+    if n_streams < 1:
+        raise ValueError(f"a stream corpus needs at least 1 stream, got {n_streams}")
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     config = config or APPROX_CONFIG

@@ -45,6 +45,11 @@ class GeneratorConfig:
     ensure_disconnected: bool = False
     max_attempts: int = 200
 
+    def __post_init__(self):
+        for name, least in (("n_nodes", 1), ("n_events", 0), ("dim", 1), ("attr_values", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+
 
 def _alphabet(config):
     return [tuple((j + 1) / 2.0 for _ in range(config.dim)) for j in range(config.attr_values)]

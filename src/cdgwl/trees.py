@@ -63,7 +63,7 @@ from itertools import combinations
 
 from .cdg import adjacency, attr_bytes
 from .components import is_disconnected
-from .errors import DepthMismatchError, InvalidBoundError, LengthMismatchError
+from .errors import DepthMismatchError, EmptyInputError, InvalidBoundError, LengthMismatchError
 from .wl import (
     ColorDictionary,
     _by_graph,
@@ -268,6 +268,8 @@ def verify_cut_cwl_correspondence(pairs, depth=None):
     color (which also forces trajectory equality to agree).  ``depth``
     switches both sides to a fixed depth/round count instead.
     """
+    if not pairs:
+        raise EmptyInputError("no pairs given")
     report = CorrespondenceReport()
     for idx, (g1, g2) in enumerate(pairs):
         dictionary = ColorDictionary()
@@ -306,6 +308,8 @@ def verify_depth_bound(pairs, n_bound):
     ``2n-1`` must stay equal at depths ``2n`` and ``2n+1``; when both
     snapshots are disconnected the same is required from depth ``2n-3``.
     """
+    if not pairs:
+        raise EmptyInputError("no pairs given")
     report = DepthBoundReport()
     d_full = depth_bound(n_bound)
     d_tight = depth_bound(n_bound, both_disconnected=True) if n_bound >= 2 else None

@@ -369,3 +369,33 @@ def test_malformed_jsonl_exits_2_naming_line_and_field(case, tmp_path, capsys):
     assert code == 2 and payload is None
     assert err.startswith(f"error: line {line_no}, field {field!r}:")
 
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--events", "-1"], "n_events must be at least 0"),
+        (["gen", "--n-nodes", "0"], "n_nodes must be at least 1"),
+        (["gen", "--dim", "0"], "dim must be at least 1"),
+        (["gen", "--attr-values", "0"], "attr_values must be at least 1"),
+        (["gen", "--pairs", "0", "--corpus", "{corpus}"], "needs at least 1 pair"),
+        (["gen", "--streams", "0", "--corpus", "{corpus}"], "needs at least 1 stream"),
+        (["run", "cut-cwl", "--pairs", "1", "--jobs", "0"], "jobs must be at least 1"),
+        (["run", "cut-cwl", "--pairs", "1", "--jobs", "-1"], "jobs must be at least 1"),
+    ],
+)
+def test_out_of_range_counts_exit_2(argv, message, tmp_path, capsys):
+    corpus = tmp_path / "c"
+    code, payload, err = run_cli(capsys, *(x.format(corpus=corpus) for x in argv))
+    assert code == 2 and payload is None and message in err
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "cut-cwl"], ["verify", "depth-bound"], ["cgnn", "expressivity"]],
+)
+def test_certifying_an_empty_corpus_exits_2(argv, tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text('{"kind": "pairs", "pairs": []}')
+    code, payload, err = run_cli(capsys, *argv, "--corpus", str(tmp_path))
+    assert code == 2 and payload is None and "no pairs given" in err

@@ -12,16 +12,19 @@ from cdgwl import (
     Report,
     check_comparable,
     cdg_to_jsonl,
+    expressivity_check,
     load_pair_corpus,
     load_stream_corpus,
     make_pair,
     run_experiment,
     sub_seed,
+    verify_cut_cwl_correspondence,
+    verify_depth_bound,
     write_pair_corpus,
     write_stream_corpus,
 )
 from cdgwl import experiments
-from cdgwl.errors import MalformedManifestError
+from cdgwl.errors import EmptyInputError, MalformedManifestError
 from cdgwl.iso import IsoVerdict
 
 
@@ -284,3 +287,32 @@ def test_approximation_counts_missed_seeds_against_min_successes(min_successes, 
     assert report.passed == (missed == 0)
     assert report.results["successes"] == 0 and report.results["required"] == min_successes
     assert [r["train_seed"] for r in report.results["runs"]] == [0, 1]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_fewer_than_one_job_is_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_experiment("cut-cwl", seed=0, jobs=jobs, pairs=1)
+
+
+@pytest.mark.parametrize(
+    "write, count", [(write_pair_corpus, 0), (write_pair_corpus, -2), (write_stream_corpus, 0)]
+)
+def test_empty_corpora_are_not_written(write, count, tmp_path):
+    with pytest.raises(ValueError, match="needs at least 1"):
+        write(tmp_path / "c", 0, count)
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify_cut_cwl_correspondence,
+        lambda pairs: verify_depth_bound(pairs, n_bound=6),
+        expressivity_check,
+    ],
+    ids=["cut-cwl", "depth-bound", "expressivity"],
+)
+def test_no_certification_passes_on_an_empty_corpus(check):
+    with pytest.raises(EmptyInputError):
+        check([])

@@ -112,3 +112,12 @@ def test_fixed_demonstration_graphs():
 def test_node_ids_use_stable_scheme():
     g = generate(GeneratorConfig(n_nodes=4, n_events=6), seed=11)
     assert all(v.startswith("n") and v[1:].isdigit() for v in universe(g))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_nodes", 0), ("n_nodes", -2), ("n_events", -1), ("dim", 0), ("attr_values", 0)],
+)
+def test_out_of_range_generator_sizes_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least"):
+        GeneratorConfig(**{field: value})
