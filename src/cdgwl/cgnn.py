@@ -33,6 +33,7 @@ import numpy as np
 from .cdg import snapshots, universe
 from .errors import (
     EmptyInputError,
+    InvalidBoundError,
     MalformedTargetError,
     TargetNotCutRespectingError,
     TargetUndefinedError,
@@ -394,8 +395,8 @@ def symbolic_state_trajectories(cdgs, dictionary=None, layers=None):
         dictionary = ColorDictionary()
     prev_q = {}
 
-    def ids_at(snap, joint):
-        colors = _colors_at(snap, joint, dictionary, layers)
+    def ids_at(union, joint):
+        colors = _colors_at(union, joint, dictionary, layers)
         hidden = {t: None if colors[t] == BOTTOM else colors[t] for t in joint}
         for t, h in hidden.items():
             prev = prev_q.get(t)
@@ -688,10 +689,13 @@ def expressivity_check(
     symbolic state prefix must equal the partition by color-trajectory
     prefix, and no randomly initialized numeric model may separate two
     nodes whose color prefixes agree (their state prefixes must be
-    bitwise equal).
+    bitwise equal).  ``seeds`` below 1 raises ``InvalidBoundError``, since
+    then no numeric model would be checked.
     """
     if not pairs:
         raise EmptyInputError("no pairs given")
+    if seeds < 1:
+        raise InvalidBoundError(f"seeds must be at least 1, got {seeds}")
     report = ExpressivityReport()
     for idx, (g1, g2) in enumerate(pairs):
         # Hidden ids are the stable colors, with None where color 0 marks absence.

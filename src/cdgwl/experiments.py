@@ -422,7 +422,8 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
     Size overrides with value None fall back to the experiment's defaults;
     an integer size below 1 (below 0 for ``disconnected_pairs``, ``steps``
     and ``min_successes``) raises ``ValueError``, so no certification passes
-    on an empty corpus; so does ``jobs`` below 1.  ``out`` additionally writes
+    on an empty corpus; so do a negative ``tolerance``, a ``goal`` or ``lr``
+    that is not positive, and ``jobs`` below 1.  ``out`` additionally writes
     the JSON report to that path.
     """
     if name not in _EXPERIMENTS:
@@ -436,9 +437,15 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
             continue
         if k not in sizes:
             raise ValueError(f"experiment {name!r} takes no parameter {k!r}")
-        least = 0 if k in ("disconnected_pairs", "steps", "min_successes") else 1
-        if isinstance(sizes[k], int) and v < least:
-            raise ValueError(f"experiment {name!r}: {k} must be at least {least}, got {v}")
+        if isinstance(sizes[k], int):
+            least = 0 if k in ("disconnected_pairs", "steps", "min_successes") else 1
+            bad, rule = v < least, f"at least {least}"
+        elif k == "tolerance":
+            bad, rule = not v >= 0, "at least 0"
+        else:
+            bad, rule = not v > 0, "positive"
+        if bad:
+            raise ValueError(f"experiment {name!r}: {k} must be {rule}, got {v}")
         sizes[k] = v
     t0 = time.perf_counter()
     outs = _parallel_map(experiment.worker, experiment.instances(seed, sizes), jobs)

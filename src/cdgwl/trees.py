@@ -62,12 +62,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cdg import adjacency, attr_bytes
-from .components import is_disconnected
 from .errors import DepthMismatchError, EmptyInputError, InvalidBoundError, LengthMismatchError
 from .wl import (
     ColorDictionary,
     _by_graph,
     _colors_at,
+    _encode,
     _joint_timeline,
     _joint_trajectories,
     _refine,
@@ -145,16 +145,18 @@ def tree_sig_levels(snapshot, universe_, dictionary, max_depth):
     of (edge attribute, neighbor level d-1) pairs; dead nodes carry the
     reserved empty signature 0 at every level.
     """
-    return _refine(snapshot, universe_, dictionary, max_depth, tree=True)
+    return _refine(_encode(snapshot, universe_), dictionary, max_depth, tree=True)
 
 
 def tree_sigs_at_depth(snapshot, universe_, dictionary, depth):
-    return _refine(snapshot, universe_, dictionary, depth, tree=True, last=True)
+    return _refine(_encode(snapshot, universe_), dictionary, depth, tree=True, last=True)
 
 
 def tree_sigs_stable(snapshot, universe_, dictionary):
     """Deepen until the signature partition stops changing."""
-    levels = _refine(snapshot, universe_, dictionary, len(universe_), tree=True, until_stable=True)
+    levels = _refine(
+        _encode(snapshot, universe_), dictionary, len(universe_), tree=True, until_stable=True
+    )
     return levels[-1], len(levels) - 1
 
 
@@ -195,7 +197,7 @@ def cut_trajectories(cdgs, depth=None, dictionary=None):
     if depth is None:
         depth = depth_bound(max(1, *map(len, universes)))
     (sigs,) = _joint_trajectories(
-        steps, lambda snap, joint: [tree_sigs_at_depth(snap, joint, dictionary, depth)]
+        steps, lambda union, joint: [tree_sigs_at_depth(union, joint, dictionary, depth)]
     )
     return [
         {v: TreeTrajectory(depth, tr) for v, tr in m.items()} for m in _by_graph(sigs, universes)
@@ -240,9 +242,9 @@ def stable_trajectories(g1, g2, dictionary=None):
     _universes, steps = _joint_timeline([g1, g2])
     return _joint_trajectories(
         steps,
-        lambda snap, joint: [
-            awl_stable(snap, joint, dictionary)[0],
-            tree_sigs_stable(snap, joint, dictionary)[0],
+        lambda union, joint: [
+            awl_stable(union, joint, dictionary)[0],
+            tree_sigs_stable(union, joint, dictionary)[0],
         ],
     )
 
@@ -274,12 +276,13 @@ def verify_cut_cwl_correspondence(pairs, depth=None):
     for idx, (g1, g2) in enumerate(pairs):
         dictionary = ColorDictionary()
         _universes, steps = _joint_timeline([g1, g2])
-        for i, (_snaps, snap, joint) in enumerate(steps):
-            colors = _colors_at(snap, joint, dictionary, depth)
+        for i, union in enumerate(steps):
+            joint = union.order
+            colors = _colors_at(union, joint, dictionary, depth)
             if depth is None:
-                sigs = tree_sigs_stable(snap, joint, dictionary)[0]
+                sigs = tree_sigs_stable(union, joint, dictionary)[0]
             else:
-                sigs = tree_sigs_at_depth(snap, joint, dictionary, depth)
+                sigs = tree_sigs_at_depth(union, joint, dictionary, depth)
             report.timestamps_checked += 1
             if partition_of(colors) != partition_of(sigs):
                 report.mismatches.append({"pair": idx, "timestamp_index": i})
@@ -321,14 +324,15 @@ def verify_depth_bound(pairs, n_bound):
                     f"universe size {len(u)} exceeds the stated bound {n_bound}"
                 )
         dictionary = ColorDictionary()
-        for i, ((s1, s2), snap, joint) in enumerate(steps):
-            levels = tree_sig_levels(snap, joint, dictionary, d_full + 2)
+        for i, union in enumerate(steps):
+            joint = union.order
+            levels = tree_sig_levels(union, joint, dictionary, d_full + 2)
             start_depths = [d_full]
-            if is_disconnected(s1) and is_disconnected(s2):
+            if union.disconnected(0) and union.disconnected(1):
                 report.disconnected_timestamps += 1
                 if d_tight is not None:
                     start_depths.append(d_tight)
-            for x, y in combinations(sorted(joint), 2):
+            for x, y in combinations(joint, 2):
                 report.node_pairs_checked += 1
                 for d0 in start_depths:
                     if levels[d0][x] != levels[d0][y]:

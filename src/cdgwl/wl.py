@@ -12,10 +12,18 @@ over the disjoint union of all compared snapshots, so colors of different
 graphs at the same timestamp line up by construction.  A node's color
 trajectory is the tuple of its per-timestamp final colors.
 
-Every per-timestamp test in the package (color and tree trajectories, the
-correspondence and depth-bound certifications, symbolic network states)
-walks timestamps through one driver, ``_joint_timeline``: it checks the
-graphs, replays each once, and merges one timestamp's snapshots at a time.
+Refinement reads its input as a *union* (``_Union``): the sorted node list,
+each live node's attribute bytes and each live node's (edge attribute bytes,
+neighbor position) list.  Every per-timestamp test in the package (color and
+tree trajectories, the correspondence and depth-bound certifications,
+symbolic network states) walks timestamps through one driver,
+``_joint_timeline``: it checks the graphs, encodes the disjoint union of
+their start graphs once, and then applies each timestamp's events, one per
+graph, to the union it already has.  Nothing is replayed or merged, and each
+attribute is encoded once per start item or event.  Every refinement call at
+one timestamp shares that timestamp's union.  The public functions that take
+a snapshot encode it with ``_encode``, which passes a union through, so the
+timeline calls them with its unions.
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .cdg import Snapshot, adjacency, attr_bytes, edge_key, snapshots, timestamps, universe
+from .cdg import ADD, DELETE, NODE, Snapshot, attr_bytes, edge_key, timestamps, universe
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -293,8 +302,91 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
     return chain
 
 
-def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=False, first=None,
-            last=False):
+class _Union:
+    """One timestamp's refinement input, encoded once and shared by every call.
+
+    ``order`` is the sorted node list.  ``own[p]`` holds the attribute bytes
+    of node ``order[p]`` and ``nbrs[p]`` its (edge attribute bytes, neighbor
+    position) pairs; both are None while the node is dead.  The kernel sorts
+    whatever it reads from ``nbrs``, so the order of a list never matters.
+    A union is never changed once built: ``after`` replaces the lists it
+    touches.
+    """
+
+    __slots__ = ("order", "own", "nbrs", "_pos")
+
+    def __init__(self, order, nodes, edges):
+        """``nodes`` ({node: attribute}) and ``edges`` ({(u, v): attribute}) on ``order``."""
+        self.order = order
+        self._pos = pos = {v: p for p, v in enumerate(order)}
+        self.own = [attr_bytes(nodes[v]) if v in nodes else None for v in order]
+        self.nbrs = nbrs = [[] if v in nodes else None for v in order]
+        for (u, v), w in edges.items():
+            p, q, b = pos[u], pos[v], attr_bytes(w)
+            nbrs[p].append((b, q))
+            nbrs[q].append((b, p))
+
+    def after(self, events):
+        """This joint union once graph ``gi`` has applied ``events[gi]``, for each ``gi``.
+
+        Nodes are ``(graph index, node)`` pairs.  The events must apply
+        cleanly, as those of a ``Cdg`` do.  A node delete drops the node's
+        edges too.
+        """
+        pos = self._pos
+        new = object.__new__(_Union)
+        new.order, new._pos = self.order, pos
+        new.own, new.nbrs = own, nbrs = list(self.own), list(self.nbrs)
+
+        def unlink(p, q):
+            nbrs[p] = [x for x in nbrs[p] if x[1] != q]
+
+        for gi, e in enumerate(events):
+            if e.item == NODE:
+                p = pos[gi, e.key]
+                if e.kind == DELETE:
+                    for _, q in nbrs[p]:
+                        unlink(q, p)
+                    own[p] = nbrs[p] = None
+                    continue
+                own[p] = attr_bytes(e.attr)
+                if e.kind == ADD:
+                    nbrs[p] = []
+            else:
+                p, q = pos[gi, e.key[0]], pos[gi, e.key[1]]
+                if e.kind != ADD:
+                    unlink(p, q)
+                    unlink(q, p)
+                if e.kind != DELETE:
+                    b = attr_bytes(e.attr)
+                    nbrs[p] = nbrs[p] + [(b, q)]
+                    nbrs[q] = nbrs[q] + [(b, p)]
+        return new
+
+    def disconnected(self, gi):
+        """Whether graph ``gi``'s live nodes form two or more components.
+
+        As ``components.is_disconnected`` of that graph's snapshot: no live
+        node counts as connected.
+        """
+        live = [p for p, (g, _) in enumerate(self.order) if g == gi and self.nbrs[p] is not None]
+        seen, todo = set(live[:1]), live[:1]
+        while todo:
+            for _, q in self.nbrs[todo.pop()]:
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        return len(seen) < len(live)
+
+
+def _encode(snapshot, universe_):
+    """``snapshot`` over the nodes ``universe_`` as a union; a union passes through."""
+    if isinstance(snapshot, _Union):
+        return snapshot
+    return _Union(sorted(universe_), snapshot.nodes, snapshot.edges)
+
+
+def _refine(union, dictionary, rounds, tree=False, until_stable=False, first=None, last=False):
     """Levels 0..``rounds`` of attributed refinement, for colors and trees.
 
     Level 0 keys a live node on its attribute; level d+1 on a self part plus
@@ -303,57 +395,50 @@ def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=Fa
     node's attribute for trees (``t0``/``t``); dead nodes carry 0.  ``first``
     replaces level 0; ``until_stable`` stops at the first level that leaves
     the partition unchanged; ``last`` returns only the deepest level's map.
-    Attributes are encoded once per call, and once the partition is stable
-    the classes go to ``_stable_tail`` (see ``trees``).
+    The maps are keyed by ``union.order``.  Once the partition is stable the
+    classes go to ``_stable_tail`` (see ``trees``).
     """
     if rounds < 0:
         raise InvalidBoundError(f"depth must be non-negative, got {rounds}")
-    order = sorted(universe_)
-    nodes = snapshot.nodes
-    own = [attr_bytes(nodes[v]) if v in nodes else None for v in order]
+    order, own, nbrs = union.order, union.own, union.nbrs
     id_of = dictionary.id_of
     tag = "t" if tree else "c"
     if first is None:
-        first = {v: id_of((tag + "0", b)) if b is not None else BOTTOM for v, b in zip(order, own)}
-    ids = [first[v] for v in order]
+        ids = [id_of((tag + "0", b)) if b is not None else BOTTOM for b in own]
+    else:
+        ids = [first[v] for v in order]
     levels = [ids]
-    if rounds >= 1:
-        adj = adjacency(snapshot)
-        pos = {v: i for i, v in enumerate(order)}
-        nbrs = [
-            [(attr_bytes(w), pos[u]) for u, w in adj[v]] if v in nodes else None for v in order
+    while len(levels) <= rounds:
+        mark = dictionary._next
+        prev = ids
+        ids = _step(id_of, tag, tree, own, prev, nbrs, range(len(order)))
+        levels.append(ids)
+        if len(set(ids)) == len(set(prev)):
+            break
+    if not until_stable and len(levels) <= rounds:
+        # Stable: hand the classes, each keyed by its smallest member, to the tail.
+        smallest = {}
+        for i, c in enumerate(ids):
+            smallest.setdefault(c, i)
+        slot = {c: k for k, c in enumerate(smallest)}
+        slot_of = [slot[c] for c in ids]
+        members = list(smallest.values())
+        class_nbrs = [
+            None if nbrs[i] is None else [(w, slot_of[j]) for w, j in nbrs[i]] for i in members
         ]
-        while len(levels) <= rounds:
-            mark = dictionary._next
-            prev = ids
-            ids = _step(id_of, tag, tree, own, prev, nbrs, range(len(order)))
-            levels.append(ids)
-            if len(set(ids)) == len(set(prev)):
-                break
-        if not until_stable and len(levels) <= rounds:
-            # Stable: hand the classes, each keyed by its smallest member, to the tail.
-            smallest = {}
-            for i, c in enumerate(ids):
-                smallest.setdefault(c, i)
-            slot = {c: k for k, c in enumerate(smallest)}
-            slot_of = [slot[c] for c in ids]
-            members = list(smallest.values())
-            class_nbrs = [
-                None if nbrs[i] is None else [(w, slot_of[j]) for w, j in nbrs[i]] for i in members
-            ]
-            chain = _stable_tail(
-                dictionary,
-                tree,
-                [own[i] for i in members],
-                class_nbrs,
-                list(smallest),
-                mark,
-                len(levels) - 1,
-                rounds,
-            )
-            lo = rounds if last else len(levels)
-            columns = [chain.ids(c, lo, rounds) for c in range(len(members))]
-            levels += ([columns[k][d] for k in slot_of] for d in range(rounds + 1 - lo))
+        chain = _stable_tail(
+            dictionary,
+            tree,
+            [own[i] for i in members],
+            class_nbrs,
+            list(smallest),
+            mark,
+            len(levels) - 1,
+            rounds,
+        )
+        lo = rounds if last else len(levels)
+        columns = [chain.ids(c, lo, rounds) for c in range(len(members))]
+        levels += ([columns[k][d] for k in slot_of] for d in range(rounds + 1 - lo))
     if last:
         return dict(zip(order, levels[-1]))
     return [dict(zip(order, ids)) for ids in levels]
@@ -361,7 +446,7 @@ def _refine(snapshot, universe_, dictionary, rounds, tree=False, until_stable=Fa
 
 def awl_init(snapshot, universe_, dictionary):
     """Iteration-0 colors: attribute color for live nodes, 0 otherwise."""
-    return _refine(snapshot, universe_, dictionary, 0)[0]
+    return _refine(_encode(snapshot, universe_), dictionary, 0)[0]
 
 
 def awl_step(snapshot, prev, dictionary):
@@ -371,7 +456,7 @@ def awl_step(snapshot, prev, dictionary):
     (edge attribute, neighbor color) pairs, sorted canonically.  Nodes that
     are not alive keep color 0.
     """
-    return _refine(snapshot, prev, dictionary, 1, first=prev)[1]
+    return _refine(_encode(snapshot, prev), dictionary, 1, first=prev)[1]
 
 
 def partition_of(coloring):
@@ -388,7 +473,7 @@ def awl_stable(snapshot, universe_, dictionary):
     Returns the final coloring and the number of rounds executed; the
     partition provably stabilizes within ``len(universe_)`` rounds.
     """
-    levels = _refine(snapshot, universe_, dictionary, len(universe_), until_stable=True)
+    levels = _refine(_encode(snapshot, universe_), dictionary, len(universe_), until_stable=True)
     return levels[-1], len(levels) - 1
 
 
@@ -418,7 +503,7 @@ def check_comparable(cdgs):
 
 def refine_at_depth(snapshot, universe_, dictionary, depth):
     """Colors after exactly ``depth`` rounds (depth 0 = initial colors)."""
-    return _refine(snapshot, universe_, dictionary, depth, last=True)
+    return _refine(_encode(snapshot, universe_), dictionary, depth, last=True)
 
 
 def _colors_at(snapshot, universe_, dictionary, depth):
@@ -429,17 +514,24 @@ def _colors_at(snapshot, universe_, dictionary, depth):
 
 
 def _joint_timeline(cdgs):
-    """The graphs' universes, plus one lazy step per timestamp.
+    """The graphs' universes, plus one lazy joint union per timestamp.
 
-    Checks the graphs at once (so an empty list raises here), replays each
-    graph once, and yields per timestamp ``(snaps, union, joint)``: the
-    graphs' snapshots, their disjoint union and its tagged node list.  Only
-    one union is alive at a time.
+    Checks the graphs at once (so an empty list raises here).  Nodes are
+    tagged ``(graph index, node)``.  The first union encodes the graphs'
+    start graphs; each later one is the one before with every graph's event
+    at that timestamp applied (``_Union.after``), so no snapshot is replayed
+    or merged and each attribute is encoded once.  This relies on the
+    ``Cdg`` invariant: construction replays the whole stream through
+    ``validate_stream``, so every event applies cleanly.
     """
     check_comparable(cdgs)
     universes = [universe(g) for g in cdgs]
-    seqs = [snapshots(g) for g in cdgs]
-    return universes, ((snaps, *merged_snapshot(snaps, universes)) for snaps in zip(*seqs))
+    start = _Union(
+        [(gi, v) for gi, us in enumerate(universes) for v in us],
+        {(gi, v): a for gi, g in enumerate(cdgs) for v, a in g.start.nodes.items()},
+        {((gi, u), (gi, v)): w for gi, g in enumerate(cdgs) for (u, v), w in g.start.edges.items()},
+    )
+    return universes, accumulate(zip(*(g.events for g in cdgs)), _Union.after, initial=start)
 
 
 def _joint_trajectories(steps, ids_at):
@@ -448,8 +540,9 @@ def _joint_trajectories(steps, ids_at):
     Returns, for each returned map in order, {tagged node: tuple of ids}.
     """
     joint, columns = (), []
-    for _snaps, snap, joint in steps:
-        columns.append([[ids[t] for t in joint] for ids in ids_at(snap, joint)])
+    for union in steps:
+        joint = union.order
+        columns.append([[ids[t] for t in joint] for ids in ids_at(union, joint)])
     return tuple(dict(zip(joint, zip(*col))) for col in zip(*columns))
 
 
@@ -470,7 +563,7 @@ def cwl(cdgs, depth=None, dictionary=None):
         dictionary = ColorDictionary()
     universes, steps = _joint_timeline(cdgs)
     (colors,) = _joint_trajectories(
-        steps, lambda snap, joint: [_colors_at(snap, joint, dictionary, depth)]
+        steps, lambda union, joint: [_colors_at(union, joint, dictionary, depth)]
     )
     return _by_graph(colors, universes)
 

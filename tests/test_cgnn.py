@@ -9,11 +9,13 @@ from cdgwl import (
     ADD,
     ATTR_CHANGE,
     Cdg,
+    CdgError,
     CdynTarget,
     CgnnModel,
     Event,
     GeneratorConfig,
     IDENTITY_ACT,
+    InvalidBoundError,
     MalformedTargetError,
     Mlp,
     NODE,
@@ -175,6 +177,12 @@ def test_expressivity_check_on_random_pairs():
     assert report.ok
     assert report.instances == 6
     assert report.symbolic_exact == 6
+
+
+def test_expressivity_check_needs_a_numeric_seed():
+    with pytest.raises(InvalidBoundError, match="seeds must be at least 1, got 0") as err:
+        expressivity_check([make_pair(21, 0)], seeds=0)
+    assert isinstance(err.value, CdgError) and isinstance(err.value, ValueError)
 
 
 def test_expressivity_on_blind_spot_pair():

@@ -382,6 +382,11 @@ def test_malformed_jsonl_exits_2_naming_line_and_field(case, tmp_path, capsys):
         (["gen", "--streams", "0", "--corpus", "{corpus}"], "needs at least 1 stream"),
         (["run", "cut-cwl", "--pairs", "1", "--jobs", "0"], "jobs must be at least 1"),
         (["run", "cut-cwl", "--pairs", "1", "--jobs", "-1"], "jobs must be at least 1"),
+        (
+            ["run", "gradcheck", "--probes", "1", "--samples", "5", "--tolerance", "-1"],
+            "tolerance must be at least 0",
+        ),
+        (["run", "approximation", "--goal", "-5", "--lr", "-3"], "lr must be positive"),
     ],
 )
 def test_out_of_range_counts_exit_2(argv, message, tmp_path, capsys):
@@ -399,3 +404,12 @@ def test_certifying_an_empty_corpus_exits_2(argv, tmp_path, capsys):
     (tmp_path / "manifest.json").write_text('{"kind": "pairs", "pairs": []}')
     code, payload, err = run_cli(capsys, *argv, "--corpus", str(tmp_path))
     assert code == 2 and payload is None and "no pairs given" in err
+
+
+def test_expressivity_with_no_numeric_seed_exits_2(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "gen", "--pairs", "2", "--corpus", str(tmp_path / "p"))
+    assert code == 0
+    code, payload, err = run_cli(
+        capsys, "cgnn", "expressivity", "--corpus", str(tmp_path / "p"), "--seeds", "0"
+    )
+    assert code == 2 and payload is None and "seeds must be at least 1" in err

@@ -107,6 +107,21 @@ def test_sizes_below_the_least_are_rejected(name, sizes, bad):
         run_experiment(name, seed=0, **sizes)
 
 
+@pytest.mark.parametrize(
+    "name, sizes, message",
+    [
+        ("gradcheck", {"tolerance": -1.0}, "tolerance must be at least 0"),
+        ("approximation", {"goal": -5.0, "lr": 0.3}, "goal must be positive"),
+        ("approximation", {"goal": 0.0}, "goal must be positive"),
+        ("approximation", {"lr": -3.0}, "lr must be positive"),
+        ("approximation", {"lr": float("nan")}, "lr must be positive"),
+    ],
+)
+def test_float_sizes_out_of_range_are_rejected(name, sizes, message):
+    with pytest.raises(ValueError, match=f"experiment {name!r}: {message}"):
+        run_experiment(name, seed=0, **sizes)
+
+
 def test_zero_is_allowed_where_a_run_still_certifies():
     report = run_experiment("depth-bound", seed=0, pairs=2, disconnected_pairs=0)
     assert report.passed and report.results["pairs_checked"] == 2

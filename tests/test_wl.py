@@ -3,12 +3,17 @@
 import pytest
 
 from cdgwl import (
+    ADD,
+    ATTR_CHANGE,
     BIJECTION,
     BOTTOM,
     Cdg,
     ColorDictionary,
+    DELETE,
     DimensionMismatchError,
+    EDGE,
     EXISTENCE,
+    Event,
     GeneratorConfig,
     LengthMismatchError,
     StartGraph,
@@ -22,12 +27,16 @@ from cdgwl import (
     generate,
     generate_isomorphic_pair,
     graph_cwl_equivalent,
+    is_disconnected,
+    make_pair,
     merged_snapshot,
+    NODE,
     node_cwl_equivalent,
     partition_of,
     snapshots,
     universe,
 )
+from cdgwl.wl import _encode, _joint_timeline
 from conftest import A, B, churn_cdg, delete_readd_cdg, k3, path3, snap, star4
 
 
@@ -191,3 +200,79 @@ def test_first_divergence_on_an_empty_universe():
         verdict = compare_graphs(g1, g2)
         assert not verdict.equivalent and verdict.first_divergence == 0
     assert compare_graphs(empty, empty).equivalent
+
+
+def _assert_timeline_matches_scratch(cdgs):
+    """Each timestamp's union equals the one encoded from the merged snapshots."""
+    universes, steps = _joint_timeline(cdgs)
+    unions = list(steps)  # earlier unions must survive later steps unchanged
+    seqs = list(zip(*(snapshots(g) for g in cdgs)))
+    assert len(unions) == len(seqs)
+
+    def nbrs(u):
+        return [None if ns is None else sorted(ns) for ns in u.nbrs]
+
+    for union, snaps in zip(unions, seqs):
+        scratch = _encode(*merged_snapshot(snaps, universes))
+        assert union.order == scratch.order
+        assert union.own == scratch.own
+        assert nbrs(union) == nbrs(scratch)
+        assert [union.disconnected(gi) for gi in range(len(cdgs))] == [
+            is_disconnected(s) for s in snaps
+        ]
+
+
+@pytest.mark.parametrize(
+    "disconnected, mixed", [(False, False), (True, False), (False, True), (True, True)]
+)
+def test_event_by_event_union_matches_scratch_on_pair_corpora(disconnected, mixed):
+    pairs = [make_pair(3, i, disconnected=disconnected, mixed=mixed) for i in range(25)]
+    kinds = {(e.item, e.kind) for pair in pairs for g in pair for e in g.events}
+    assert kinds == {(item, kind) for item in (NODE, EDGE) for kind in (ADD, DELETE, ATTR_CHANGE)}
+    for pair in pairs:
+        _assert_timeline_matches_scratch(list(pair))
+
+
+def _hand_streams():
+    star = StartGraph(
+        {"x": A, "a": A, "b": B, "c": A}, {("x", "a"): A, ("x", "b"): B, ("x", "c"): A}
+    )
+    return {
+        # the centre's delete drops three edges
+        "hub delete": Cdg(star, (Event(1.0, NODE, "x", DELETE), Event(2.0, NODE, "x", ADD, B))),
+        "edge attr change": Cdg(
+            star,
+            (Event(1.0, EDGE, ("x", "b"), ATTR_CHANGE, A), Event(2.0, NODE, "a", ATTR_CHANGE, B)),
+        ),
+        "delete and re-add": Cdg(
+            star,
+            (
+                Event(1.0, EDGE, ("x", "a"), DELETE),
+                Event(2.0, NODE, "b", DELETE),
+                Event(3.0, EDGE, ("x", "a"), ADD, B),
+                Event(4.0, NODE, "b", ADD, A),
+                Event(5.0, EDGE, ("a", "b"), ADD, A),
+            ),
+        ),
+        "empty start": Cdg(
+            StartGraph({}, {}),
+            (
+                Event(1.0, NODE, 2, ADD, A),
+                Event(2.0, NODE, 1, ADD, B),
+                Event(3.0, EDGE, (1, 2), ADD, A),
+            ),
+        ),
+        # "a" sorts first and is dead until t=1
+        "dead at t0": Cdg(
+            StartGraph({"b": A, "c": B}, {("b", "c"): A}),
+            (Event(1.0, NODE, "a", ADD, A), Event(2.0, EDGE, ("a", "c"), ADD, B)),
+        ),
+        "every kind": churn_cdg(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_hand_streams()))
+def test_event_by_event_union_matches_scratch_on_hand_streams(name):
+    g = _hand_streams()[name]
+    _assert_timeline_matches_scratch([g])
+    _assert_timeline_matches_scratch([g, g])
