@@ -29,7 +29,6 @@ from .cdg import (
     snapshots,
     timestamps,
     universe,
-    validate,
     validate_stream,
 )
 from .cgnn import (

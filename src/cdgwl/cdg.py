@@ -193,13 +193,13 @@ def _collect_dims(start, events):
             yield i, e.attr
 
 
-def validate_stream(start, events, dim=None, start_time=0.0, max_nodes=None):
+def validate_stream(start, events, dim=None):
     """Check a raw (start graph, event list) pair; return a diagnostic list.
 
     An empty list means every event applies cleanly in order, timestamps
-    strictly increase from the start time, attribute dimensions agree, node
-    ids do not mix strings with integers (so the universe sorts), and the
-    node universe stays within ``max_nodes`` when a bound is given.
+    strictly increase from the start state at 0.0, attribute dimensions
+    agree, and node ids do not mix strings with integers (so the universe
+    sorts).
     """
     problems = []
     ids = [(None, v) for v in start.nodes]
@@ -217,9 +217,8 @@ def validate_stream(start, events, dim=None, start_time=0.0, max_nodes=None):
             dim = len(a)
         elif len(a) != dim:
             problems.append(Diagnostic(idx, f"attribute dimension {len(a)} != {dim}"))
-    prev_t = start_time
-    state = Snapshot(time=start_time, nodes=dict(start.nodes), edges=dict(start.edges))
-    seen = set(start.nodes)
+    prev_t = 0.0
+    state = Snapshot(time=0.0, nodes=dict(start.nodes), edges=dict(start.edges))
     for i, e in enumerate(events):
         if e.time <= prev_t:
             problems.append(
@@ -227,8 +226,6 @@ def validate_stream(start, events, dim=None, start_time=0.0, max_nodes=None):
             )
             continue
         prev_t = e.time
-        if e.item == NODE and e.kind == ADD:
-            seen.add(e.key)
         try:
             state = apply_event(state, e)
         except (
@@ -238,10 +235,6 @@ def validate_stream(start, events, dim=None, start_time=0.0, max_nodes=None):
             EdgeEndpointMissingError,
         ) as err:
             problems.append(Diagnostic(i, str(err)))
-    if max_nodes is not None and len(seen) > max_nodes:
-        problems.append(
-            Diagnostic(None, f"node universe size {len(seen)} exceeds bound {max_nodes}")
-        )
     return problems
 
 
@@ -249,17 +242,16 @@ def validate_stream(start, events, dim=None, start_time=0.0, max_nodes=None):
 class Cdg:
     """A validated dynamic graph: start state plus ordered events.
 
-    The start graph occupies the first timestamp (``start_time``); each
-    event occupies one strictly later timestamp.  Construction replays the
-    full stream and raises ``InvalidCdgError`` with diagnostics if any
-    event fails to apply.
+    The start graph occupies timestamp 0.0; each event occupies one
+    strictly later timestamp.  These three fields are exactly what the wire
+    format carries, so ``cdg_from_jsonl(cdg_to_jsonl(g)) == g``.
+    Construction replays the full stream and raises ``InvalidCdgError``
+    with diagnostics if any event fails to apply.
     """
 
     start: StartGraph
     events: tuple = ()
     dim: int | None = None
-    start_time: float = 0.0
-    max_nodes: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
@@ -271,27 +263,14 @@ class Cdg:
                 raise ValueError(
                     "attribute dimension cannot be inferred from an attribute-free stream"
                 )
-        problems = validate_stream(
-            self.start,
-            self.events,
-            dim=self.dim,
-            start_time=self.start_time,
-            max_nodes=self.max_nodes,
-        )
+        problems = validate_stream(self.start, self.events, dim=self.dim)
         if problems:
             raise InvalidCdgError(problems)
 
 
-def validate(cdg):
-    """Diagnostics for an already-constructed graph (empty by construction)."""
-    return validate_stream(
-        cdg.start, cdg.events, dim=cdg.dim, start_time=cdg.start_time, max_nodes=cdg.max_nodes
-    )
-
-
 def timestamps(cdg):
-    """All timestamps of the stream: start time, then one per event."""
-    return (cdg.start_time,) + tuple(e.time for e in cdg.events)
+    """All timestamps of the stream: 0.0 for the start state, then one per event."""
+    return (0.0,) + tuple(e.time for e in cdg.events)
 
 
 def universe(cdg):
@@ -305,7 +284,7 @@ def universe(cdg):
 
 def snapshots(cdg):
     """Snapshots at every timestamp, in order, by replaying the stream."""
-    out = [Snapshot(time=cdg.start_time, nodes=dict(cdg.start.nodes), edges=dict(cdg.start.edges))]
+    out = [Snapshot(time=0.0, nodes=dict(cdg.start.nodes), edges=dict(cdg.start.edges))]
     for e in cdg.events:
         out.append(apply_event(out[-1], e))
     return out
@@ -314,17 +293,13 @@ def snapshots(cdg):
 def replay(cdg, t):
     """State at timestamp ``t`` (inclusive of the event at ``t``).
 
-    ``t`` must be the start time or one of the event times; anything else
-    raises ``UnknownTimestampError``.
+    ``t`` must be 0.0 or one of the event times; anything else raises
+    ``UnknownTimestampError``.
     """
-    if t not in timestamps(cdg):
+    times = timestamps(cdg)
+    if t not in times:
         raise UnknownTimestampError(f"{t} is not a timestamp of this stream")
-    state = Snapshot(time=cdg.start_time, nodes=dict(cdg.start.nodes), edges=dict(cdg.start.edges))
-    for e in cdg.events:
-        if e.time > t:
-            break
-        state = apply_event(state, e)
-    return state
+    return snapshots(cdg)[times.index(t)]
 
 
 def neighbors(snapshot, v):

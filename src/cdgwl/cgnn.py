@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdg import snapshots, universe
+from .cdg import snapshots, timestamps, universe
 from .errors import (
     EmptyInputError,
     InvalidBoundError,
@@ -369,9 +369,9 @@ def cgnn_forward(cdg_, model):
     if model.sgnn.mode == SYMBOLIC:
         (h_tr,), (q_tr,) = symbolic_state_trajectories([cdg_], model.dictionary, model.sgnn.layers)
         return [
-            StateMatrix(snap.time, {v: tr[i] for v, tr in h_tr.items()},
+            StateMatrix(t, {v: tr[i] for v, tr in h_tr.items()},
                         {v: tr[i] for v, tr in q_tr.items()})
-            for i, snap in enumerate(snapshots(cdg_))
+            for i, t in enumerate(timestamps(cdg_))
         ]
     us, snaps = universe(cdg_), snapshots(cdg_)
     batch = _Batch([(us, snaps)], cdg_.dim)
@@ -600,9 +600,13 @@ def train_to_target(corpus, target, sgnn, temporal, steps=2000, lr=0.5, seed=0, 
     return TrainResult(model, final, updates, initial)
 
 
-def gradient_check(probe, sgnn, temporal, n_samples=25, step=1e-5, seed=0):
+GRAD_STEP = 1e-5
+
+
+def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
     """Max relative error between analytic and central-difference gradients.
 
+    The central difference steps each sampled parameter by ``GRAD_STEP``.
     The loss is taken against a seeded random target that is constant on
     trajectory-prefix classes.  Returns 0.0 when no parameters are sampled.
     """
@@ -631,12 +635,12 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, step=1e-5, seed=0):
     for pick in sorted(picks):
         name, arr, i = coords[pick]
         old = arr.flat[i]
-        arr.flat[i] = old + step
+        arr.flat[i] = old + GRAD_STEP
         up = _loss(model, batch)
-        arr.flat[i] = old - step
+        arr.flat[i] = old - GRAD_STEP
         down = _loss(model, batch)
         arr.flat[i] = old
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * GRAD_STEP)
         analytic = grads[name].flat[i]
         err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
         worst = max(worst, err)
@@ -678,8 +682,6 @@ def expressivity_check(
     pairs,
     seeds=5,
     layers=3,
-    hidden_dim=8,
-    state_dim=8,
     temporal_mode=PER_INTERVAL,
     base_seed=0,
 ):
@@ -689,7 +691,8 @@ def expressivity_check(
     symbolic state prefix must equal the partition by color-trajectory
     prefix, and no randomly initialized numeric model may separate two
     nodes whose color prefixes agree (their state prefixes must be
-    bitwise equal).  ``seeds`` below 1 raises ``InvalidBoundError``, since
+    bitwise equal).  The numeric models use the default ``hidden_dim`` and
+    ``state_dim``.  ``seeds`` below 1 raises ``InvalidBoundError``, since
     then no numeric model would be checked.
     """
     if not pairs:
@@ -713,8 +716,8 @@ def expressivity_check(
             report.symbolic_exact += 1
         else:
             report.symbolic_mismatches.append({"pair": idx})
-        sg = SgnnConfig(mode=NUMERIC, layers=layers, hidden_dim=hidden_dim)
-        tc = TemporalConfig(mode=temporal_mode, state_dim=state_dim)
+        sg = SgnnConfig(mode=NUMERIC, layers=layers)
+        tc = TemporalConfig(mode=temporal_mode)
         batch = _Batch([(universe(g), snapshots(g)) for g in (g1, g2)], g1.dim)
         for s in range(seeds):
             model = CgnnModel.init(

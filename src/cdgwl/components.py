@@ -5,31 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .cdg import adjacency
 from .wl import ColorDictionary, awl_stable, merged_snapshot
-
-
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
 
 
 @dataclass(frozen=True)
@@ -41,15 +18,21 @@ class ComponentPartition:
 
 
 def components(snapshot):
-    uf = UnionFind(snapshot.nodes)
-    for a, b in snapshot.edges:
-        uf.union(a, b)
-    groups = {}
-    for v in snapshot.nodes:
-        groups.setdefault(uf.find(v), []).append(v)
-    comps = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
-    index = {v: i for i, comp in enumerate(comps) for v in comp}
-    return ComponentPartition(comps, index)
+    adj = adjacency(snapshot)
+    index, comps = {}, []
+    for v in sorted(adj):
+        if v in index:
+            continue
+        index[v] = len(comps)
+        comp, todo = [v], [v]
+        while todo:
+            for u, _ in adj[todo.pop()]:
+                if u not in index:
+                    index[u] = len(comps)
+                    comp.append(u)
+                    todo.append(u)
+        comps.append(tuple(sorted(comp)))
+    return ComponentPartition(tuple(comps), index)
 
 
 def is_disconnected(snapshot):

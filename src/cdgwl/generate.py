@@ -30,6 +30,9 @@ from .cdg import (
 from .components import is_disconnected
 from .errors import GenerationExhaustedError
 
+# Candidate streams ``generate`` draws before giving up.
+MAX_ATTEMPTS = 200
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -43,7 +46,6 @@ class GeneratorConfig:
     p_start_edge: float = 0.5
     allow_deletes: bool = True
     ensure_disconnected: bool = False
-    max_attempts: int = 200
 
     def __post_init__(self):
         for name, least in (("n_nodes", 1), ("n_events", 0), ("dim", 1), ("attr_values", 1)):
@@ -171,7 +173,7 @@ def generate(config, seed=0):
     if config.ensure_disconnected and config.n_nodes < 2:
         raise GenerationExhaustedError("disconnected streams need at least 2 node ids")
     alphabet = _alphabet(config)
-    for _ in range(config.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         g = _try_stream(rng, config, ids, alphabet)
         if g is None:
             continue
@@ -180,9 +182,7 @@ def generate(config, seed=0):
         ):
             continue
         return g
-    raise GenerationExhaustedError(
-        f"no valid stream after {config.max_attempts} attempts"
-    )
+    raise GenerationExhaustedError(f"no valid stream after {MAX_ATTEMPTS} attempts")
 
 
 def _all_attrs(cdg_):
@@ -216,13 +216,7 @@ def relabel_cdg(cdg_, node_map, attr_map=None):
     for e in cdg_.events:
         key = node_map[e.key] if e.item == NODE else (node_map[e.key[0]], node_map[e.key[1]])
         events.append(Event(e.time, e.item, key, e.kind, m(e.attr)))
-    return Cdg(
-        start,
-        tuple(events),
-        dim=cdg_.dim,
-        start_time=cdg_.start_time,
-        max_nodes=cdg_.max_nodes,
-    )
+    return Cdg(start, tuple(events), dim=cdg_.dim)
 
 
 def generate_isomorphic_pair(config, seed=0, rename_attrs=False):

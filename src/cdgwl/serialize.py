@@ -6,8 +6,10 @@ Line 1 holds the start graph, every further line one event:
     {"type":"event","t":1.0,"item":"node","key":"c","kind":"add","attr":[1.0]}
     {"type":"event","t":2.0,"item":"edge","key":["a","c"],"kind":"delete"}
 
-Floats round-trip exactly (shortest-repr encoding); node and edge lists are
-emitted in sorted order so serialization is byte-stable.
+The start graph is the state at timestamp 0.0.  Floats round-trip exactly
+(shortest-repr encoding), and node and edge lists are emitted in sorted
+order, so ``cdg_from_jsonl(cdg_to_jsonl(g)) == g`` for every ``Cdg`` and
+serialization is byte-stable.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _attr(obj, line):
     return tuple(_typed(line, "attr", x, _NUMBER) for x in _field(obj, line, "attr", _LIST))
 
 
-def cdg_from_jsonl(text, max_nodes=None) -> Cdg:
+def cdg_from_jsonl(text) -> Cdg:
     """Parse the wire format; ``MalformedStreamError`` names the bad line and field.
 
     Node ids are strings or integers, and one stream uses only one of the two.
@@ -128,7 +130,7 @@ def cdg_from_jsonl(text, max_nodes=None) -> Cdg:
             events.append(Event(time=t, item=item, key=key, kind=kind, attr=attr))
         except ValueError as exc:
             raise MalformedStreamError(n, None, str(exc)) from None
-    return Cdg(start=start, events=tuple(events), dim=dim, max_nodes=max_nodes)
+    return Cdg(start=start, events=tuple(events), dim=dim)
 
 
 def save_cdg(path, cdg):
@@ -136,6 +138,6 @@ def save_cdg(path, cdg):
         fh.write(cdg_to_jsonl(cdg))
 
 
-def load_cdg(path, max_nodes=None) -> Cdg:
+def load_cdg(path) -> Cdg:
     with open(path) as fh:
-        return cdg_from_jsonl(fh.read(), max_nodes=max_nodes)
+        return cdg_from_jsonl(fh.read())

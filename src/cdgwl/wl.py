@@ -386,15 +386,15 @@ def _encode(snapshot, universe_):
     return _Union(sorted(universe_), snapshot.nodes, snapshot.edges)
 
 
-def _refine(union, dictionary, rounds, tree=False, until_stable=False, first=None, last=False):
+def _refine(union, dictionary, rounds, tree=False, until_stable=False, last=False):
     """Levels 0..``rounds`` of attributed refinement, for colors and trees.
 
     Level 0 keys a live node on its attribute; level d+1 on a self part plus
     the sorted multiset of (edge attribute, neighbor level-d id) pairs.  The
     self part is the level-d color for refinement (tags ``c0``/``c``) and the
-    node's attribute for trees (``t0``/``t``); dead nodes carry 0.  ``first``
-    replaces level 0; ``until_stable`` stops at the first level that leaves
-    the partition unchanged; ``last`` returns only the deepest level's map.
+    node's attribute for trees (``t0``/``t``); dead nodes carry 0.
+    ``until_stable`` stops at the first level that leaves the partition
+    unchanged; ``last`` returns only the deepest level's map.
     The maps are keyed by ``union.order``.  Once the partition is stable the
     classes go to ``_stable_tail`` (see ``trees``).
     """
@@ -403,10 +403,7 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, first=Non
     order, own, nbrs = union.order, union.own, union.nbrs
     id_of = dictionary.id_of
     tag = "t" if tree else "c"
-    if first is None:
-        ids = [id_of((tag + "0", b)) if b is not None else BOTTOM for b in own]
-    else:
-        ids = [first[v] for v in order]
+    ids = [id_of((tag + "0", b)) if b is not None else BOTTOM for b in own]
     levels = [ids]
     while len(levels) <= rounds:
         mark = dictionary._next
@@ -456,7 +453,11 @@ def awl_step(snapshot, prev, dictionary):
     (edge attribute, neighbor color) pairs, sorted canonically.  Nodes that
     are not alive keep color 0.
     """
-    return _refine(_encode(snapshot, prev), dictionary, 1, first=prev)[1]
+    union = _encode(snapshot, prev)
+    order = union.order
+    ids = [prev[v] for v in order]
+    ids = _step(dictionary.id_of, "c", False, union.own, ids, union.nbrs, range(len(order)))
+    return dict(zip(order, ids))
 
 
 def partition_of(coloring):

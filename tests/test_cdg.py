@@ -26,7 +26,6 @@ from cdgwl import (
     snapshots,
     timestamps,
     universe,
-    validate,
     validate_stream,
 )
 from conftest import A, B, churn_cdg, delete_readd_cdg
@@ -37,7 +36,7 @@ def test_replay_is_fold_of_apply_event():
     for seed in range(20):
         g = generate(GeneratorConfig(n_nodes=5, n_events=6), seed=seed)
         state = snapshots(g)[0]
-        assert replay(g, g.start_time) == state
+        assert replay(g, 0.0) == state
         for e in g.events:
             state = apply_event(state, e)
             assert replay(g, e.time) == state
@@ -120,13 +119,6 @@ def test_cdg_constructor_raises_with_diagnostics():
     with pytest.raises(InvalidCdgError) as err:
         Cdg(StartGraph({"a": A}, {}), (Event(1.0, NODE, "a", ADD, A),))
     assert err.value.diagnostics
-
-
-def test_max_nodes_bound():
-    events = tuple(Event(float(i + 1), NODE, f"x{i}", ADD, A) for i in range(3))
-    with pytest.raises(InvalidCdgError):
-        Cdg(StartGraph({"a": A}, {}), events, max_nodes=2)
-    assert validate(Cdg(StartGraph({"a": A}, {}), events, max_nodes=4)) == []
 
 
 def test_edge_key_normalizes_and_rejects_self_loops():

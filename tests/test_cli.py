@@ -146,6 +146,12 @@ def test_decompose_payload(blind_spot_files, capsys):
     assert sorted(len(c) for c in payload["components"]) == [3, 3]
 
 
+def test_decompose_at_an_unknown_timestamp_exits_2(blind_spot_files, capsys):
+    code, payload, err = run_cli(capsys, "decompose", blind_spot_files[0], "--t", "0.25")
+    assert code == 2 and payload is None
+    assert err.startswith("error:") and "unexpected" not in err
+
+
 def test_match_components_blind_spot(blind_spot_files, capsys):
     fa, fb = blind_spot_files
     code, payload, _ = run_cli(capsys, "match-components", fa, fb, "--t", "0.0")

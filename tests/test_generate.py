@@ -22,7 +22,7 @@ from cdgwl import (
     timestamps,
     two_triangles,
     universe,
-    validate,
+    validate_stream,
 )
 
 
@@ -41,7 +41,7 @@ def test_generated_streams_are_valid(seed):
         attr_values=1 + seed % 3,
     )
     g = generate(cfg, seed=seed)
-    assert validate(g) == []
+    assert validate_stream(g.start, g.events, g.dim) == []
     assert len(g.events) == cfg.n_events
     assert len(universe(g)) <= cfg.n_nodes
     assert g.dim == cfg.dim
@@ -98,7 +98,7 @@ def test_attr_renamed_pair_needs_renaming_mode():
 def test_fixed_demonstration_graphs():
     tri, cyc = two_triangles(), six_cycle()
     for g in (tri, cyc):
-        assert validate(g) == []
+        assert validate_stream(g.start, g.events, g.dim) == []
         assert len(universe(g)) == 6
         assert g.events == ()
         snap = replay(g, 0.0)

@@ -77,18 +77,6 @@ def test_rejects_malformed_input():
         cdg_from_jsonl(good_start + '{"type":"start","d":1,"nodes":[],"edges":[]}\n')
 
 
-def test_max_nodes_threaded_through_load():
-    text = (
-        '{"type":"start","d":1,"nodes":[{"id":"a","attr":[1.0]},{"id":"b","attr":[1.0]},'
-        '{"id":"c","attr":[1.0]}],"edges":[]}\n'
-    )
-    from cdgwl import InvalidCdgError
-
-    with pytest.raises(InvalidCdgError):
-        cdg_from_jsonl(text, max_nodes=2)
-    assert cdg_from_jsonl(text, max_nodes=3).max_nodes == 3
-
-
 def test_attr_never_emitted_for_deletes():
     g = Cdg(
         StartGraph({"a": A, "b": A}, {("a", "b"): A}),
