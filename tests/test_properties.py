@@ -1,7 +1,8 @@
 """Properties drawn by hypothesis: verdicts do not depend on node names, the
 wire format round-trips every stream, a mutated stream never reaches
 the exit code of a negative verdict, and the refinement kernel mints the
-ids of a full recompute on arbitrary streams."""
+ids of a full recompute on arbitrary streams, on snapshots and along the
+joint timeline."""
 
 import contextlib
 import io
@@ -43,6 +44,7 @@ from cdgwl import (
     verify_cut_cwl_correspondence,
 )
 from cdgwl.trees import tree_sig_levels
+from cdgwl.wl import _joint_timeline
 from test_golden import ref_levels, ref_stable
 
 
@@ -198,32 +200,62 @@ def test_wire_format_round_trips_every_stream(data, dim, n_events):
 KERNEL_CALLS = ("levels", "at_depth", "colors", "awl_stable", "tree_stable")
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 2), n_events=st.integers(0, 10))
-def test_kernel_mints_full_recompute_ids_on_arbitrary_streams(data, dim, n_events):
+def _stream_pair(data, dim, n_events):
+    """Two drawn streams with one timestamp count; the second may be the first."""
     g1 = data.draw(streams(dim, n_events))
     g2 = data.draw(st.one_of(st.just(g1), streams(dim, len(g1.events))))
     if len(g2.events) != len(g1.events):
         g1 = Cdg(g1.start, g1.events[: len(g2.events)], dim=dim)
+    return g1, g2
+
+
+def _check_kernel_calls(data, given, s, joint, got, ref):
+    """1-3 drawn kernel calls on ``given`` against the reference on snapshot ``s``."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        call = data.draw(st.sampled_from(KERNEL_CALLS))
+        depth = data.draw(st.integers(0, 2 * len(joint) + 2))
+        if call == "levels":
+            want = ref_levels(s, joint, ref, depth, True)
+            assert tree_sig_levels(given, joint, got, depth) == want
+        elif call == "at_depth":
+            want = ref_levels(s, joint, ref, depth, True)[-1]
+            assert tree_sigs_at_depth(given, joint, got, depth) == want
+        elif call == "colors":
+            want = ref_levels(s, joint, ref, depth, False)[-1]
+            assert refine_at_depth(given, joint, got, depth) == want
+        elif call == "awl_stable":
+            assert awl_stable(given, joint, got) == ref_stable(s, joint, ref, False)
+        else:
+            assert tree_sigs_stable(given, joint, got) == ref_stable(s, joint, ref, True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), n_events=st.integers(0, 10))
+def test_kernel_mints_full_recompute_ids_on_arbitrary_streams(data, dim, n_events):
+    g1, g2 = _stream_pair(data, dim, n_events)
     universes = [universe(g1), universe(g2)]
     got, ref = ColorDictionary(), ColorDictionary()
     for s1, s2 in zip(snapshots(g1), snapshots(g2)):
         s, joint = merged_snapshot([s1, s2], universes)
-        for _ in range(data.draw(st.integers(1, 3))):
-            call = data.draw(st.sampled_from(KERNEL_CALLS))
-            depth = data.draw(st.integers(0, 2 * len(joint) + 2))
-            if call == "levels":
-                want = ref_levels(s, joint, ref, depth, True)
-                assert tree_sig_levels(s, joint, got, depth) == want
-            elif call == "at_depth":
-                want = ref_levels(s, joint, ref, depth, True)[-1]
-                assert tree_sigs_at_depth(s, joint, got, depth) == want
-            elif call == "colors":
-                want = ref_levels(s, joint, ref, depth, False)[-1]
-                assert refine_at_depth(s, joint, got, depth) == want
-            elif call == "awl_stable":
-                assert awl_stable(s, joint, got) == ref_stable(s, joint, ref, False)
-            else:
-                assert tree_sigs_stable(s, joint, got) == ref_stable(s, joint, ref, True)
+        _check_kernel_calls(data, s, s, joint, got, ref)
+    assert len(got) == len(ref)
+    assert list(got.items()) == list(ref.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), n_events=st.integers(0, 10))
+def test_kernel_mints_full_recompute_ids_along_the_joint_timeline(data, dim, n_events):
+    # the timeline's unions follow one another, so the kernel may reuse the
+    # levels of the timestamp before; snapshots never offer them
+    g1, g2 = _stream_pair(data, dim, n_events)
+    universes, steps = _joint_timeline([g1, g2])
+    got, ref = ColorDictionary(), ColorDictionary()
+    for union, snaps in zip(steps, zip(snapshots(g1), snapshots(g2))):
+        s, joint = merged_snapshot(list(snaps), universes)
+        assert union.order == sorted(joint)
+        if data.draw(st.integers(0, 3)) == 0:  # a key of another kind, as symbolic states mint
+            key = ("q", data.draw(st.integers(0, 3)))
+            assert got.id_of(key) == ref.id_of(key)
+        _check_kernel_calls(data, union, s, union.order, got, ref)
     assert len(got) == len(ref)
     assert list(got.items()) == list(ref.items())
