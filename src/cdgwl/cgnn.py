@@ -608,8 +608,11 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
 
     The central difference steps each sampled parameter by ``GRAD_STEP``.
     The loss is taken against a seeded random target that is constant on
-    trajectory-prefix classes.  Returns 0.0 when no parameters are sampled.
+    trajectory-prefix classes.  ``n_samples`` below 1 raises
+    ``InvalidBoundError``: a check of no parameter would pass vacuously.
     """
+    if n_samples < 1:
+        raise InvalidBoundError(f"samples must be at least 1, got {n_samples}")
     corpus = [probe]
     prefixes = trajectory_prefixes(corpus)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
@@ -628,7 +631,7 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
     _loss_value, grads = _loss(model, batch, with_grads=True)
     params = model.parameters()
     coords = [(name, arr, i) for name, arr in params for i in range(arr.size)]
-    if not coords or n_samples <= 0:
+    if not coords:
         return 0.0
     picks = rng.choice(len(coords), size=min(n_samples, len(coords)), replace=False)
     worst = 0.0

@@ -112,13 +112,15 @@ def _cmd_cwl_compare(args):
 def _cmd_utree_build(args):
     g = load_cdg(args.file)
     sigs = tree_sigs_at_depth(replay(g, args.t), universe(g), ColorDictionary(), args.depth)
-    if args.node not in sigs:
+    # --node is text; a universe never mixes id kinds, so the text names one node
+    node = {str(v): v for v in sigs}.get(args.node)
+    if node is None:
         raise ValueError(f"node {args.node!r} is not in the universe")
     return {
-        "node": args.node,
+        "node": node,
         "t": args.t,
         "depth": args.depth,
-        "signature_id": sigs[args.node],
+        "signature_id": sigs[node],
         "all_signatures": dict(sorted(sigs.items())),
     }, True
 
@@ -176,6 +178,8 @@ def _cmd_cgnn_train(args):
 
 
 def _cmd_cgnn_gradcheck(args):
+    if not args.tolerance >= 0:  # a negative tolerance is a usage error, not a failed check
+        raise ValueError(f"tolerance must be at least 0, got {args.tolerance}")
     probe = load_cdg(args.probe)
     sgnn = SgnnConfig(mode=NUMERIC, layers=args.layers, hidden_dim=args.hidden_dim)
     checks = []

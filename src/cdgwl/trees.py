@@ -50,6 +50,20 @@ ids; a component whose holder is shallower is keyed instead, which mints
 and hits the same ids as a full recompute.  An isolated tree class keys on
 (attribute, ()) at every level from 1 on and keeps one id.
 
+(c) Far from an event, nothing changes.  Along the joint timeline two
+consecutive unions differ only at the touched nodes: those whose attribute
+or neighbour list an event replaced (an event's node, both ends of a changed
+edge, every neighbour of a deleted node).  A node's level-r key depends only
+on its depth-r tree, that is, on its r-hop ball.  Take a node more than r
+hops from every touched node in the current union.  It is not touched, so
+its attribute and edges are as before, and by induction on r each of its
+neighbours, more than r - 1 hops away, has its previous level-(r-1) id.  So
+its level-r key is the one it had at the previous timestamp, and a full
+recompute would hit the id it held then.  The kernel copies that id and
+keys only the ball, in position order; only ball nodes can mint, so they
+mint in the same order.  A copied id is an old one, like a hit, so the
+freshness test of (a) (an id at least the level's first mint) still holds.
+
 Every id the kernel does not key is therefore the id a full recompute would
 mint or hit, in the same order, and no id changes.
 """
@@ -149,7 +163,7 @@ def tree_sig_levels(snapshot, universe_, dictionary, max_depth):
 
 
 def tree_sigs_at_depth(snapshot, universe_, dictionary, depth):
-    return _refine(_encode(snapshot, universe_), dictionary, depth, tree=True, last=True)
+    return _refine(_encode(snapshot, universe_), dictionary, depth, tree=True, lo=depth)[0]
 
 
 def tree_sigs_stable(snapshot, universe_, dictionary):
@@ -316,6 +330,7 @@ def verify_depth_bound(pairs, n_bound):
     report = DepthBoundReport()
     d_full = depth_bound(n_bound)
     d_tight = depth_bound(n_bound, both_disconnected=True) if n_bound >= 2 else None
+    lo = d_full if d_tight is None else d_tight  # the shallowest level read
     for idx, (g1, g2) in enumerate(pairs):
         universes, steps = _joint_timeline([g1, g2])
         for u in universes:
@@ -326,7 +341,7 @@ def verify_depth_bound(pairs, n_bound):
         dictionary = ColorDictionary()
         for i, union in enumerate(steps):
             joint = union.order
-            levels = tree_sig_levels(union, joint, dictionary, d_full + 2)
+            levels = dict(enumerate(_refine(union, dictionary, d_full + 2, tree=True, lo=lo), lo))
             start_depths = [d_full]
             if union.disconnected(0) and union.disconnected(1):
                 report.disconnected_timestamps += 1

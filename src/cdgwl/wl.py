@@ -24,6 +24,13 @@ attribute is encoded once per start item or event.  Every refinement call at
 one timestamp shares that timestamp's union.  The public functions that take
 a snapshot encode it with ``_encode``, which passes a union through, so the
 timeline calls them with its unions.
+
+Along the timeline, refinement is incremental.  Each union records the
+positions its events touched and holds the keyed levels of the union before
+it, per tag, with the dictionary that keyed them.  In that dictionary, level
+r keys only the nodes within r hops of a touched node and copies the other
+ids (``trees`` says why no id moves).  A union encoded from a snapshot has no
+previous levels, so every call on a snapshot keys in full.
 """
 
 from __future__ import annotations
@@ -311,9 +318,17 @@ class _Union:
     whatever it reads from ``nbrs``, so the order of a list never matters.
     A union is never changed once built: ``after`` replaces the lists it
     touches.
+
+    A union made by ``after`` also knows what changed: ``touched`` holds the
+    positions whose ``own`` or ``nbrs`` entry it replaced, and ``_prev`` the
+    keyed levels (0 up to the stable level, per tag, with the dictionary that
+    made them) of the union it was made from.  ``_refine`` keeps each call's
+    keyed levels in ``_keyed`` for the next union, so only one timestamp's
+    levels are ever held.  A union encoded from scratch has no previous
+    levels.
     """
 
-    __slots__ = ("order", "own", "nbrs", "_pos")
+    __slots__ = ("order", "own", "nbrs", "touched", "_pos", "_prev", "_keyed")
 
     def __init__(self, order, nodes, edges):
         """``nodes`` ({node: attribute}) and ``edges`` ({(u, v): attribute}) on ``order``."""
@@ -325,25 +340,30 @@ class _Union:
             p, q, b = pos[u], pos[v], attr_bytes(w)
             nbrs[p].append((b, q))
             nbrs[q].append((b, p))
+        self.touched, self._prev, self._keyed = None, {}, {}
 
     def after(self, events):
         """This joint union once graph ``gi`` has applied ``events[gi]``, for each ``gi``.
 
         Nodes are ``(graph index, node)`` pairs.  The events must apply
         cleanly, as those of a ``Cdg`` do.  A node delete drops the node's
-        edges too.
+        edges too, so it touches the node's neighbours as well.
         """
         pos = self._pos
         new = object.__new__(_Union)
         new.order, new._pos = self.order, pos
         new.own, new.nbrs = own, nbrs = list(self.own), list(self.nbrs)
+        new.touched = touched = set()
+        new._prev, new._keyed = self._keyed, {}
 
         def unlink(p, q):
             nbrs[p] = [x for x in nbrs[p] if x[1] != q]
+            touched.add(p)
 
         for gi, e in enumerate(events):
             if e.item == NODE:
                 p = pos[gi, e.key]
+                touched.add(p)
                 if e.kind == DELETE:
                     for _, q in nbrs[p]:
                         unlink(q, p)
@@ -354,6 +374,7 @@ class _Union:
                     nbrs[p] = []
             else:
                 p, q = pos[gi, e.key[0]], pos[gi, e.key[1]]
+                touched.update((p, q))
                 if e.kind != ADD:
                     unlink(p, q)
                     unlink(q, p)
@@ -386,32 +407,62 @@ def _encode(snapshot, universe_):
     return _Union(sorted(universe_), snapshot.nodes, snapshot.edges)
 
 
-def _refine(union, dictionary, rounds, tree=False, until_stable=False, last=False):
-    """Levels 0..``rounds`` of attributed refinement, for colors and trees.
+def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
+    """Levels ``lo``..``rounds`` of attributed refinement, for colors and trees.
 
     Level 0 keys a live node on its attribute; level d+1 on a self part plus
     the sorted multiset of (edge attribute, neighbor level-d id) pairs.  The
     self part is the level-d color for refinement (tags ``c0``/``c``) and the
     node's attribute for trees (``t0``/``t``); dead nodes carry 0.
     ``until_stable`` stops at the first level that leaves the partition
-    unchanged; ``last`` returns only the deepest level's map.
-    The maps are keyed by ``union.order``.  Once the partition is stable the
-    classes go to ``_stable_tail`` (see ``trees``).
+    unchanged.  The maps are keyed by ``union.order``.
+
+    When the union before this one keyed its levels in the same dictionary,
+    level d keys only the nodes within d hops of a touched node and copies
+    every other id from that union's level d (see ``trees``); levels it did
+    not key are keyed in full.  Once the partition is stable the classes go
+    to ``_stable_tail`` (see ``trees``).
     """
     if rounds < 0:
         raise InvalidBoundError(f"depth must be non-negative, got {rounds}")
     order, own, nbrs = union.order, union.own, union.nbrs
     id_of = dictionary.id_of
     tag = "t" if tree else "c"
-    ids = [id_of((tag + "0", b)) if b is not None else BOTTOM for b in own]
+    made_by, known = union._prev.get(tag, (None, ()))
+    if made_by is not dictionary:
+        known = ()
+    if known:
+        ball = sorted(union.touched)
+        inside, frontier = set(ball), ball
+        ids = list(known[0])
+        for p in ball:
+            ids[p] = id_of((tag + "0", own[p])) if own[p] is not None else BOTTOM
+    else:
+        ids = [id_of((tag + "0", b)) if b is not None else BOTTOM for b in own]
     levels = [ids]
     while len(levels) <= rounds:
         mark = dictionary._next
         prev = ids
-        ids = _step(id_of, tag, tree, own, prev, nbrs, range(len(order)))
+        if len(levels) < len(known):
+            # Grow the ball by one hop; every node outside it keeps its old key.
+            grown = []
+            for p in frontier:
+                for _, q in nbrs[p] or ():
+                    if q not in inside:
+                        inside.add(q)
+                        grown.append(q)
+            frontier = grown
+            ball = sorted(ball + grown)
+            ids = list(known[len(levels)])
+            for p, i in zip(ball, _step(id_of, tag, tree, own, prev, nbrs, ball)):
+                ids[p] = i
+        else:
+            ids = _step(id_of, tag, tree, own, prev, nbrs, range(len(order)))
         levels.append(ids)
         if len(set(ids)) == len(set(prev)):
             break
+    union._keyed[tag] = (dictionary, levels)
+    out = levels[lo:]
     if not until_stable and len(levels) <= rounds:
         # Stable: hand the classes, each keyed by its smallest member, to the tail.
         smallest = {}
@@ -433,12 +484,10 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, last=Fals
             len(levels) - 1,
             rounds,
         )
-        lo = rounds if last else len(levels)
-        columns = [chain.ids(c, lo, rounds) for c in range(len(members))]
-        levels += ([columns[k][d] for k in slot_of] for d in range(rounds + 1 - lo))
-    if last:
-        return dict(zip(order, levels[-1]))
-    return [dict(zip(order, ids)) for ids in levels]
+        first = max(lo, len(levels))
+        columns = [chain.ids(c, first, rounds) for c in range(len(members))]
+        out += ([columns[k][d] for k in slot_of] for d in range(rounds + 1 - first))
+    return [dict(zip(order, ids)) for ids in out]
 
 
 def awl_init(snapshot, universe_, dictionary):
@@ -504,7 +553,7 @@ def check_comparable(cdgs):
 
 def refine_at_depth(snapshot, universe_, dictionary, depth):
     """Colors after exactly ``depth`` rounds (depth 0 = initial colors)."""
-    return _refine(_encode(snapshot, universe_), dictionary, depth, last=True)
+    return _refine(_encode(snapshot, universe_), dictionary, depth, lo=depth)[0]
 
 
 def _colors_at(snapshot, universe_, dictionary, depth):

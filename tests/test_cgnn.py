@@ -264,9 +264,13 @@ def test_gradient_check_covers_adapter():
     assert gradient_check(probe, sg, tc, n_samples=60, seed=3) <= 1e-4
 
 
-def test_gradient_check_empty_subset_is_zero():
+def test_gradient_check_needs_a_sample():
+    # a check of no parameter would report 0.0 and pass whatever the gradients are
     probe = generate(GeneratorConfig(n_nodes=3, n_events=2), seed=53)
-    assert gradient_check(probe, *numeric_cfg(), n_samples=0) == 0.0
+    for n_samples in (0, -3):
+        with pytest.raises(InvalidBoundError, match="samples must be at least 1") as err:
+            gradient_check(probe, *numeric_cfg(), n_samples=n_samples)
+        assert isinstance(err.value, ValueError)
 
 
 def test_training_loss_matches_gradient_path_loss():

@@ -114,6 +114,25 @@ def test_utree_build_and_compare(pair_files, capsys):
     assert code == 0 and payload["equivalent"] is True
 
 
+def test_utree_build_resolves_an_integer_node_id(tmp_path, capsys):
+    stream = tmp_path / "ints.jsonl"
+    stream.write_text(
+        '{"type":"start","d":1,"nodes":[{"id":0,"attr":[1.0]},{"id":1,"attr":[0.5]}],'
+        '"edges":[{"u":0,"v":1,"attr":[1.0]}]}\n'
+        '{"type":"event","t":1.0,"item":"node","key":1,"kind":"delete"}\n'
+    )
+    code, payload, err = run_cli(
+        capsys, "utree", "build", str(stream), "--node", "0", "--t", "0.0", "--depth", "1"
+    )
+    assert code == 0, err
+    assert payload["node"] == 0
+    assert payload["signature_id"] == payload["all_signatures"]["0"] >= 1
+    code, _, err = run_cli(
+        capsys, "utree", "build", str(stream), "--node", "2", "--t", "0.0", "--depth", "1"
+    )
+    assert code == 2 and "'2' is not in the universe" in err
+
+
 def test_iso_exit_codes(pair_files, blind_spot_files, capsys):
     fa, fb = pair_files
     code, payload, _ = run_cli(capsys, "iso", fa, fb)
@@ -258,6 +277,21 @@ def test_cgnn_gradcheck(tmp_path, capsys):
     )
     assert code == 0 and payload["passed"] is True
     assert {c["mode"] for c in payload["checks"]} == {"per-interval", "shared-dt"}
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--samples", "0"], "samples must be at least 1, got 0"),
+        (["--tolerance", "-1"], "tolerance must be at least 0, got -1.0"),
+        (["--tolerance", "nan"], "tolerance must be at least 0, got nan"),
+    ],
+)
+def test_cgnn_gradcheck_that_checks_nothing_exits_2(flags, message, tmp_path, capsys):
+    probe = tmp_path / "probe.jsonl"
+    save_cdg(probe, generate(GeneratorConfig(n_nodes=3, n_events=2), seed=6))
+    code, payload, err = run_cli(capsys, "cgnn", "gradcheck", "--probe", str(probe), *flags)
+    assert code == 2 and payload is None and message in err
 
 
 def test_run_experiment_with_report(tmp_path, capsys):
