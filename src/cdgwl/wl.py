@@ -323,9 +323,9 @@ class _Union:
     positions whose ``own`` or ``nbrs`` entry it replaced, and ``_prev`` the
     keyed levels (0 up to the stable level, per tag, with the dictionary that
     made them) of the union it was made from.  ``_refine`` keeps each call's
-    keyed levels in ``_keyed`` for the next union, so only one timestamp's
-    levels are ever held.  A union encoded from scratch has no previous
-    levels.
+    keyed levels in ``_keyed`` for the next union; a union never refers to
+    the union before, so no older levels are held.  A union encoded from
+    scratch has no previous levels.
     """
 
     __slots__ = ("order", "own", "nbrs", "touched", "_pos", "_prev", "_keyed")
@@ -407,6 +407,22 @@ def _encode(snapshot, universe_):
     return _Union(sorted(universe_), snapshot.nodes, snapshot.edges)
 
 
+def _balls(touched, nbrs):
+    """Sorted positions within 0, 1, 2, ... hops of ``touched``, until that is all."""
+    ball = sorted(touched)
+    inside, frontier = set(ball), ball
+    while len(ball) < len(nbrs):
+        yield ball
+        grown = []
+        for p in frontier:
+            for _, q in nbrs[p] or ():
+                if q not in inside:
+                    inside.add(q)
+                    grown.append(q)
+        frontier = grown
+        ball = sorted(ball + grown)
+
+
 def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
     """Levels ``lo``..``rounds`` of attributed refinement, for colors and trees.
 
@@ -429,35 +445,26 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
     id_of = dictionary.id_of
     tag = "t" if tree else "c"
     made_by, known = union._prev.get(tag, (None, ()))
-    if made_by is not dictionary:
-        known = ()
-    if known:
-        ball = sorted(union.touched)
-        inside, frontier = set(ball), ball
+    balls = _balls(union.touched, nbrs) if made_by is dictionary else iter(())
+    ball = next(balls, None)
+    if ball is None:
+        ids = [id_of((tag + "0", b)) if b is not None else BOTTOM for b in own]
+    else:
         ids = list(known[0])
         for p in ball:
             ids[p] = id_of((tag + "0", own[p])) if own[p] is not None else BOTTOM
-    else:
-        ids = [id_of((tag + "0", b)) if b is not None else BOTTOM for b in own]
     levels = [ids]
     while len(levels) <= rounds:
         mark = dictionary._next
         prev = ids
-        if len(levels) < len(known):
-            # Grow the ball by one hop; every node outside it keeps its old key.
-            grown = []
-            for p in frontier:
-                for _, q in nbrs[p] or ():
-                    if q not in inside:
-                        inside.add(q)
-                        grown.append(q)
-            frontier = grown
-            ball = sorted(ball + grown)
+        ball = next(balls, None) if len(levels) < len(known) else None
+        if ball is None:
+            ids = _step(id_of, tag, tree, own, prev, nbrs, range(len(order)))
+        else:
+            # Every node outside the ball keeps its id of the union before.
             ids = list(known[len(levels)])
             for p, i in zip(ball, _step(id_of, tag, tree, own, prev, nbrs, ball)):
                 ids[p] = i
-        else:
-            ids = _step(id_of, tag, tree, own, prev, nbrs, range(len(order)))
         levels.append(ids)
         if len(set(ids)) == len(set(prev)):
             break
