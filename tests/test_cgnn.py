@@ -1,5 +1,6 @@
 """Dynamic network: forward semantics, targets, training, gradients."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -39,6 +40,7 @@ from cdgwl import (
     readout,
     relabel_cdg,
     replay,
+    run_experiment,
     sgnn_forward,
     snapshots,
     six_cycle,
@@ -49,6 +51,7 @@ from cdgwl import (
     two_triangles,
     universe,
 )
+from cdgwl import experiments
 from conftest import A, B, delete_readd_cdg, k3, static_cdg
 
 
@@ -399,3 +402,35 @@ def test_model_params_json_shapes():
         assert len(obj[name]["data"]) == arr.size
     assert "adapter.w" in obj
     assert "cell1.w1" in obj  # one cell block per interval
+
+
+# steps_run and the SHA-256 of model_params_json per train seed of the default
+# approximation run at seed 0: a training batch keeps one encoder row per slot,
+# in the order of the batch before encoder rows were shared, so training stays
+# bitwise where it was
+APPROXIMATION_RUNS = (
+    (180, "a2daeb440d432a21619cd22022c4d620b7d81cad084cb8e2e7f502d7ca2b1240"),
+    (107, "37f1307a7b38b6e0450db1a61e936b61028db1e59d622142ffbb9cde23e154b0"),
+    (149, "918c41503d68e3dfa91a0c7ef037c8c4a28a3ab172d94d86dbcd6bd78e9cf57b"),
+    (210, "c0e9958053271a5f927f1542d81c6078fb55c0d3b40fc385a8b2f0d908563da7"),
+    (167, "8ded4bd9bfa25cc734cfbbc411cdb947cb91dc58255dd3bd6f643ab37f23a5e4"),
+)
+
+
+def test_default_approximation_run_is_pinned(monkeypatch):
+    results = []
+
+    def keep(*args, **kwargs):
+        results.append(train_to_target(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "train_to_target", keep)
+    report = run_experiment("approximation", seed=0, jobs=1)
+    assert report.passed
+    assert tuple(run["steps_run"] for run in report.results["runs"]) == tuple(
+        steps for steps, _ in APPROXIMATION_RUNS
+    )
+    assert tuple(
+        (r.steps_run, hashlib.sha256(model_params_json(r.model).encode()).hexdigest())
+        for r in results
+    ) == APPROXIMATION_RUNS

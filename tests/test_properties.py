@@ -2,7 +2,8 @@
 wire format round-trips every stream, a mutated stream never reaches
 the exit code of a negative verdict, and the refinement kernel mints the
 ids of a full recompute on arbitrary streams, on snapshots and along the
-joint timeline."""
+joint timeline, and the numeric network's states at every timestamp are
+those of each snapshot embedded alone, folded by the recurrence."""
 
 import contextlib
 import io
@@ -10,6 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,15 +23,22 @@ from cdgwl import (
     EDGE,
     EXISTENCE,
     NODE,
+    NUMERIC,
+    PER_INTERVAL,
+    SHARED_DT,
     Cdg,
     CdgError,
+    CgnnModel,
     ColorDictionary,
     Event,
     GeneratorConfig,
+    SgnnConfig,
     StartGraph,
+    TemporalConfig,
     awl_stable,
     cdg_from_jsonl,
     cdg_to_jsonl,
+    cgnn_forward,
     cli,
     compare_graphs,
     generate,
@@ -37,6 +46,7 @@ from cdgwl import (
     merged_snapshot,
     refine_at_depth,
     relabel_cdg,
+    sgnn_forward,
     snapshots,
     tree_sigs_at_depth,
     tree_sigs_stable,
@@ -259,3 +269,51 @@ def test_kernel_mints_full_recompute_ids_along_the_joint_timeline(data, dim, n_e
         _check_kernel_calls(data, union, s, union.order, got, ref)
     assert len(got) == len(ref)
     assert list(got.items()) == list(ref.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 2),
+    n_events=st.integers(0, 10),
+    layers=st.integers(1, 3),
+    mode=st.sampled_from((PER_INTERVAL, SHARED_DT)),
+    state_dim=st.sampled_from((3, 4)),
+    seed=st.integers(0, 2**16),
+)
+def test_forward_states_are_snapshot_embeddings_folded_by_the_recurrence(
+    data, dim, n_events, layers, mode, state_dim, seed
+):
+    # bitwise, at every timestamp: the hidden vector of a node is that of its
+    # snapshot embedded alone, and its state is the adapter at (re)appearance,
+    # then the cell over the previous state and the current embedding
+    g = data.draw(streams(dim, n_events))
+    sg = SgnnConfig(mode=NUMERIC, layers=layers, hidden_dim=3, mlp_hidden=5)
+    tc = TemporalConfig(mode=mode, state_dim=state_dim, mlp_hidden=5)
+    model = CgnnModel.init(dim, 1, sg, tc, n_intervals=len(g.events), seed=seed)
+    us, snaps = universe(g), snapshots(g)
+    states = cgnn_forward(g, model)
+    assert len(states) == len(snaps)
+    prev = {}
+    for i, (snap, sm) in enumerate(zip(snaps, states)):
+        alone = sgnn_forward(snap, us, model)
+        state = {}
+        for v in us:
+            h, q = sm.hidden[v], sm.state[v]
+            assert (h is None) == (q is None) == (v not in snap.nodes)
+            if h is None:
+                continue
+            assert h.tobytes() == alone[v].tobytes()
+            if v not in prev:
+                want = h if model.adapter is None else (
+                    np.einsum("ij,kj->ik", h[None], model.adapter[0]) + model.adapter[1]
+                )[0]
+            elif mode == PER_INTERVAL:
+                want = model.cells[i - 1].forward(np.concatenate([prev[v], h])[None])[0][0]
+            else:
+                dt = snap.time - snaps[i - 1].time
+                x = np.concatenate([prev[v], h, [dt]])[None]
+                want = model.cells[0].forward(x)[0][0]
+            assert q.tobytes() == want.tobytes()
+            state[v] = q
+        prev = state
