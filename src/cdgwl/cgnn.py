@@ -12,14 +12,20 @@ so states are ids that carry exactly the refinement history.  Numeric mode
 is a trainable float network with hand-written backpropagation.
 
 Numeric mode runs a whole corpus as one batch: every live (graph,
-timestamp, node) is a row, so each encoder layer is one MLP call over all
-directed edges and one over all rows, each interval one cell call.  Equal
-input multisets give bitwise-equal states however the corpus is batched:
-``Mlp.forward`` multiplies with ``einsum``, whose result for a row does not
-depend on the batch (``x @ w.T`` through BLAS does), and a receiver's
-messages are summed sequentially from +0.0 in the order of the bit patterns
-of their input rows.  Earlier versions summed in another order, so trained
-parameters match theirs within float tolerance, not bitwise.
+timestamp, node) is a slot, each encoder layer is one MLP call over its
+edge rows and one over its node rows, and each interval one cell call.  An
+embedding depends only on the node's L-hop ball, and one event changes few
+balls, so a batch without a target computes a layer-l row only for the
+slots whose l-hop ball changed since the previous timestamp; every other
+slot reuses its node's row from there.  A training batch keeps one row per
+slot, in a fixed order, so that its gradients are summed as before.  Equal
+input multisets give bitwise-equal states however the corpus is batched
+and whichever rows are shared: ``Mlp.forward`` multiplies with ``einsum``,
+whose result for a row does not depend on the batch (``x @ w.T`` through
+BLAS does), and a receiver's messages are summed sequentially from +0.0 in
+the order of the bit patterns of their input rows.  Earlier versions summed
+in another order, so trained parameters match theirs within float
+tolerance, not bitwise.
 """
 
 from __future__ import annotations
@@ -30,10 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdg import snapshots, timestamps, universe
+from .cdg import DELETE, NODE, edge_key, timestamps, universe
 from .errors import (
+    DimensionMismatchError,
     EmptyInputError,
     InvalidBoundError,
+    LengthMismatchError,
     MalformedTargetError,
     TargetNotCutRespectingError,
     TargetUndefinedError,
@@ -214,45 +222,107 @@ class CgnnModel:
 
 
 class _Batch:
-    """A corpus laid out for the numeric network, built once.
+    """A corpus laid out for the numeric network, built once from its events.
 
-    ``streams`` holds (universe, snapshots) per graph.  Slot ``k`` is the
-    live (graph, timestamp, node) ``keys[k]``; slots run by graph, then
-    timestamp, then node.  Edge row ``e`` carries a message from slot
-    ``send[e]`` to slot ``recv[e]``, once per direction.  ``fresh`` lists
-    the slots whose state is their embedding; interval ``i`` is (i, previous
-    slots, current slots, elapsed-time column) for the nodes live at both
-    timestamps ``i - 1`` and ``i``.  Given a target, ``targets`` holds each
-    slot's target row, so an undefined target raises here, before any step.
+    ``streams`` holds (universe, start nodes, start edges, events) per graph.
+    Slot ``k`` is the live (graph, timestamp, node) ``keys[k]``; slots run by
+    graph, then timestamp, then node.  ``fresh`` lists the slots whose state
+    is their embedding; interval ``i`` is (i, previous slots, current slots,
+    elapsed-time column) for the nodes live at both timestamps ``i - 1`` and
+    ``i``.
+
+    ``layers[l]`` is what encoder layer ``l`` computes: (own, recv, send,
+    edge attributes).  Its output row ``r`` combines input row ``own[r]``
+    with the messages of the edge rows ``e`` with ``recv[e] == r``, each from
+    input row ``send[e]``; layer 0's input rows are ``attrs``.  ``out`` maps
+    each slot to its row of the last layer.
+
+    A batch without a target shares rows: a layer-l row is computed only for
+    a slot whose l-hop ball changed since the node's previous timestamp, and
+    every other slot reads the row of the same node at that timestamp.  At
+    the input, a slot is new when the node (re)appeared or a node event hit
+    it, whatever its value; at layer l it is also new when its edge list
+    changed (both ends of an edge event, every neighbour of a deleted node)
+    or a neighbour's input row is new.  No bit moves: ``Mlp.forward`` gives a
+    row the same bits in any batch, and ``_canonical_sum`` adds a receiver's
+    messages in the bit order of their inputs, so a row computed from inputs
+    bitwise equal to those of the row it would reuse comes out bitwise equal.
+
+    Given a target, every layer computes one row per slot (``own`` and
+    ``out`` are ``slice(None)``) and edge row ``e`` carries a message from
+    slot ``send[e]`` to slot ``recv[e]``, once per direction, in the order of
+    each snapshot's edges: sharing rows would change the order in which the
+    backward pass sums gradients.  ``targets`` holds each slot's target row,
+    so an undefined target raises here, before any step.
     """
 
-    def __init__(self, streams, dim, target=None, prefixes=None):
-        self.keys, attrs, recv, send, edge_attrs, fresh, pairs = [], [], [], [], [], [], {}
-        for gi, (us, snaps) in enumerate(streams):
-            prev = {}
-            for i, snap in enumerate(snaps):
+    def __init__(self, streams, dim, layers, target=None, prefixes=None):
+        self.keys, attrs, fresh, pairs, table = [], [], [], {}, []
+        share = target is None
+        if share:
+            own, messages, out = [[] for _ in range(layers)], [[] for _ in range(layers)], []
+        else:
+            recv, send, edge_attrs = [], [], []
+        for gi, (us, nodes, edges, events) in enumerate(streams):
+            graph = _Replay(us, nodes, edges, table)
+            nodes, adj = graph.nodes, graph.adj
+            latest = [{} for _ in range(layers + 1)]  # node -> its latest row, per level
+            prev, time, dt = {}, 0.0, None
+            for i in range(len(events) + 1):
+                hit, linked = set(), set()
+                if i:
+                    e = events[i - 1]
+                    time, dt = e.time, e.time - time
+                    graph.apply(e, hit, linked)
                 slot = {}
                 for v in us:
-                    if v not in snap.nodes:
+                    if v not in nodes:
                         continue
                     slot[v] = len(self.keys)
                     self.keys.append((gi, i, v))
-                    attrs.append(snap.nodes[v])
                     if v in prev:
-                        dt = snap.time - snaps[i - 1].time
                         pairs.setdefault(i, []).append((prev[v], slot[v], dt))
                     else:
                         fresh.append(slot[v])
-                for (a, b), w in snap.edges.items():
-                    recv += (slot[a], slot[b])
-                    send += (slot[b], slot[a])
-                    edge_attrs += (w, w)
+                        hit.add(v)
                 prev = slot
-        self.attrs = np.array(attrs, dtype=float).reshape(len(attrs), dim)
-        self.recv = np.array(recv, dtype=np.intp)
-        self.send = np.array(send, dtype=np.intp)
-        self.edge_attrs = np.array(edge_attrs, dtype=float).reshape(len(recv), dim)
-        self.fresh = np.array(fresh, dtype=np.intp)
+                if not share:
+                    attrs += (nodes[v] for v in slot)
+                    for (a, b), k in graph.edges.items():
+                        recv += (slot[a], slot[b])
+                        send += (slot[b], slot[a])
+                        edge_attrs += (k, k)
+                    continue
+                new = [v for v in slot if v in hit]
+                for v in new:
+                    latest[0][v] = len(attrs)
+                    attrs.append(nodes[v])
+                for rows, edge_rows, r_in, r_out in zip(own, messages, latest, latest[1:]):
+                    if len(new) < len(slot):  # once every slot is new, so is every layer
+                        hit |= linked
+                        for v in new:
+                            hit.update(adj[v])
+                        new = [v for v in slot if v in hit]
+                    for r, v in enumerate(new, len(rows)):
+                        r_out[v] = r
+                        rows.append(r_in[v])
+                        for u, k in adj[v].items():
+                            edge_rows += (r, r_in[u], k)
+                out += map(latest[layers].__getitem__, slot)
+        self.attrs = _rows(attrs, dim)
+        table = _rows(table, dim)
+        if share:
+            self.layers = []
+            for rows, edge_rows in zip(own, messages):
+                to, frm, k = _index(edge_rows).reshape(-1, 3).T
+                self.layers.append((_index(rows), to, frm, table[k]))
+            self.out = _index(out)
+        else:
+            self.recv, self.send = _index(recv), _index(send)
+            self.edge_attrs = table[_index(edge_attrs)]
+            self.layers = [(slice(None), self.recv, self.send, self.edge_attrs)] * layers
+            self.out = slice(None)
+        self.fresh = _index(fresh)
         self.intervals = []
         for i, rows in sorted(pairs.items()):
             p, c, dt = np.array(rows).T
@@ -262,6 +332,59 @@ class _Batch:
                 [target.value_for(i, prefixes[gi][v].sigs[: i + 1]) for gi, i, v in self.keys],
                 dtype=float,
             ).reshape(len(self.keys), target.output_dim)
+
+
+def _index(xs):
+    return np.array(xs, dtype=np.intp)
+
+
+def _rows(xs, dim):
+    return np.array(xs, dtype=float).reshape(len(xs), dim)
+
+
+class _Replay:
+    """One graph's state, changed in place event by event, as ``apply_event`` changes it.
+
+    ``edges`` keeps the order of a snapshot's edges; it and ``adj`` (node ->
+    {neighbour: k}) hold for each edge the index ``k`` of its attribute in
+    ``table``, which every graph of a batch appends to.
+    """
+
+    def __init__(self, us, nodes, edges, table):
+        self.nodes, self.edges, self.adj, self.table = dict(nodes), {}, {v: {} for v in us}, table
+        for pair, w in edges.items():
+            self._link(pair, w)
+
+    def _link(self, pair, w):
+        a, b = pair
+        self.edges[pair] = self.adj[a][b] = self.adj[b][a] = len(self.table)
+        self.table.append(w)
+
+    def apply(self, e, hit, linked):
+        """Apply event ``e``; add its node to ``hit`` and to ``linked`` each node whose edges it changed."""
+        nodes, edges, adj = self.nodes, self.edges, self.adj
+        if e.item == NODE:
+            v = e.key
+            hit.add(v)
+            if e.kind != DELETE:
+                nodes[v] = e.attr
+                return
+            del nodes[v]
+            for u in adj[v]:
+                del adj[u][v], edges[edge_key(u, v)]
+            linked.update(adj[v])
+            adj[v] = {}
+            return
+        linked.update(e.key)
+        if e.kind == DELETE:
+            a, b = e.key
+            del edges[e.key], adj[a][b], adj[b][a]
+        else:
+            self._link(e.key, e.attr)
+
+
+def _stream(g):
+    return universe(g), g.start.nodes, g.start.edges, g.events
 
 
 def _canonical_sum(out, rows, inputs, recv):
@@ -280,19 +403,20 @@ def _canonical_sum(out, rows, inputs, recv):
 
 
 def _encode(model, batch):
-    """All encoder layers over every slot; final embeddings plus caches."""
+    """All encoder layers over the batch's rows; final embeddings per slot plus caches."""
     h = batch.attrs
     caches = []
-    for li in range(model.sgnn.layers):
-        m = np.zeros((len(h), model.sgnn.hidden_dim))
+    for li, (own, recv, send, edge_attrs) in enumerate(batch.layers):
+        h_own = h[own]
+        m = np.zeros((len(h_own), model.sgnn.hidden_dim))
         acache = None
-        if len(batch.recv):
-            x = np.concatenate([h[batch.send], batch.edge_attrs], axis=1)
+        if len(recv):
+            x = np.concatenate([h[send], edge_attrs], axis=1)
             msgs, acache = model.aggr[li].forward(x)
-            _canonical_sum(m, msgs, x, batch.recv)
-        h, ccache = model.comb[li].forward(np.concatenate([h, m], axis=1))
+            _canonical_sum(m, msgs, x, recv)
+        h, ccache = model.comb[li].forward(np.concatenate([h_own, m], axis=1))
         caches.append((acache, ccache))
-    return h, caches
+    return h[batch.out], caches
 
 
 def _temporal(model, batch, h):
@@ -348,6 +472,18 @@ def _loss(model, batch, with_grads=False):
     return loss, grads
 
 
+def _check_fits(model, dims, n_intervals):
+    """Raise unless the numeric ``model`` takes attributes of ``dims`` over ``n_intervals``."""
+    if dims - {model.attr_dim}:
+        raise DimensionMismatchError(
+            f"attribute dimensions {sorted(dims)}, but the model takes {model.attr_dim}"
+        )
+    if model.temporal.mode == PER_INTERVAL and n_intervals > len(model.cells):
+        raise LengthMismatchError(
+            f"{n_intervals} intervals, but the model has {len(model.cells)} cells"
+        )
+
+
 def sgnn_forward(snapshot, universe_, model):
     """Per-node embeddings for one snapshot (None for absent nodes).
 
@@ -357,7 +493,9 @@ def sgnn_forward(snapshot, universe_, model):
     if model.sgnn.mode == SYMBOLIC:
         colors = _colors_at(snapshot, sorted(universe_), model.dictionary, model.sgnn.layers)
         return {v: (None if c == BOTTOM else c) for v, c in colors.items()}
-    batch = _Batch([(universe_, [snapshot])], model.attr_dim)
+    _check_fits(model, {len(a) for a in (*snapshot.nodes.values(), *snapshot.edges.values())}, 0)
+    stream = (universe_, snapshot.nodes, snapshot.edges, ())
+    batch = _Batch([stream], model.attr_dim, model.sgnn.layers)
     h, _ = _encode(model, batch)
     out = dict.fromkeys(universe_)
     out.update((v, h[k]) for k, (_gi, _i, v) in enumerate(batch.keys))
@@ -373,13 +511,14 @@ def cgnn_forward(cdg_, model):
                         {v: tr[i] for v, tr in q_tr.items()})
             for i, t in enumerate(timestamps(cdg_))
         ]
-    us, snaps = universe(cdg_), snapshots(cdg_)
-    batch = _Batch([(us, snaps)], cdg_.dim)
+    _check_fits(model, {cdg_.dim}, len(cdg_.events))
+    us = universe(cdg_)
+    batch = _Batch([_stream(cdg_)], cdg_.dim, model.sgnn.layers)
     h, _ = _encode(model, batch)
     q, _ = _temporal(model, batch, h)
-    out = [StateMatrix(snap.time, dict.fromkeys(us), dict.fromkeys(us)) for snap in snaps]
-    for k, (_gi, i, v) in enumerate(batch.keys):
-        out[i].hidden[v], out[i].state[v] = h[k], q[k]
+    out = [StateMatrix(t, dict.fromkeys(us), dict.fromkeys(us)) for t in timestamps(cdg_)]
+    for (_gi, i, v), h_v, q_v in zip(batch.keys, h, q):
+        out[i].hidden[v], out[i].state[v] = h_v, q_v
     return out
 
 
@@ -547,21 +686,21 @@ def trajectory_prefixes(corpus):
 # Loss, gradients, training
 
 
-def _corpus_batch(corpus, target, prefixes, dim):
+def _corpus_batch(corpus, target, prefixes, dim, layers):
     corpus = list(corpus)
     if prefixes is None:
         prefixes = trajectory_prefixes(corpus)
-    return _Batch([(universe(g), snapshots(g)) for g in corpus], dim, target, prefixes)
+    return _Batch([_stream(g) for g in corpus], dim, layers, target, prefixes)
 
 
 def training_loss(model, corpus, target, prefixes=None):
     """Mean squared error of readout outputs over all live (time, node) pairs."""
-    return _loss(model, _corpus_batch(corpus, target, prefixes, model.attr_dim))
+    return _loss(model, _corpus_batch(corpus, target, prefixes, model.attr_dim, model.sgnn.layers))
 
 
 def loss_and_gradients(model, corpus, target, prefixes=None):
     """Loss plus accumulated parameter gradients via backpropagation."""
-    batch = _corpus_batch(corpus, target, prefixes, model.attr_dim)
+    batch = _corpus_batch(corpus, target, prefixes, model.attr_dim, model.sgnn.layers)
     return _loss(model, batch, with_grads=True)
 
 
@@ -582,11 +721,11 @@ def train_to_target(corpus, target, sgnn, temporal, steps=2000, lr=0.5, seed=0, 
     """
     corpus = list(corpus)
     check_comparable(corpus)
-    batch = _corpus_batch(corpus, target, None, corpus[0].dim)
     model = CgnnModel.init(
         corpus[0].dim, target.output_dim, sgnn, temporal,
         n_intervals=len(corpus[0].events), seed=seed,
     )
+    batch = _corpus_batch(corpus, target, None, corpus[0].dim, sgnn.layers)
     initial = _loss(model, batch)
     updates = 0
     for _ in range(steps):
@@ -624,7 +763,7 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
     }
     entries = [(i, prefix, (float(rng.uniform(-1.0, 1.0)),)) for i, prefix in sorted(keys)]
     target = CdynTarget.from_entries(entries, 1)
-    batch = _corpus_batch(corpus, target, prefixes, probe.dim)
+    batch = _corpus_batch(corpus, target, prefixes, probe.dim, sgnn.layers)
     model = CgnnModel.init(
         probe.dim, 1, sgnn, temporal, n_intervals=len(probe.events), seed=seed
     )
@@ -721,7 +860,7 @@ def expressivity_check(
             report.symbolic_mismatches.append({"pair": idx})
         sg = SgnnConfig(mode=NUMERIC, layers=layers)
         tc = TemporalConfig(mode=temporal_mode)
-        batch = _Batch([(universe(g), snapshots(g)) for g in (g1, g2)], g1.dim)
+        batch = _Batch([_stream(g) for g in (g1, g2)], g1.dim, layers)
         for s in range(seeds):
             model = CgnnModel.init(
                 g1.dim, 1, sg, tc, n_intervals=len(g1.events), seed=base_seed + s

@@ -13,10 +13,12 @@ from cdgwl import (
     CdgError,
     CdynTarget,
     CgnnModel,
+    DimensionMismatchError,
     Event,
     GeneratorConfig,
     IDENTITY_ACT,
     InvalidBoundError,
+    LengthMismatchError,
     MalformedTargetError,
     Mlp,
     NODE,
@@ -367,6 +369,44 @@ def test_cross_graph_batching_is_exact(mode):
     assert abs(loss * terms - weighted_loss) <= 1e-12
     for name, grad in grads.items():
         np.testing.assert_allclose(grad * terms, weighted[name], rtol=0, atol=1e-12)
+
+
+def test_forward_encodes_only_rows_whose_ball_changed():
+    # one event changes few L-hop balls: a slot whose ball did not change
+    # reuses its node's rows from the previous timestamp
+    g, _, _ = generate_isomorphic_pair(
+        GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1), 0
+    )
+    model = CgnnModel.init(1, 1, SgnnConfig(mode=NUMERIC, layers=3), TemporalConfig(),
+                           n_intervals=len(g.events), seed=0)
+    rows = []
+    for mlp in model.comb:
+        def counted(x, forward=mlp.forward):
+            rows.append(len(x))
+            return forward(x)
+        mlp.forward = counted
+    states = cgnn_forward(g, model)
+    slots = sum(q is not None for sm in states for q in sm.state.values())
+    assert slots == 3510
+    assert sum(rows) <= 3 * slots // 4
+
+
+def test_forward_rejects_a_model_of_another_attribute_dimension():
+    g = generate(GeneratorConfig(n_nodes=3, n_events=2, dim=2), seed=1)
+    model = CgnnModel.init(1, 1, *numeric_cfg(), n_intervals=2, seed=0)
+    with pytest.raises(DimensionMismatchError):
+        cgnn_forward(g, model)
+    with pytest.raises(DimensionMismatchError):
+        sgnn_forward(snapshots(g)[0], universe(g), model)
+
+
+def test_forward_rejects_a_per_interval_model_with_too_few_cells():
+    g = generate(GeneratorConfig(n_nodes=3, n_events=4), seed=1)
+    model = CgnnModel.init(1, 1, *numeric_cfg(mode=PER_INTERVAL), n_intervals=3, seed=0)
+    with pytest.raises(LengthMismatchError):
+        cgnn_forward(g, model)
+    shared = CgnnModel.init(1, 1, *numeric_cfg(mode=SHARED_DT), n_intervals=3, seed=0)
+    assert len(cgnn_forward(g, shared)) == 5
 
 
 @pytest.mark.parametrize("text, field", [
