@@ -275,15 +275,18 @@ class _Batch:
                     time, dt = e.time, e.time - time
                     graph.apply(e, hit, linked)
                 slot = {}
+                before, now, dts = pairs.setdefault(i, ([], [], []))
                 for v in us:
                     if v not in nodes:
                         continue
-                    slot[v] = len(self.keys)
+                    slot[v] = k = len(self.keys)
                     self.keys.append((gi, i, v))
                     if v in prev:
-                        pairs.setdefault(i, []).append((prev[v], slot[v], dt))
+                        before.append(prev[v])
+                        now.append(k)
+                        dts.append(dt)
                     else:
-                        fresh.append(slot[v])
+                        fresh.append(k)
                         hit.add(v)
                 prev = slot
                 if not share:
@@ -293,7 +296,7 @@ class _Batch:
                         send += (slot[b], slot[a])
                         edge_attrs += (k, k)
                     continue
-                new = [v for v in slot if v in hit]
+                new = _in_slot_order(hit, slot)
                 for v in new:
                     latest[0][v] = len(attrs)
                     attrs.append(nodes[v])
@@ -302,7 +305,7 @@ class _Batch:
                         hit |= linked
                         for v in new:
                             hit.update(adj[v])
-                        new = [v for v in slot if v in hit]
+                        new = _in_slot_order(hit, slot)
                     for r, v in enumerate(new, len(rows)):
                         r_out[v] = r
                         rows.append(r_in[v])
@@ -323,15 +326,21 @@ class _Batch:
             self.layers = [(slice(None), self.recv, self.send, self.edge_attrs)] * layers
             self.out = slice(None)
         self.fresh = _index(fresh)
-        self.intervals = []
-        for i, rows in sorted(pairs.items()):
-            p, c, dt = np.array(rows).T
-            self.intervals.append((i, p.astype(np.intp), c.astype(np.intp), dt[:, None]))
+        self.intervals = [
+            (i, _index(before), _index(now), np.array(dts)[:, None])
+            for i, (before, now, dts) in sorted(pairs.items())
+            if now
+        ]
         if target is not None:
             self.targets = np.array(
                 [target.value_for(i, prefixes[gi][v].sigs[: i + 1]) for gi, i, v in self.keys],
                 dtype=float,
             ).reshape(len(self.keys), target.output_dim)
+
+
+def _in_slot_order(nodes, slot):
+    """The live ``nodes``, in the order of their slots."""
+    return sorted((v for v in nodes if v in slot), key=slot.__getitem__)
 
 
 def _index(xs):
@@ -361,7 +370,7 @@ class _Replay:
         self.table.append(w)
 
     def apply(self, e, hit, linked):
-        """Apply event ``e``; add its node to ``hit`` and to ``linked`` each node whose edges it changed."""
+        """Apply ``e``: its node goes to ``hit``, each node whose edges it changed to ``linked``."""
         nodes, edges, adj = self.nodes, self.edges, self.adj
         if e.item == NODE:
             v = e.key
@@ -493,7 +502,8 @@ def sgnn_forward(snapshot, universe_, model):
     if model.sgnn.mode == SYMBOLIC:
         colors = _colors_at(snapshot, sorted(universe_), model.dictionary, model.sgnn.layers)
         return {v: (None if c == BOTTOM else c) for v, c in colors.items()}
-    _check_fits(model, {len(a) for a in (*snapshot.nodes.values(), *snapshot.edges.values())}, 0)
+    attrs = (*snapshot.nodes.values(), *snapshot.edges.values())
+    _check_fits(model, set(map(len, attrs)), 0)
     stream = (universe_, snapshot.nodes, snapshot.edges, ())
     batch = _Batch([stream], model.attr_dim, model.sgnn.layers)
     h, _ = _encode(model, batch)
@@ -686,22 +696,23 @@ def trajectory_prefixes(corpus):
 # Loss, gradients, training
 
 
-def _corpus_batch(corpus, target, prefixes, dim, layers):
+def _corpus_batch(model, corpus, target, prefixes):
     corpus = list(corpus)
+    for g in corpus:
+        _check_fits(model, {g.dim}, len(g.events))
     if prefixes is None:
         prefixes = trajectory_prefixes(corpus)
-    return _Batch([_stream(g) for g in corpus], dim, layers, target, prefixes)
+    return _Batch([_stream(g) for g in corpus], model.attr_dim, model.sgnn.layers, target, prefixes)
 
 
 def training_loss(model, corpus, target, prefixes=None):
     """Mean squared error of readout outputs over all live (time, node) pairs."""
-    return _loss(model, _corpus_batch(corpus, target, prefixes, model.attr_dim, model.sgnn.layers))
+    return _loss(model, _corpus_batch(model, corpus, target, prefixes))
 
 
 def loss_and_gradients(model, corpus, target, prefixes=None):
     """Loss plus accumulated parameter gradients via backpropagation."""
-    batch = _corpus_batch(corpus, target, prefixes, model.attr_dim, model.sgnn.layers)
-    return _loss(model, batch, with_grads=True)
+    return _loss(model, _corpus_batch(model, corpus, target, prefixes), with_grads=True)
 
 
 @dataclass
@@ -725,7 +736,7 @@ def train_to_target(corpus, target, sgnn, temporal, steps=2000, lr=0.5, seed=0, 
         corpus[0].dim, target.output_dim, sgnn, temporal,
         n_intervals=len(corpus[0].events), seed=seed,
     )
-    batch = _corpus_batch(corpus, target, None, corpus[0].dim, sgnn.layers)
+    batch = _corpus_batch(model, corpus, target, None)
     initial = _loss(model, batch)
     updates = 0
     for _ in range(steps):
@@ -763,10 +774,10 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
     }
     entries = [(i, prefix, (float(rng.uniform(-1.0, 1.0)),)) for i, prefix in sorted(keys)]
     target = CdynTarget.from_entries(entries, 1)
-    batch = _corpus_batch(corpus, target, prefixes, probe.dim, sgnn.layers)
     model = CgnnModel.init(
         probe.dim, 1, sgnn, temporal, n_intervals=len(probe.events), seed=seed
     )
+    batch = _corpus_batch(model, corpus, target, prefixes)
     _loss_value, grads = _loss(model, batch, with_grads=True)
     params = model.parameters()
     coords = [(name, arr, i) for name, arr in params for i in range(arr.size)]

@@ -398,6 +398,8 @@ def test_forward_rejects_a_model_of_another_attribute_dimension():
         cgnn_forward(g, model)
     with pytest.raises(DimensionMismatchError):
         sgnn_forward(snapshots(g)[0], universe(g), model)
+    with pytest.raises(DimensionMismatchError):
+        training_loss(model, [g], CdynTarget.from_entries([], 1, default=(0.0,)))
 
 
 def test_forward_rejects_a_per_interval_model_with_too_few_cells():
@@ -405,6 +407,8 @@ def test_forward_rejects_a_per_interval_model_with_too_few_cells():
     model = CgnnModel.init(1, 1, *numeric_cfg(mode=PER_INTERVAL), n_intervals=3, seed=0)
     with pytest.raises(LengthMismatchError):
         cgnn_forward(g, model)
+    with pytest.raises(LengthMismatchError):
+        loss_and_gradients(model, [g], CdynTarget.from_entries([], 1, default=(0.0,)))
     shared = CgnnModel.init(1, 1, *numeric_cfg(mode=SHARED_DT), n_intervals=3, seed=0)
     assert len(cgnn_forward(g, shared)) == 5
 
