@@ -391,7 +391,7 @@ def test_forward_encodes_only_rows_whose_ball_changed():
     assert sum(rows) <= 3 * slots // 4
 
 
-def test_forward_rejects_a_model_of_another_attribute_dimension():
+def test_a_model_of_another_attribute_dimension_is_rejected():
     g = generate(GeneratorConfig(n_nodes=3, n_events=2, dim=2), seed=1)
     model = CgnnModel.init(1, 1, *numeric_cfg(), n_intervals=2, seed=0)
     with pytest.raises(DimensionMismatchError):
@@ -402,7 +402,7 @@ def test_forward_rejects_a_model_of_another_attribute_dimension():
         training_loss(model, [g], CdynTarget.from_entries([], 1, default=(0.0,)))
 
 
-def test_forward_rejects_a_per_interval_model_with_too_few_cells():
+def test_a_per_interval_model_with_too_few_cells_is_rejected():
     g = generate(GeneratorConfig(n_nodes=3, n_events=4), seed=1)
     model = CgnnModel.init(1, 1, *numeric_cfg(mode=PER_INTERVAL), n_intervals=3, seed=0)
     with pytest.raises(LengthMismatchError):
@@ -449,9 +449,10 @@ def test_model_params_json_shapes():
 
 
 # steps_run and the SHA-256 of model_params_json per train seed of the default
-# approximation run at seed 0: a training batch keeps one encoder row per slot,
-# in the order of the batch before encoder rows were shared, so training stays
-# bitwise where it was
+# approximation run at seed 0: a training batch keeps one encoder row per slot
+# in a fixed order, so training stays bitwise where it was.  Taken on x86-64
+# with numpy 2.4's bundled OpenBLAS; the backward's matrix products go through
+# BLAS, so another BLAS kernel may move the bits
 APPROXIMATION_RUNS = (
     (180, "a2daeb440d432a21619cd22022c4d620b7d81cad084cb8e2e7f502d7ca2b1240"),
     (107, "37f1307a7b38b6e0450db1a61e936b61028db1e59d622142ffbb9cde23e154b0"),
