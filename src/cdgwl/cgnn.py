@@ -15,17 +15,16 @@ Numeric mode runs a whole corpus as one batch: every live (graph,
 timestamp, node) is a slot, each encoder layer is one MLP call over its
 edge rows and one over its node rows, and each interval one cell call.  An
 embedding depends only on the node's L-hop ball, and one event changes few
-balls, so a batch without a target computes a layer-l row only for the
-slots whose l-hop ball changed since the previous timestamp; every other
-slot reuses its node's row from there.  A training batch keeps one row per
-slot, in a fixed order, so that its gradients are summed as before.  Equal
-input multisets give bitwise-equal states however the corpus is batched
-and whichever rows are shared: ``Mlp.forward`` multiplies with ``einsum``,
-whose result for a row does not depend on the batch (``x @ w.T`` through
-BLAS does), and a receiver's messages are summed sequentially from +0.0 in
-the order of the bit patterns of their input rows.  Earlier versions summed
-in another order, so trained parameters match theirs within float
-tolerance, not bitwise.
+balls, so a layer-l row is computed only for the slots whose l-hop ball
+changed since the previous timestamp; every other slot reuses its node's
+row from there.  A training batch is the same walk with every row new.
+Equal input multisets give bitwise-equal states however the corpus is
+batched and whichever rows are shared: ``Mlp.forward`` multiplies with
+``einsum``, whose result for a row does not depend on the batch (``x @
+w.T`` through BLAS does), and a receiver's messages are summed sequentially
+from +0.0 in the order of the bit patterns of their input rows.  Earlier
+versions summed in another order, so trained parameters match theirs
+within float tolerance, not bitwise.
 """
 
 from __future__ import annotations
@@ -177,8 +176,11 @@ class CgnnModel:
             raise ValueError(f"unknown encoder mode {sgnn.mode!r}")
         if sgnn.layers is None:
             raise ValueError("numeric mode needs an explicit layer count")
-        if sgnn.layers < 1:
-            raise ValueError("at least one message-passing layer is required")
+        for cfg, name in ((sgnn, "layers"), (sgnn, "hidden_dim"), (sgnn, "mlp_hidden"),
+                          (temporal, "state_dim"), (temporal, "mlp_hidden")):
+            size = getattr(cfg, name)
+            if size < 1:
+                raise InvalidBoundError(f"{type(cfg).__name__}.{name} must be at least 1, got {size}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         r, s, d = sgnn.hidden_dim, temporal.state_dim, attr_dim
         aggr, comb = [], []
@@ -237,32 +239,27 @@ class _Batch:
     input row ``send[e]``; layer 0's input rows are ``attrs``.  ``out`` maps
     each slot to its row of the last layer.
 
-    A batch without a target shares rows: a layer-l row is computed only for
-    a slot whose l-hop ball changed since the node's previous timestamp, and
-    every other slot reads the row of the same node at that timestamp.  At
-    the input, a slot is new when the node (re)appeared or a node event hit
-    it, whatever its value; at layer l it is also new when its edge list
-    changed (both ends of an edge event, every neighbour of a deleted node)
-    or a neighbour's input row is new.  No bit moves: ``Mlp.forward`` gives a
-    row the same bits in any batch, and ``_canonical_sum`` adds a receiver's
-    messages in the bit order of their inputs, so a row computed from inputs
-    bitwise equal to those of the row it would reuse comes out bitwise equal.
+    A layer-l row is computed only for a slot whose l-hop ball changed since
+    the node's previous timestamp, and every other slot reads the row of the
+    same node at that timestamp.  At the input, a slot is new when the node
+    (re)appeared or a node event hit it, whatever its value; at layer l it is
+    also new when its edge list changed (both ends of an edge event, every
+    neighbour of a deleted node) or a neighbour's input row is new.  No bit
+    moves: ``Mlp.forward`` gives a row the same bits in any batch, and
+    ``_canonical_sum`` adds a receiver's messages in the bit order of their
+    inputs, so a row computed from inputs bitwise equal to those of the row
+    it would reuse comes out bitwise equal.
 
-    Given a target, every layer computes one row per slot (``own`` and
-    ``out`` are ``slice(None)``) and edge row ``e`` carries a message from
-    slot ``send[e]`` to slot ``recv[e]``, once per direction, in the order of
-    each snapshot's edges: sharing rows would change the order in which the
-    backward pass sums gradients.  ``targets`` holds each slot's target row,
-    so an undefined target raises here, before any step.
+    A level whose rows are all new lists its edge rows by the snapshot's
+    edges, in order, each in both directions.  A target makes every row new,
+    so training sums each slot's gradients in that fixed order.  ``targets``
+    holds each slot's target row, so an undefined target raises here, before
+    any step.
     """
 
     def __init__(self, streams, dim, layers, target=None, prefixes=None):
         self.keys, attrs, fresh, pairs, table = [], [], [], {}, []
-        share = target is None
-        if share:
-            own, messages, out = [[] for _ in range(layers)], [[] for _ in range(layers)], []
-        else:
-            recv, send, edge_attrs = [], [], []
+        own, messages, out = [[] for _ in range(layers)], [[] for _ in range(layers)], []
         for gi, (us, nodes, edges, events) in enumerate(streams):
             graph = _Replay(us, nodes, edges, table)
             nodes, adj = graph.nodes, graph.adj
@@ -289,13 +286,8 @@ class _Batch:
                         fresh.append(k)
                         hit.add(v)
                 prev = slot
-                if not share:
-                    attrs += (nodes[v] for v in slot)
-                    for (a, b), k in graph.edges.items():
-                        recv += (slot[a], slot[b])
-                        send += (slot[b], slot[a])
-                        edge_attrs += (k, k)
-                    continue
+                if target is not None:
+                    hit.update(slot)
                 new = _in_slot_order(hit, slot)
                 for v in new:
                     latest[0][v] = len(attrs)
@@ -306,25 +298,24 @@ class _Batch:
                         for v in new:
                             hit.update(adj[v])
                         new = _in_slot_order(hit, slot)
+                    every = len(new) == len(slot)
                     for r, v in enumerate(new, len(rows)):
                         r_out[v] = r
                         rows.append(r_in[v])
-                        for u, k in adj[v].items():
-                            edge_rows += (r, r_in[u], k)
+                        if not every:
+                            for u, k in adj[v].items():
+                                edge_rows += (r, r_in[u], k)
+                    if every:
+                        for (a, b), k in graph.edges.items():
+                            edge_rows += (r_out[a], r_in[b], k, r_out[b], r_in[a], k)
                 out += map(latest[layers].__getitem__, slot)
         self.attrs = _rows(attrs, dim)
         table = _rows(table, dim)
-        if share:
-            self.layers = []
-            for rows, edge_rows in zip(own, messages):
-                to, frm, k = _index(edge_rows).reshape(-1, 3).T
-                self.layers.append((_index(rows), to, frm, table[k]))
-            self.out = _index(out)
-        else:
-            self.recv, self.send = _index(recv), _index(send)
-            self.edge_attrs = table[_index(edge_attrs)]
-            self.layers = [(slice(None), self.recv, self.send, self.edge_attrs)] * layers
-            self.out = slice(None)
+        self.layers = []
+        for rows, edge_rows in zip(own, messages):
+            to, frm, k = _index(edge_rows).reshape(-1, 3).T
+            self.layers.append((_index(rows), to, frm, table[k]))
+        self.out = _index(out)
         self.fresh = _index(fresh)
         self.intervals = [
             (i, _index(before), _index(now), np.array(dts)[:, None])
@@ -469,15 +460,15 @@ def _loss(model, batch, with_grads=False):
         grads["adapter.w"] += dqf.T @ h[batch.fresh]
         grads["adapter.b"] += dqf.sum(axis=0)
         dh[batch.fresh] += dqf @ model.adapter[0]
-    for li in reversed(range(model.sgnn.layers)):
+    for li, (_own, recv, send, _edge_attrs) in reversed(list(enumerate(batch.layers))):
         acache, ccache = encoder_caches[li]
         h_in = model.attr_dim if li == 0 else model.sgnn.hidden_dim
         dxc = model.comb[li].backward(dh, ccache, grads, f"comb{li}")
         dh = dxc[:, :h_in]
         if acache is not None:
             # one gradient row per edge: duplicate input rows each pass their own
-            dx = model.aggr[li].backward(dxc[batch.recv, h_in:], acache, grads, f"aggr{li}")
-            np.add.at(dh, batch.send, dx[:, :h_in])
+            dx = model.aggr[li].backward(dxc[recv, h_in:], acache, grads, f"aggr{li}")
+            np.add.at(dh, send, dx[:, :h_in])
     return loss, grads
 
 
@@ -729,7 +720,15 @@ def train_to_target(corpus, target, sgnn, temporal, steps=2000, lr=0.5, seed=0, 
     Stops early once ``goal`` (an MSE threshold) is reached.  The target
     must resolve for every live (timestamp, node) prefix in the corpus;
     ``TargetUndefinedError`` is raised before the first step otherwise.
+    ``steps`` below 0, an ``lr`` that is not positive and a ``goal`` given
+    and not positive raise ``InvalidBoundError``.
     """
+    if steps < 0:
+        raise InvalidBoundError(f"steps must be at least 0, got {steps}")
+    if not lr > 0:
+        raise InvalidBoundError(f"lr must be positive, got {lr}")
+    if goal is not None and not goal > 0:
+        raise InvalidBoundError(f"goal must be positive, got {goal}")
     corpus = list(corpus)
     check_comparable(corpus)
     model = CgnnModel.init(
@@ -779,10 +778,7 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
     )
     batch = _corpus_batch(model, corpus, target, prefixes)
     _loss_value, grads = _loss(model, batch, with_grads=True)
-    params = model.parameters()
-    coords = [(name, arr, i) for name, arr in params for i in range(arr.size)]
-    if not coords:
-        return 0.0
+    coords = [(name, arr, i) for name, arr in model.parameters() for i in range(arr.size)]
     picks = rng.choice(len(coords), size=min(n_samples, len(coords)), replace=False)
     worst = 0.0
     for pick in sorted(picks):
@@ -846,12 +842,14 @@ def expressivity_check(
     nodes whose color prefixes agree (their state prefixes must be
     bitwise equal).  The numeric models use the default ``hidden_dim`` and
     ``state_dim``.  ``seeds`` below 1 raises ``InvalidBoundError``, since
-    then no numeric model would be checked.
+    then no numeric model would be checked; so does ``layers`` below 1.
     """
     if not pairs:
         raise EmptyInputError("no pairs given")
     if seeds < 1:
         raise InvalidBoundError(f"seeds must be at least 1, got {seeds}")
+    if layers < 1:
+        raise InvalidBoundError(f"layers must be at least 1, got {layers}")
     report = ExpressivityReport()
     for idx, (g1, g2) in enumerate(pairs):
         # Hidden ids are the stable colors, with None where color 0 marks absence.

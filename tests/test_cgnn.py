@@ -174,6 +174,16 @@ def test_model_init_guards():
     with pytest.raises(ValueError):
         CgnnModel.init(1, 1, SgnnConfig(mode=NUMERIC), TemporalConfig(mode="bogus"), 2)
     assert CgnnModel.init(1, 1, SgnnConfig(mode=SYMBOLIC), TemporalConfig(), 2).parameters() == []
+    for sg, tc, message in [
+        (SgnnConfig(layers=0), TemporalConfig(), "SgnnConfig.layers must be at least 1, got 0"),
+        (SgnnConfig(hidden_dim=0), TemporalConfig(), "SgnnConfig.hidden_dim must be at least 1"),
+        (SgnnConfig(hidden_dim=-2), TemporalConfig(), "SgnnConfig.hidden_dim must be at least 1"),
+        (SgnnConfig(mlp_hidden=0), TemporalConfig(), "SgnnConfig.mlp_hidden must be at least 1"),
+        (SgnnConfig(), TemporalConfig(state_dim=0), "TemporalConfig.state_dim must be at least 1"),
+        (SgnnConfig(), TemporalConfig(mlp_hidden=0), "TemporalConfig.mlp_hidden must be at least"),
+    ]:
+        with pytest.raises(InvalidBoundError, match=message):
+            CgnnModel.init(1, 1, sg, tc, 2)
 
 
 def test_expressivity_check_on_random_pairs():
@@ -389,6 +399,21 @@ def test_forward_encodes_only_rows_whose_ball_changed():
     slots = sum(q is not None for sm in states for q in sm.state.values())
     assert slots == 3510
     assert sum(rows) <= 3 * slots // 4
+    # a training batch is the same walk with every row new: one row per slot
+    # and layer, and its embeddings are the forward pass's, bit for bit
+    encoded = []
+
+    def kept(x, forward=model.comb[-1].forward):
+        y, cache = forward(x)
+        encoded.append(y)
+        return y, cache
+
+    model.comb[-1].forward = kept
+    rows.clear()
+    loss_and_gradients(model, [g], CdynTarget.from_entries([], 1, default=(0.0,)))
+    assert rows == [slots] * 3
+    hidden = [h for sm in states for h in sm.hidden.values() if h is not None]
+    assert encoded[0].tobytes() == np.stack(hidden).tobytes()
 
 
 def test_a_model_of_another_attribute_dimension_is_rejected():

@@ -218,6 +218,29 @@ def test_cgnn_train_writes_params(tmp_path, capsys):
     assert "readout.w1" in json.loads(params_file.read_text())
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--epochs", "-3"], "steps must be at least 0, got -3"),
+        (["--lr", "-1"], "lr must be positive, got -1.0"),
+        (["--lr", "nan"], "lr must be positive, got nan"),
+        (["--goal", "0"], "goal must be positive, got 0.0"),
+        (["--hidden-dim", "0"], "SgnnConfig.hidden_dim must be at least 1, got 0"),
+        (["--hidden-dim", "-2"], "SgnnConfig.hidden_dim must be at least 1, got -2"),
+        (["--state-dim", "0"], "TemporalConfig.state_dim must be at least 1, got 0"),
+    ],
+)
+def test_cgnn_train_out_of_range_exits_2(flags, message, tmp_path, capsys):
+    corpus = tmp_path / "tr"
+    run_cli(capsys, "gen", "--streams", "2", "--corpus", str(corpus))
+    target_file = tmp_path / "target.json"
+    target_file.write_text('{"output_dim": 1, "default": [0.0], "entries": []}')
+    code, payload, err = run_cli(
+        capsys, "cgnn", "train", "--corpus", str(corpus), "--target", str(target_file), *flags
+    )
+    assert code == 2 and payload is None and message in err
+
+
 BAD_TARGETS = {
     "no-entries": ('{"output_dim": 1}', "'entries'"),
     "entry-without-value": (
@@ -285,6 +308,7 @@ def test_cgnn_gradcheck(tmp_path, capsys):
         (["--samples", "0"], "samples must be at least 1, got 0"),
         (["--tolerance", "-1"], "tolerance must be at least 0, got -1.0"),
         (["--tolerance", "nan"], "tolerance must be at least 0, got nan"),
+        (["--hidden-dim", "0"], "SgnnConfig.hidden_dim must be at least 1, got 0"),
     ],
 )
 def test_cgnn_gradcheck_that_checks_nothing_exits_2(flags, message, tmp_path, capsys):
@@ -453,3 +477,13 @@ def test_expressivity_with_no_numeric_seed_exits_2(tmp_path, capsys):
         capsys, "cgnn", "expressivity", "--corpus", str(tmp_path / "p"), "--seeds", "0"
     )
     assert code == 2 and payload is None and "seeds must be at least 1" in err
+
+
+@pytest.mark.parametrize("layers", ["-1", "0"])
+def test_expressivity_with_no_layer_exits_2(layers, tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "gen", "--pairs", "2", "--corpus", str(tmp_path / "p"))
+    assert code == 0
+    code, payload, err = run_cli(
+        capsys, "cgnn", "expressivity", "--corpus", str(tmp_path / "p"), "--layers", layers
+    )
+    assert code == 2 and payload is None and f"layers must be at least 1, got {layers}" in err
