@@ -24,7 +24,6 @@ from .cdg import (
     apply_event,
     attr_bytes,
     edge_key,
-    neighbors,
     replay,
     snapshots,
     timestamps,
@@ -35,7 +34,6 @@ from .cgnn import (
     CdynTarget,
     CgnnModel,
     ExpressivityReport,
-    IDENTITY_ACT,
     Mlp,
     NUMERIC,
     PER_INTERVAL,
@@ -43,7 +41,6 @@ from .cgnn import (
     SYMBOLIC,
     SgnnConfig,
     StateMatrix,
-    TANH,
     TemporalConfig,
     TrainResult,
     cgnn_forward,
@@ -70,7 +67,6 @@ from .errors import (
     AttrChangeMissingError,
     CdgError,
     DeleteMissingError,
-    DepthMismatchError,
     DimensionMismatchError,
     EdgeEndpointMissingError,
     EmptyInputError,
@@ -123,7 +119,6 @@ from .trees import (
     cut_trajectories,
     depth_bound,
     graph_cut_equivalent,
-    node_cut_equivalent,
     signature,
     stable_trajectories,
     tree_sigs_at_depth,
@@ -144,9 +139,7 @@ from .wl import (
     check_comparable,
     compare_graphs,
     cwl,
-    graph_cwl_equivalent,
     merged_snapshot,
-    node_cwl_equivalent,
     partition_of,
     refine_at_depth,
 )

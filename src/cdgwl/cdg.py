@@ -302,19 +302,6 @@ def replay(cdg, t):
     return snapshots(cdg)[times.index(t)]
 
 
-def neighbors(snapshot, v):
-    """Set of (neighbor id, edge attribute) pairs of ``v`` in a snapshot."""
-    if v not in snapshot.nodes:
-        return set()
-    out = set()
-    for (a, b), w in snapshot.edges.items():
-        if a == v:
-            out.add((b, w))
-        elif b == v:
-            out.add((a, w))
-    return out
-
-
 def adjacency(snapshot):
     """Adjacency map: node id -> list of (neighbor id, edge attribute)."""
     adj = {v: [] for v in snapshot.nodes}

@@ -61,8 +61,6 @@ SYMBOLIC = "symbolic"
 NUMERIC = "numeric"
 PER_INTERVAL = "per-interval"
 SHARED_DT = "shared-dt"
-TANH = "tanh"
-IDENTITY_ACT = "identity"
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class SgnnConfig:
     layers: int | None = 3
     hidden_dim: int = 8
     mlp_hidden: int = 16
-    activation: str = TANH
 
 
 @dataclass(frozen=True)
@@ -92,15 +89,6 @@ class TemporalConfig:
     mode: str = PER_INTERVAL
     state_dim: int = 8
     mlp_hidden: int = 16
-    activation: str = TANH
-
-
-def _act(z, activation):
-    return np.tanh(z) if activation == TANH else z
-
-
-def _dact(z, a, activation):
-    return 1.0 - a * a if activation == TANH else np.ones_like(z)
 
 
 def _affine(x, w, b):
@@ -110,31 +98,29 @@ def _affine(x, w, b):
 
 @dataclass
 class Mlp:
-    """Two affine layers around one activation; operates on row batches."""
+    """Two affine layers around a tanh; operates on row batches."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    activation: str = TANH
 
     @classmethod
-    def init(cls, rng, in_dim, hidden, out_dim, activation=TANH):
+    def init(cls, rng, in_dim, hidden, out_dim):
         w1 = rng.normal(0.0, 1.0, (hidden, in_dim)) / math.sqrt(in_dim)
         w2 = rng.normal(0.0, 1.0, (out_dim, hidden)) / math.sqrt(hidden)
-        return cls(w1, np.zeros(hidden), w2, np.zeros(out_dim), activation)
+        return cls(w1, np.zeros(hidden), w2, np.zeros(out_dim))
 
     def forward(self, x):
-        z = _affine(x, self.w1, self.b1)
-        a = _act(z, self.activation)
-        return _affine(a, self.w2, self.b2), (x, z, a)
+        a = np.tanh(_affine(x, self.w1, self.b1))
+        return _affine(a, self.w2, self.b2), (x, a)
 
     def backward(self, dy, cache, grads, prefix):
-        x, z, a = cache
+        x, a = cache
         grads[f"{prefix}.w2"] += dy.T @ a
         grads[f"{prefix}.b2"] += dy.sum(axis=0)
         da = dy @ self.w2
-        dz = da * _dact(z, a, self.activation)
+        dz = da * (1.0 - a * a)
         grads[f"{prefix}.w1"] += dz.T @ x
         grads[f"{prefix}.b1"] += dz.sum(axis=0)
         return dz @ self.w1
@@ -186,18 +172,15 @@ class CgnnModel:
         aggr, comb = [], []
         for li in range(sgnn.layers):
             h_in = d if li == 0 else r
-            aggr.append(Mlp.init(rng, h_in + d, sgnn.mlp_hidden, r, sgnn.activation))
-            comb.append(Mlp.init(rng, h_in + r, sgnn.mlp_hidden, r, sgnn.activation))
+            aggr.append(Mlp.init(rng, h_in + d, sgnn.mlp_hidden, r))
+            comb.append(Mlp.init(rng, h_in + r, sgnn.mlp_hidden, r))
         if temporal.mode == PER_INTERVAL:
-            cells = [
-                Mlp.init(rng, s + r, temporal.mlp_hidden, s, temporal.activation)
-                for _ in range(n_intervals)
-            ]
+            cells = [Mlp.init(rng, s + r, temporal.mlp_hidden, s) for _ in range(n_intervals)]
         elif temporal.mode == SHARED_DT:
-            cells = [Mlp.init(rng, s + r + 1, temporal.mlp_hidden, s, temporal.activation)]
+            cells = [Mlp.init(rng, s + r + 1, temporal.mlp_hidden, s)]
         else:
             raise ValueError(f"unknown temporal mode {temporal.mode!r}")
-        readout_net = Mlp.init(rng, s, temporal.mlp_hidden, out_dim, temporal.activation)
+        readout_net = Mlp.init(rng, s, temporal.mlp_hidden, out_dim)
         adapter = None
         if r != s:
             adapter = [rng.normal(0.0, 1.0, (s, r)) / math.sqrt(r), np.zeros(s)]
@@ -572,8 +555,8 @@ class CdynTarget:
     """Function table from (timestamp index, trajectory prefix) to outputs.
 
     Keys are signature-id prefixes of tree trajectories, so the table is
-    well defined on tree-equivalence classes by construction; builders that
-    start from per-node labels raise when two equal prefixes disagree.
+    well defined on tree-equivalence classes by construction;
+    ``from_entries`` raises when two equal prefixes get different values.
     Targets are bound to the corpus (and its ordering) whose trajectory
     session minted the signature ids.
     """
@@ -605,16 +588,6 @@ class CdynTarget:
                 )
             table[key] = value
         return cls(output_dim, table, tuple(default) if default is not None else None)
-
-    @classmethod
-    def from_node_labels(cls, corpus, labels, output_dim, default=None):
-        """Build from {(graph index, node id, timestamp index): value} labels."""
-        trajs = trajectory_prefixes(corpus)
-        entries = []
-        for (gi, v, t_index), value in sorted(labels.items()):
-            prefix = trajs[gi][v].sigs[: t_index + 1]
-            entries.append((t_index, prefix, value))
-        return cls.from_entries(entries, output_dim, default)
 
     @classmethod
     def prefix_indicator(cls, corpus, anchor_graph, anchor_node):
@@ -720,13 +693,15 @@ def train_to_target(corpus, target, sgnn, temporal, steps=2000, lr=0.5, seed=0, 
     Stops early once ``goal`` (an MSE threshold) is reached.  The target
     must resolve for every live (timestamp, node) prefix in the corpus;
     ``TargetUndefinedError`` is raised before the first step otherwise.
-    ``steps`` below 0, an ``lr`` that is not positive and a ``goal`` given
-    and not positive raise ``InvalidBoundError``.
+    ``steps`` below 0, an ``lr`` that is not positive and finite and a
+    ``goal`` given and not positive raise ``InvalidBoundError``.
     """
     if steps < 0:
         raise InvalidBoundError(f"steps must be at least 0, got {steps}")
     if not lr > 0:
         raise InvalidBoundError(f"lr must be positive, got {lr}")
+    if lr == math.inf:
+        raise InvalidBoundError(f"lr must be finite, got {lr}")
     if goal is not None and not goal > 0:
         raise InvalidBoundError(f"goal must be positive, got {goal}")
     corpus = list(corpus)
@@ -757,7 +732,8 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
 
     The central difference steps each sampled parameter by ``GRAD_STEP``.
     The loss is taken against a seeded random target that is constant on
-    trajectory-prefix classes.  ``n_samples`` below 1 raises
+    trajectory-prefix classes.  A NaN error anywhere makes the result NaN,
+    so it fails every tolerance.  ``n_samples`` below 1 raises
     ``InvalidBoundError``: a check of no parameter would pass vacuously.
     """
     if n_samples < 1:
@@ -780,7 +756,7 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
     _loss_value, grads = _loss(model, batch, with_grads=True)
     coords = [(name, arr, i) for name, arr in model.parameters() for i in range(arr.size)]
     picks = rng.choice(len(coords), size=min(n_samples, len(coords)), replace=False)
-    worst = 0.0
+    errors = []
     for pick in sorted(picks):
         name, arr, i = coords[pick]
         old = arr.flat[i]
@@ -791,9 +767,8 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
         arr.flat[i] = old
         numeric = (up - down) / (2.0 * GRAD_STEP)
         analytic = grads[name].flat[i]
-        err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-        worst = max(worst, err)
-    return float(worst)
+        errors.append(abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric)))
+    return float(np.max(errors))
 
 
 def model_params_json(model):
@@ -842,13 +817,14 @@ def expressivity_check(
     nodes whose color prefixes agree (their state prefixes must be
     bitwise equal).  The numeric models use the default ``hidden_dim`` and
     ``state_dim``.  ``seeds`` below 1 raises ``InvalidBoundError``, since
-    then no numeric model would be checked; so does ``layers`` below 1.
+    then no numeric model would be checked; so does a ``layers`` that is
+    None or below 1.
     """
     if not pairs:
         raise EmptyInputError("no pairs given")
     if seeds < 1:
         raise InvalidBoundError(f"seeds must be at least 1, got {seeds}")
-    if layers < 1:
+    if layers is None or layers < 1:
         raise InvalidBoundError(f"layers must be at least 1, got {layers}")
     report = ExpressivityReport()
     for idx, (g1, g2) in enumerate(pairs):

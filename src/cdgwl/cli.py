@@ -187,7 +187,7 @@ def _cmd_cgnn_gradcheck(args):
         temporal = TemporalConfig(mode=mode, state_dim=args.state_dim)
         err = gradient_check(probe, sgnn, temporal, n_samples=args.samples, seed=args.seed)
         checks.append({"mode": mode, "max_relative_error": err})
-    passed = max(c["max_relative_error"] for c in checks) <= args.tolerance
+    passed = all(c["max_relative_error"] <= args.tolerance for c in checks)
     return {"checks": checks, "tolerance": args.tolerance, "passed": passed}, passed
 
 

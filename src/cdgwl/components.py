@@ -56,13 +56,11 @@ class ComponentMatchVerdict:
     bijection: tuple | None = None
 
 
-def match_components(s1, s2, dictionary=None):
+def match_components(s1, s2):
     """Match components of two snapshots under one joint stable coloring."""
-    if dictionary is None:
-        dictionary = ColorDictionary()
     universes = [sorted(s1.nodes), sorted(s2.nodes)]
     snap, joint = merged_snapshot([s1, s2], universes)
-    colors, _ = awl_stable(snap, joint, dictionary)
+    colors, _ = awl_stable(snap, joint, ColorDictionary())
     parts = [components(s1), components(s2)]
 
     def comp_key(gi, comp):

@@ -71,11 +71,7 @@ class DimensionMismatchError(CdgError):
 
 
 class LengthMismatchError(CdgError):
-    """Compared trajectories have different lengths."""
-
-
-class DepthMismatchError(CdgError):
-    """Compared tree trajectories were built at different depths."""
+    """A stream has more intervals than a per-interval model has cells."""
 
 
 class InvalidBoundError(CdgError, ValueError):

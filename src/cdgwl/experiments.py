@@ -13,6 +13,7 @@ aside).  Counterexamples embed full stream serializations for replay.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -49,7 +50,8 @@ from .trees import (
     verify_cut_cwl_correspondence,
     verify_depth_bound,
 )
-from .wl import BIJECTION, graph_cwl_equivalent
+from .wl import compare_graphs
+
 
 def sub_seed(seed, *key):
     """Independent child seed for one instance of one stream of work."""
@@ -166,7 +168,7 @@ def _w_iso(args):
     g1, g2, mapping = generate_isomorphic_pair(cfg, sub_seed(seed, idx, 0))
     witness_ok = check_isomorphism_witness(g1, g2, mapping, IDENTITY)
     oracle = brute_force_isomorphic(g1, g2, IDENTITY)
-    cwl_ok = graph_cwl_equivalent(g1, g2, mode=BIJECTION)
+    cwl_ok = compare_graphs(g1, g2).equivalent
     if witness_ok and oracle.isomorphic and cwl_ok:
         return {"pairs_passed": 1}, []
     return {"pairs_passed": 0}, [{
@@ -181,7 +183,7 @@ def _w_iso(args):
 def _w_decomposition(args):
     seed, idx, n_nodes = args
     a, b = make_pair(seed, idx, n_nodes)
-    if not graph_cwl_equivalent(a, b, mode=BIJECTION):
+    if not compare_graphs(a, b).equivalent:
         return {"equivalent_pairs_checked": 0, "violations": 0}, []
     ces = [
         {"pair_index": idx, "timestamp_index": i, **_pair_json(a, b)}
@@ -281,7 +283,7 @@ def _w_approximation(args):
     )
     run = {"train_seed": train_seed}
     run.update((k, getattr(result, k)) for k in ("final_loss", "initial_loss", "steps_run"))
-    return run, [{"kind": "seed-missed-goal", **run}] if result.final_loss > goal else []
+    return run, [] if result.final_loss <= goal else [{"kind": "seed-missed-goal", **run}]
 
 
 GRADCHECK_CONFIG = GeneratorConfig(n_nodes=3, n_events=2, dim=1, attr_values=2)
@@ -294,7 +296,7 @@ def _w_gradcheck(args):
     temporal = TemporalConfig(mode=mode, state_dim=4, mlp_hidden=8)
     err = gradient_check(probe, sgnn, temporal, n_samples=samples, seed=probe_idx)
     check = {"probe": probe_idx, "mode": mode, "max_relative_error": err}
-    return check, [dict(check)] if err > tolerance else []
+    return check, [] if err <= tolerance else [dict(check)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +325,7 @@ def _decomposition_results(seed, sizes, rows, ces):
     tri, cyc = two_triangles(), six_cycle()
     verdict = match_components(snapshots(tri)[0], snapshots(cyc)[0])
     demo = {
-        "cwl_equivalent": graph_cwl_equivalent(tri, cyc, mode=BIJECTION),
+        "cwl_equivalent": compare_graphs(tri, cyc).equivalent,
         "cut_equivalent": graph_cut_equivalent(tri, cyc).equivalent,
         "isomorphic": brute_force_isomorphic(tri, cyc, IDENTITY).isomorphic,
         "class_counts_match": verdict.class_counts_match,
@@ -352,7 +354,7 @@ def _approximation_results(seed, sizes, rows, ces):
 
 
 def _gradcheck_results(seed, sizes, rows, ces):
-    worst = max(check["max_relative_error"] for check in rows)
+    worst = float(np.max([check["max_relative_error"] for check in rows]))
     return {"checks": rows, "tolerance": sizes["tolerance"], "max_relative_error": worst}, ces
 
 
@@ -422,9 +424,9 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
     Size overrides with value None fall back to the experiment's defaults;
     an integer size below 1 (below 0 for ``disconnected_pairs``, ``steps``
     and ``min_successes``) raises ``ValueError``, so no certification passes
-    on an empty corpus; so do a negative ``tolerance``, a ``goal`` or ``lr``
-    that is not positive, and ``jobs`` below 1.  ``out`` additionally writes
-    the JSON report to that path.
+    on an empty corpus; so do a negative ``tolerance``, a ``goal`` that is
+    not positive, an ``lr`` that is not positive and finite, and ``jobs``
+    below 1.  ``out`` additionally writes the JSON report to that path.
     """
     if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
@@ -442,6 +444,8 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
             bad, rule = v < least, f"at least {least}"
         elif k == "tolerance":
             bad, rule = not v >= 0, "at least 0"
+        elif k == "lr":
+            bad, rule = not 0 < v < math.inf, "positive and finite"
         else:
             bad, rule = not v > 0, "positive"
         if bad:

@@ -33,6 +33,9 @@ from .errors import GenerationExhaustedError
 # Candidate streams ``generate`` draws before giving up.
 MAX_ATTEMPTS = 200
 
+# Chance that a node id is alive in the start graph.
+P_START_NODE = 0.8
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -42,9 +45,7 @@ class GeneratorConfig:
     n_events: int = 8
     dim: int = 1
     attr_values: int = 4
-    p_start_node: float = 0.8
     p_start_edge: float = 0.5
-    allow_deletes: bool = True
     ensure_disconnected: bool = False
 
     def __post_init__(self):
@@ -68,7 +69,7 @@ def _half(v):
 def _build_start(rng, config, ids, alphabet):
     nodes = {}
     for v in ids:
-        if rng.random() < config.p_start_node:
+        if rng.random() < P_START_NODE:
             nodes[v] = _pick(rng, alphabet)
     if config.ensure_disconnected:
         for parity in (0, 1):
@@ -96,7 +97,7 @@ def _applicable_kinds(config, ids, live_nodes, live_edges, alphabet):
             for v in deletable
             if sum(1 for u in live_nodes if _half(u) == _half(v)) > 1
         ]
-    if config.allow_deletes and deletable:
+    if deletable:
         kinds.append("delete-node")
     addable_edges = [
         (u, v)
@@ -106,7 +107,7 @@ def _applicable_kinds(config, ids, live_nodes, live_edges, alphabet):
     ]
     if addable_edges:
         kinds.append("add-edge")
-    if config.allow_deletes and live_edges:
+    if live_edges:
         kinds.append("delete-edge")
     if live_nodes and len(alphabet) > 1:
         kinds.append("attr-node")

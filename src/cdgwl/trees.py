@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cdg import adjacency, attr_bytes
-from .errors import DepthMismatchError, EmptyInputError, InvalidBoundError, LengthMismatchError
+from .errors import EmptyInputError, InvalidBoundError
 from .wl import (
     ColorDictionary,
     _by_graph,
@@ -218,26 +218,15 @@ def cut_trajectories(cdgs, depth=None, dictionary=None):
     ]
 
 
-def node_cut_equivalent(traj_a, traj_b):
-    """Entrywise tree-trajectory equality; depth and length must match."""
-    if traj_a.depth != traj_b.depth:
-        raise DepthMismatchError(f"depths differ: {traj_a.depth} vs {traj_b.depth}")
-    if len(traj_a.sigs) != len(traj_b.sigs):
-        raise LengthMismatchError(
-            f"trajectory lengths differ: {len(traj_a.sigs)} vs {len(traj_b.sigs)}"
-        )
-    return traj_a.sigs == traj_b.sigs
-
-
 @dataclass(frozen=True)
 class CutVerdict:
     equivalent: bool
     bijection: dict | None = None
 
 
-def graph_cut_equivalent(g1, g2, depth=None, dictionary=None):
+def graph_cut_equivalent(g1, g2, depth=None):
     """Multiset equality of tree trajectories, with a witness on success."""
-    t1, t2 = cut_trajectories([g1, g2], depth=depth, dictionary=dictionary)
+    t1, t2 = cut_trajectories([g1, g2], depth=depth)
     if Counter(tr.sigs for tr in t1.values()) != Counter(tr.sigs for tr in t2.values()):
         return CutVerdict(False)
     order1 = sorted(t1, key=lambda v: (t1[v].sigs, v))

@@ -45,7 +45,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidBoundError,
-    LengthMismatchError,
     TimestampMismatchError,
 )
 
@@ -625,13 +624,6 @@ def cwl(cdgs, depth=None, dictionary=None):
     return _by_graph(colors, universes)
 
 
-def node_cwl_equivalent(traj_a, traj_b):
-    """Entrywise trajectory equality; lengths must match."""
-    if len(traj_a) != len(traj_b):
-        raise LengthMismatchError(f"trajectory lengths differ: {len(traj_a)} vs {len(traj_b)}")
-    return traj_a == traj_b
-
-
 @dataclass(frozen=True)
 class GraphComparison:
     equivalent: bool
@@ -639,7 +631,7 @@ class GraphComparison:
     first_divergence: int | None
 
 
-def compare_graphs(g1, g2, mode=BIJECTION, dictionary=None):
+def compare_graphs(g1, g2, mode=BIJECTION):
     """Graph-level verdict over a shared refinement session.
 
     ``bijection`` mode demands equal trajectory multisets, ``existence``
@@ -649,7 +641,7 @@ def compare_graphs(g1, g2, mode=BIJECTION, dictionary=None):
     """
     if mode not in (BIJECTION, EXISTENCE):
         raise ValueError(f"unknown comparison mode {mode!r}")
-    t1, t2 = cwl([g1, g2], dictionary=dictionary)
+    t1, t2 = cwl([g1, g2])
     summary = Counter if mode == BIJECTION else set
     equivalent = summary(t1.values()) == summary(t2.values())
     diverged = (
@@ -658,7 +650,3 @@ def compare_graphs(g1, g2, mode=BIJECTION, dictionary=None):
     )
     first = None if equivalent else next(diverged, None)
     return GraphComparison(equivalent, (t1, t2), first)
-
-
-def graph_cwl_equivalent(g1, g2, mode=BIJECTION, dictionary=None):
-    return compare_graphs(g1, g2, mode=mode, dictionary=dictionary).equivalent

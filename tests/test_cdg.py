@@ -21,7 +21,6 @@ from cdgwl import (
     attr_bytes,
     edge_key,
     generate,
-    neighbors,
     replay,
     snapshots,
     timestamps,
@@ -159,9 +158,10 @@ def test_neighbors_and_adjacency_agree():
     g = churn_cdg()
     for s in snapshots(g):
         adj = adjacency(s)
+        assert set(adj) == set(s.nodes)
         for v in s.nodes:
-            assert set(adj[v]) == neighbors(s, v)
-        assert neighbors(s, "ghost") == set()
+            edges = {(b if a == v else a, w) for (a, b), w in s.edges.items() if v in (a, b)}
+            assert set(adj[v]) == edges
 
 
 def test_dim_inference_requires_an_attribute():

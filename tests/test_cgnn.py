@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from cdgwl import (
     DimensionMismatchError,
     Event,
     GeneratorConfig,
-    IDENTITY_ACT,
     InvalidBoundError,
     LengthMismatchError,
     MalformedTargetError,
@@ -53,15 +53,13 @@ from cdgwl import (
     two_triangles,
     universe,
 )
-from cdgwl import experiments
+from cdgwl import cgnn, experiments
 from conftest import A, B, delete_readd_cdg, k3, static_cdg
 
 
-def numeric_cfg(layers=2, hidden=4, state=4, mode=PER_INTERVAL, act=None):
-    sg = SgnnConfig(mode=NUMERIC, layers=layers, hidden_dim=hidden, mlp_hidden=8,
-                    activation=act or "tanh")
-    tc = TemporalConfig(mode=mode, state_dim=state, mlp_hidden=8,
-                        activation=act or "tanh")
+def numeric_cfg(layers=2, hidden=4, state=4, mode=PER_INTERVAL):
+    sg = SgnnConfig(mode=NUMERIC, layers=layers, hidden_dim=hidden, mlp_hidden=8)
+    tc = TemporalConfig(mode=mode, state_dim=state, mlp_hidden=8)
     return sg, tc
 
 
@@ -200,6 +198,11 @@ def test_expressivity_check_needs_a_numeric_seed():
     assert isinstance(err.value, CdgError) and isinstance(err.value, ValueError)
 
 
+def test_expressivity_check_needs_a_layer_count():
+    with pytest.raises(InvalidBoundError, match="layers must be at least 1, got None"):
+        expressivity_check([make_pair(21, 0)], layers=None)
+
+
 def test_expressivity_on_blind_spot_pair():
     tri, cyc = two_triangles(), six_cycle()
     report = expressivity_check([(tri, cyc)], seeds=2, layers=3)
@@ -215,11 +218,6 @@ def test_target_conflicts_detected():
     # consistent duplicates are fine
     t = CdynTarget.from_entries([(0, (1,), (1.0,)), (0, (1,), (1.0,))], 1)
     assert t.value_for(0, (1,)) == (1.0,)
-
-    g = static_cdg(k3())  # all three nodes share every prefix
-    labels = {(0, "a", 0): (1.0,), (0, "b", 0): (0.0,)}
-    with pytest.raises(TargetNotCutRespectingError):
-        CdynTarget.from_node_labels([g], labels, 1)
 
 
 def test_target_lookup_and_json_round_trip():
@@ -241,16 +239,6 @@ def test_prefix_indicator_marks_anchor_class():
     assert target.value_for(0, (99999,)) == (0.0,)
 
 
-def test_constant_target_fits_below_1e6():
-    corpus = [generate(GeneratorConfig(n_nodes=3, n_events=2), seed=s) for s in (31, 32)]
-    target = CdynTarget.from_entries([], 1, default=(0.7,))
-    result = train_to_target(
-        corpus, target, *numeric_cfg(layers=1, act=IDENTITY_ACT),
-        steps=2000, lr=0.3, seed=0, goal=1e-7,
-    )
-    assert result.final_loss < 1e-6
-
-
 def test_training_is_seed_deterministic():
     corpus = [generate(GeneratorConfig(n_nodes=3, n_events=2), seed=40)]
     target = CdynTarget.from_entries([], 1, default=(0.25,))
@@ -258,12 +246,6 @@ def test_training_is_seed_deterministic():
     r2 = train_to_target(corpus, target, *numeric_cfg(layers=1), steps=50, lr=0.2, seed=9)
     assert r1.final_loss == r2.final_loss
     assert r1.initial_loss == r2.initial_loss
-
-
-def test_gradient_check_identity_activations():
-    probe = generate(GeneratorConfig(n_nodes=3, n_events=2), seed=50)
-    sg, tc = numeric_cfg(layers=2, act=IDENTITY_ACT)
-    assert gradient_check(probe, sg, tc, n_samples=40, seed=1) <= 1e-9
 
 
 @pytest.mark.parametrize("mode", [PER_INTERVAL, SHARED_DT])
@@ -288,6 +270,18 @@ def test_gradient_check_needs_a_sample():
         assert isinstance(err.value, ValueError)
 
 
+def test_gradient_check_keeps_a_nan_error(monkeypatch):
+    # max(0.0, nan) is 0.0, so a fold with max() would report a clean check
+    loss = cgnn._loss
+
+    def nan_loss(model, batch, with_grads=False):
+        return loss(model, batch, True) if with_grads else float("nan")
+
+    monkeypatch.setattr(cgnn, "_loss", nan_loss)
+    probe = generate(GeneratorConfig(n_nodes=3, n_events=2), seed=53)
+    assert math.isnan(gradient_check(probe, *numeric_cfg(), n_samples=5))
+
+
 def test_training_loss_matches_gradient_path_loss():
     corpus = [generate(GeneratorConfig(n_nodes=3, n_events=2), seed=60)]
     target = CdynTarget.from_entries([], 1, default=(0.1,))
@@ -301,13 +295,12 @@ def test_training_loss_matches_gradient_path_loss():
     assert set(grads) == {name for name, _ in model.parameters()}
 
 
-@pytest.mark.parametrize("width", range(1, 18))
-@pytest.mark.parametrize("act", ["tanh", IDENTITY_ACT])
-def test_mlp_rows_do_not_depend_on_the_batch(width, act):
+@pytest.mark.parametrize("width", range(1, 18), ids=lambda width: f"tanh-{width}")
+def test_mlp_rows_do_not_depend_on_the_batch(width):
     # a row's output must be bitwise the same alone, in any batch, at any
     # position and through a strided view: criterion 6 rests on it
-    rng = np.random.default_rng([width, act == "tanh"])
-    mlp = Mlp.init(rng, width, 16, int(rng.integers(1, 18)), act)
+    rng = np.random.default_rng([width, 1])
+    mlp = Mlp.init(rng, width, 16, int(rng.integers(1, 18)))
     base = rng.normal(size=(306, 2 * width))
     views = [np.ascontiguousarray(base[:, :width]), base[:, :width], base[:, ::2]]
     for x in views:

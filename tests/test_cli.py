@@ -228,6 +228,7 @@ def test_cgnn_train_writes_params(tmp_path, capsys):
         (["--hidden-dim", "0"], "SgnnConfig.hidden_dim must be at least 1, got 0"),
         (["--hidden-dim", "-2"], "SgnnConfig.hidden_dim must be at least 1, got -2"),
         (["--state-dim", "0"], "TemporalConfig.state_dim must be at least 1, got 0"),
+        (["--lr", "inf"], "lr must be finite, got inf"),
     ],
 )
 def test_cgnn_train_out_of_range_exits_2(flags, message, tmp_path, capsys):
@@ -300,6 +301,20 @@ def test_cgnn_gradcheck(tmp_path, capsys):
     )
     assert code == 0 and payload["passed"] is True
     assert {c["mode"] for c in payload["checks"]} == {"per-interval", "shared-dt"}
+
+
+def test_cgnn_gradcheck_nan_error_fails(tmp_path, capsys, monkeypatch):
+    # the NaN comes second, where max() over the checks would drop it
+    errors = {"per-interval": 0.0, "shared-dt": float("nan")}
+
+    def check(probe, sgnn, temporal, n_samples, seed):
+        return errors[temporal.mode]
+
+    monkeypatch.setattr(cli, "gradient_check", check)
+    probe = tmp_path / "probe.jsonl"
+    save_cdg(probe, generate(GeneratorConfig(n_nodes=3, n_events=2), seed=6))
+    code, payload, _ = run_cli(capsys, "cgnn", "gradcheck", "--probe", str(probe))
+    assert code == 1 and payload["passed"] is False
 
 
 @pytest.mark.parametrize(
@@ -451,6 +466,7 @@ def test_malformed_jsonl_exits_2_naming_line_and_field(case, tmp_path, capsys):
             "tolerance must be at least 0",
         ),
         (["run", "approximation", "--goal", "-5", "--lr", "-3"], "lr must be positive"),
+        (["run", "approximation", "--lr", "inf"], "lr must be positive and finite, got inf"),
     ],
 )
 def test_out_of_range_counts_exit_2(argv, message, tmp_path, capsys):

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
 from cdgwl import (
     EXPERIMENT_NAMES,
+    SHARED_DT,
     CdgError,
     Report,
+    TrainResult,
     check_comparable,
     cdg_to_jsonl,
     expressivity_check,
@@ -115,11 +118,35 @@ def test_sizes_below_the_least_are_rejected(name, sizes, bad):
         ("approximation", {"goal": 0.0}, "goal must be positive"),
         ("approximation", {"lr": -3.0}, "lr must be positive"),
         ("approximation", {"lr": float("nan")}, "lr must be positive"),
+        ("approximation", {"lr": float("inf")}, "lr must be positive and finite"),
     ],
 )
 def test_float_sizes_out_of_range_are_rejected(name, sizes, message):
     with pytest.raises(ValueError, match=f"experiment {name!r}: {message}"):
         run_experiment(name, seed=0, **sizes)
+
+
+def test_nan_training_loss_fails_approximation(monkeypatch):
+    def diverged(corpus, target, sgnn, temporal, steps, lr, seed, goal):
+        return TrainResult(None, float("nan"), steps, float("nan"))
+
+    monkeypatch.setattr(experiments, "train_to_target", diverged)
+    report = run_experiment("approximation", seed=0, **TINY["approximation"])
+    assert not report.passed
+    assert report.results["successes"] == 0
+    assert [c["kind"] for c in report.counterexamples] == ["seed-missed-goal"] * 2
+
+
+def test_nan_gradient_error_fails_gradcheck(monkeypatch):
+    # probe 0's shared-dt check comes second, where max() over the checks would drop it
+    def check(probe, sgnn, temporal, n_samples, seed):
+        return float("nan") if (seed, temporal.mode) == (0, SHARED_DT) else 0.0
+
+    monkeypatch.setattr(experiments, "gradient_check", check)
+    report = run_experiment("gradcheck", seed=0, **TINY["gradcheck"])
+    assert not report.passed
+    assert math.isnan(report.results["max_relative_error"])
+    assert [(c["probe"], c["mode"]) for c in report.counterexamples] == [(0, SHARED_DT)]
 
 
 def test_zero_is_allowed_where_a_run_still_certifies():

@@ -5,12 +5,9 @@ import pytest
 from cdgwl import (
     ColorDictionary,
     CutVerdict,
-    DepthMismatchError,
     EMPTY_TREE,
     GeneratorConfig,
     InvalidBoundError,
-    LengthMismatchError,
-    TreeTrajectory,
     UnfoldingTree,
     cut_trajectories,
     cwl,
@@ -20,7 +17,6 @@ from cdgwl import (
     graph_cut_equivalent,
     make_pair,
     merged_snapshot,
-    node_cut_equivalent,
     refine_at_depth,
     partition_of,
     signature,
@@ -112,14 +108,6 @@ def test_tree_sigs_stable_matches_color_stabilization():
     sigs, depth = tree_sigs_stable(s, ["a", "b", "c"], ColorDictionary())
     assert partition_of(sigs) == frozenset({frozenset({"a", "c"}), frozenset({"b"})})
     assert depth <= 3
-
-
-def test_node_cut_equivalent_guards():
-    with pytest.raises(DepthMismatchError):
-        node_cut_equivalent(TreeTrajectory(2, (1,)), TreeTrajectory(3, (1,)))
-    with pytest.raises(LengthMismatchError):
-        node_cut_equivalent(TreeTrajectory(2, (1,)), TreeTrajectory(2, (1, 2)))
-    assert node_cut_equivalent(TreeTrajectory(2, (1, 2)), TreeTrajectory(2, (1, 2)))
 
 
 def test_graph_cut_equivalence_on_permuted_copy():

@@ -15,7 +15,6 @@ from cdgwl import (
     EXISTENCE,
     Event,
     GeneratorConfig,
-    LengthMismatchError,
     StartGraph,
     TimestampMismatchError,
     awl_init,
@@ -27,12 +26,10 @@ from cdgwl import (
     cwl,
     generate,
     generate_isomorphic_pair,
-    graph_cwl_equivalent,
     is_disconnected,
     make_pair,
     merged_snapshot,
     NODE,
-    node_cwl_equivalent,
     partition_of,
     snapshots,
     universe,
@@ -119,7 +116,7 @@ def test_joint_refinement_makes_graphs_comparable():
     g = churn_cdg()
     t1, t2 = cwl([g, g])
     assert t1 == t2
-    assert graph_cwl_equivalent(g, g)
+    assert compare_graphs(g, g).equivalent
 
 
 def test_permutation_equivariance_of_partitions():
@@ -133,8 +130,8 @@ def test_permutation_equivariance_of_partitions():
 def test_bijection_vs_existence_modes():
     two = Cdg(StartGraph({"a": A, "b": A}, {}))
     three = Cdg(StartGraph({"x": A, "y": A, "z": A}, {}))
-    assert graph_cwl_equivalent(two, three, mode=EXISTENCE)
-    assert not graph_cwl_equivalent(two, three, mode=BIJECTION)
+    assert compare_graphs(two, three, mode=EXISTENCE).equivalent
+    assert not compare_graphs(two, three, mode=BIJECTION).equivalent
 
 
 def test_first_divergence_reported():
@@ -148,13 +145,6 @@ def test_first_divergence_reported():
 
     t1, t2 = verdict.trajectories
     assert Counter(tr[i] for tr in t1.values()) != Counter(tr[i] for tr in t2.values())
-
-
-def test_node_cwl_equivalent_checks_length():
-    with pytest.raises(LengthMismatchError):
-        node_cwl_equivalent((1, 2), (1, 2, 3))
-    assert node_cwl_equivalent((1, 2), (1, 2))
-    assert not node_cwl_equivalent((1, 2), (1, 3))
 
 
 def test_check_comparable_raises():
