@@ -4,8 +4,8 @@ The package models a dynamic graph as a start graph plus an ordered stream
 of timestamped events.  On top of that it provides per-snapshot color
 refinement with per-node color trajectories, unfolding-tree signatures
 with the decisive depth bound, a brute-force isomorphism oracle,
-component decomposition and matching, a two-mode (symbolic / numeric)
-dynamic network with training and gradient checking, and seeded
+component decomposition and matching, a trainable dynamic network with
+gradient checking and its injective symbolic counterpart, and seeded
 certification experiments tying those pieces together.
 """
 
@@ -38,7 +38,6 @@ from .cgnn import (
     NUMERIC,
     PER_INTERVAL,
     SHARED_DT,
-    SYMBOLIC,
     SgnnConfig,
     StateMatrix,
     TemporalConfig,
@@ -53,7 +52,6 @@ from .cgnn import (
     symbolic_state_trajectories,
     train_to_target,
     training_loss,
-    trajectory_prefixes,
 )
 from .components import (
     ComponentMatchVerdict,

@@ -147,39 +147,25 @@ def apply_event(snapshot, event):
         )
     nodes = dict(snapshot.nodes)
     edges = dict(snapshot.edges)
-    if event.item == NODE:
-        nid = event.key
-        if event.kind == ADD:
-            if nid in nodes:
-                raise AddExistingError(f"node {nid!r} already present")
-            nodes[nid] = event.attr
-        elif event.kind == DELETE:
-            if nid not in nodes:
-                raise DeleteMissingError(f"node {nid!r} not present")
-            del nodes[nid]
-            for pair in [p for p in edges if nid in p]:
-                del edges[pair]
-        else:
-            if nid not in nodes:
-                raise AttrChangeMissingError(f"node {nid!r} not present")
-            nodes[nid] = event.attr
-    else:
-        pair = event.key
-        if event.kind == ADD:
-            if pair in edges:
-                raise AddExistingError(f"edge {pair!r} already present")
-            for end in pair:
+    key, kind = event.key, event.kind
+    items = nodes if event.item == NODE else edges
+    if kind == ADD:
+        if key in items:
+            raise AddExistingError(f"{event.item} {key!r} already present")
+        if items is edges:
+            for end in key:
                 if end not in nodes:
-                    raise EdgeEndpointMissingError(f"endpoint {end!r} missing for edge {pair!r}")
-            edges[pair] = event.attr
-        elif event.kind == DELETE:
-            if pair not in edges:
-                raise DeleteMissingError(f"edge {pair!r} not present")
-            del edges[pair]
-        else:
-            if pair not in edges:
-                raise AttrChangeMissingError(f"edge {pair!r} not present")
-            edges[pair] = event.attr
+                    raise EdgeEndpointMissingError(f"endpoint {end!r} missing for edge {key!r}")
+    elif key not in items:
+        missing = DeleteMissingError if kind == DELETE else AttrChangeMissingError
+        raise missing(f"{event.item} {key!r} not present")
+    if kind == DELETE:
+        del items[key]
+        if items is nodes:
+            for pair in [p for p in edges if key in p]:
+                del edges[pair]
+    else:
+        items[key] = event.attr
     return Snapshot(time=event.time, nodes=nodes, edges=edges)
 
 

@@ -6,12 +6,13 @@ running state.  Nodes that are not alive carry no state (a None marker,
 never a zero vector); a node that reappears restarts from its fresh
 embedding.
 
-Two modes share this shape.  Symbolic mode realizes the encoder as
-injective color refinement and the recurrent update as injective pairing,
-so states are ids that carry exactly the refinement history.  Numeric mode
-is a trainable float network with hand-written backpropagation.
+The network is trainable, with hand-written backpropagation.  Its
+injective counterpart, refinement as the encoder and injective pairing as
+the update, is ``symbolic_state_trajectories``: states there are ids that
+carry exactly the refinement history, and ``expressivity_check`` compares
+the two.
 
-Numeric mode runs a whole corpus as one batch: every live (graph,
+The network runs a whole corpus as one batch: every live (graph,
 timestamp, node) is a slot, each encoder layer is one MLP call over its
 edge rows and one over its node rows, and each interval one cell call.  An
 embedding depends only on the node's L-hop ball, and one event changes few
@@ -57,7 +58,6 @@ from .wl import (
     partition_of,
 )
 
-SYMBOLIC = "symbolic"
 NUMERIC = "numeric"
 PER_INTERVAL = "per-interval"
 SHARED_DT = "shared-dt"
@@ -67,13 +67,12 @@ SHARED_DT = "shared-dt"
 class SgnnConfig:
     """Encoder hyperparameters.
 
-    ``layers=None`` lets symbolic mode refine to stabilization; numeric
-    mode always needs an explicit count (``depth_bound(n)`` recovers the
-    decisive default for graphs of at most ``n`` nodes).
+    ``depth_bound(n)`` is the decisive layer count for graphs of at most
+    ``n`` nodes.  ``mode`` has the one value ``NUMERIC``.
     """
 
     mode: str = NUMERIC
-    layers: int | None = 3
+    layers: int = 3
     hidden_dim: int = 8
     mlp_hidden: int = 16
 
@@ -140,32 +139,27 @@ class StateMatrix:
 
 @dataclass
 class CgnnModel:
-    """Configs plus parameters; symbolic models carry a dictionary instead."""
+    """Configs plus parameters; ``adapter`` is None when ``hidden_dim == state_dim``."""
 
     sgnn: SgnnConfig
     temporal: TemporalConfig
     attr_dim: int
     out_dim: int
     n_intervals: int
-    aggr: list | None = None
-    comb: list | None = None
-    cells: list | None = None
-    readout_net: Mlp | None = None
-    adapter: list | None = None
-    dictionary: ColorDictionary | None = None
+    aggr: list
+    comb: list
+    cells: list
+    readout_net: Mlp
+    adapter: list | None
 
     @classmethod
     def init(cls, attr_dim, out_dim, sgnn, temporal, n_intervals, seed=0):
-        if sgnn.mode == SYMBOLIC:
-            return cls(sgnn, temporal, attr_dim, out_dim, n_intervals, dictionary=ColorDictionary())
         if sgnn.mode != NUMERIC:
             raise ValueError(f"unknown encoder mode {sgnn.mode!r}")
-        if sgnn.layers is None:
-            raise ValueError("numeric mode needs an explicit layer count")
         for cfg, name in ((sgnn, "layers"), (sgnn, "hidden_dim"), (sgnn, "mlp_hidden"),
                           (temporal, "state_dim"), (temporal, "mlp_hidden")):
             size = getattr(cfg, name)
-            if size < 1:
+            if size is None or size < 1:
                 raise InvalidBoundError(f"{type(cfg).__name__}.{name} must be at least 1, got {size}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         r, s, d = sgnn.hidden_dim, temporal.state_dim, attr_dim
@@ -190,8 +184,6 @@ class CgnnModel:
         )
 
     def parameters(self):
-        if self.sgnn.mode == SYMBOLIC:
-            return []
         out = []
         for li, m in enumerate(self.aggr):
             out.extend(m.named(f"aggr{li}"))
@@ -468,14 +460,7 @@ def _check_fits(model, dims, n_intervals):
 
 
 def sgnn_forward(snapshot, universe_, model):
-    """Per-node embeddings for one snapshot (None for absent nodes).
-
-    Symbolic embeddings are color ids after the configured round count, or
-    after stabilization when the count is None.
-    """
-    if model.sgnn.mode == SYMBOLIC:
-        colors = _colors_at(snapshot, sorted(universe_), model.dictionary, model.sgnn.layers)
-        return {v: (None if c == BOTTOM else c) for v, c in colors.items()}
+    """Per-node embeddings for one snapshot (None for absent nodes)."""
     attrs = (*snapshot.nodes.values(), *snapshot.edges.values())
     _check_fits(model, set(map(len, attrs)), 0)
     stream = (universe_, snapshot.nodes, snapshot.edges, ())
@@ -488,13 +473,6 @@ def sgnn_forward(snapshot, universe_, model):
 
 def cgnn_forward(cdg_, model):
     """States at every timestamp of one dynamic graph."""
-    if model.sgnn.mode == SYMBOLIC:
-        (h_tr,), (q_tr,) = symbolic_state_trajectories([cdg_], model.dictionary, model.sgnn.layers)
-        return [
-            StateMatrix(t, {v: tr[i] for v, tr in h_tr.items()},
-                        {v: tr[i] for v, tr in q_tr.items()})
-            for i, t in enumerate(timestamps(cdg_))
-        ]
     _check_fits(model, {cdg_.dim}, len(cdg_.events))
     us = universe(cdg_)
     batch = _Batch([_stream(cdg_)], cdg_.dim, model.sgnn.layers)
@@ -536,8 +514,6 @@ def symbolic_state_trajectories(cdgs, dictionary=None, layers=None):
 def readout(state_matrix, model):
     """Per-node outputs; absent nodes map to the designated zero output."""
     states = state_matrix.state
-    if model.sgnn.mode == SYMBOLIC:
-        return {v: 0 if q is None else q for v, q in states.items()}
     out = {v: np.zeros(model.out_dim) for v in states}
     live = [v for v, q in states.items() if q is not None]
     if live:
@@ -592,7 +568,7 @@ class CdynTarget:
     @classmethod
     def prefix_indicator(cls, corpus, anchor_graph, anchor_node):
         """Indicator of the anchor node's trajectory-prefix class, per timestamp."""
-        trajs = trajectory_prefixes(corpus)
+        trajs = cut_trajectories(list(corpus))
         anchor = trajs[anchor_graph][anchor_node].sigs
         entries = [(i, anchor[: i + 1], (1.0,)) for i in range(len(anchor))]
         return cls.from_entries(entries, 1, default=(0.0,))
@@ -651,11 +627,6 @@ def _field(obj, name, ok, expected, within=None):
     return _require(ok(obj[name]), field, expected, obj[name])
 
 
-def trajectory_prefixes(corpus):
-    """Tree trajectories of a corpus in one canonical session."""
-    return cut_trajectories(list(corpus))
-
-
 # ---------------------------------------------------------------------------
 # Loss, gradients, training
 
@@ -665,7 +636,7 @@ def _corpus_batch(model, corpus, target, prefixes):
     for g in corpus:
         _check_fits(model, {g.dim}, len(g.events))
     if prefixes is None:
-        prefixes = trajectory_prefixes(corpus)
+        prefixes = cut_trajectories(corpus)
     return _Batch([_stream(g) for g in corpus], model.attr_dim, model.sgnn.layers, target, prefixes)
 
 
@@ -734,12 +705,14 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
     The loss is taken against a seeded random target that is constant on
     trajectory-prefix classes.  A NaN error anywhere makes the result NaN,
     so it fails every tolerance.  ``n_samples`` below 1 raises
-    ``InvalidBoundError``: a check of no parameter would pass vacuously.
+    ``InvalidBoundError`` and a probe with no live node ``EmptyInputError``:
+    a check of no parameter, or of a loss that is 0 whatever the
+    parameters, would pass vacuously.
     """
     if n_samples < 1:
         raise InvalidBoundError(f"samples must be at least 1, got {n_samples}")
     corpus = [probe]
-    prefixes = trajectory_prefixes(corpus)
+    prefixes = cut_trajectories(corpus)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
     keys = {
         (i, traj.sigs[: i + 1])
@@ -747,6 +720,8 @@ def gradient_check(probe, sgnn, temporal, n_samples=25, seed=0):
         for i, sig in enumerate(traj.sigs)
         if sig
     }
+    if not keys:
+        raise EmptyInputError("the probe has no live node, so its loss has no gradient")
     entries = [(i, prefix, (float(rng.uniform(-1.0, 1.0)),)) for i, prefix in sorted(keys)]
     target = CdynTarget.from_entries(entries, 1)
     model = CgnnModel.init(
@@ -809,7 +784,7 @@ def expressivity_check(
     temporal_mode=PER_INTERVAL,
     base_seed=0,
 ):
-    """Compare color refinement against both network modes, per prefix.
+    """Compare color refinement against symbolic states and the network, per prefix.
 
     For every pair and every prefix length: the partition of nodes by
     symbolic state prefix must equal the partition by color-trajectory

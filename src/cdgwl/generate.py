@@ -24,10 +24,8 @@ from .cdg import (
     NODE,
     StartGraph,
     edge_key,
-    snapshots,
     universe,
 )
-from .components import is_disconnected
 from .errors import GenerationExhaustedError
 
 # Candidate streams ``generate`` draws before giving up.
@@ -165,7 +163,7 @@ def _try_stream(rng, config, ids, alphabet):
 
 
 def generate(config, seed=0):
-    """One random valid stream; retries until constraints hold.
+    """One random valid stream; a candidate left with no applicable event is redrawn.
 
     ``seed`` may be an int, a ``numpy`` SeedSequence, or a Generator.
     """
@@ -176,13 +174,8 @@ def generate(config, seed=0):
     alphabet = _alphabet(config)
     for _ in range(MAX_ATTEMPTS):
         g = _try_stream(rng, config, ids, alphabet)
-        if g is None:
-            continue
-        if config.ensure_disconnected and not all(
-            is_disconnected(s) for s in snapshots(g)
-        ):
-            continue
-        return g
+        if g is not None:
+            return g
     raise GenerationExhaustedError(f"no valid stream after {MAX_ATTEMPTS} attempts")
 
 

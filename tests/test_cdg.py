@@ -6,10 +6,13 @@ from cdgwl import (
     ADD,
     ATTR_CHANGE,
     AddExistingError,
+    AttrChangeMissingError,
     Cdg,
+    CdgError,
     DELETE,
     DeleteMissingError,
     EDGE,
+    EdgeEndpointMissingError,
     Event,
     GeneratorConfig,
     InvalidCdgError,
@@ -87,6 +90,28 @@ def test_apply_event_rejections():
         apply_event(s, Event(0.5, NODE, "zz", DELETE))
     with pytest.raises(ValueError):
         apply_event(s, Event(0.0, NODE, "z", ADD, A))  # not after snapshot time
+
+
+@pytest.mark.parametrize(
+    "item, key, kind, error, message",
+    [
+        (NODE, "a", ADD, AddExistingError, "node 'a' already present"),
+        (NODE, "x", DELETE, DeleteMissingError, "node 'x' not present"),
+        (NODE, "x", ATTR_CHANGE, AttrChangeMissingError, "node 'x' not present"),
+        (EDGE, ("a", "b"), ADD, AddExistingError, "edge ('a', 'b') already present"),
+        (EDGE, ("x", "y"), ADD, EdgeEndpointMissingError,
+         "endpoint 'x' missing for edge ('x', 'y')"),
+        (EDGE, ("a", "y"), ADD, EdgeEndpointMissingError,
+         "endpoint 'y' missing for edge ('a', 'y')"),
+        (EDGE, ("b", "c"), DELETE, DeleteMissingError, "edge ('b', 'c') not present"),
+        (EDGE, ("b", "c"), ATTR_CHANGE, AttrChangeMissingError, "edge ('b', 'c') not present"),
+    ],
+)
+def test_apply_event_failure_types_and_messages(item, key, kind, error, message):
+    s = snapshots(churn_cdg())[0]  # nodes a, b, c; edge (a, b)
+    with pytest.raises(CdgError) as err:
+        apply_event(s, Event(0.5, item, key, kind, None if kind == DELETE else A))
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_validate_stream_collects_diagnostics():

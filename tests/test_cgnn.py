@@ -15,6 +15,7 @@ from cdgwl import (
     CdynTarget,
     CgnnModel,
     DimensionMismatchError,
+    EmptyInputError,
     Event,
     GeneratorConfig,
     InvalidBoundError,
@@ -25,13 +26,13 @@ from cdgwl import (
     NUMERIC,
     PER_INTERVAL,
     SHARED_DT,
-    SYMBOLIC,
     SgnnConfig,
     StartGraph,
     TargetNotCutRespectingError,
     TargetUndefinedError,
     TemporalConfig,
     cgnn_forward,
+    cut_trajectories,
     expressivity_check,
     generate,
     generate_isomorphic_pair,
@@ -49,7 +50,6 @@ from cdgwl import (
     symbolic_state_trajectories,
     train_to_target,
     training_loss,
-    trajectory_prefixes,
     two_triangles,
     universe,
 )
@@ -71,15 +71,6 @@ def test_isolated_node_uses_empty_sum():
     x = np.concatenate([np.asarray(A), np.zeros(sg.hidden_dim)])[None, :]
     expected = model.comb[0].forward(x)[0][0]
     assert h.tobytes() == expected.tobytes()
-
-
-def test_symbolic_k3_is_uniform():
-    g = static_cdg(k3())
-    model = CgnnModel.init(1, 1, SgnnConfig(mode=SYMBOLIC, layers=None),
-                           TemporalConfig(), n_intervals=0)
-    h = sgnn_forward(replay(g, 0.0), universe(g), model)
-    assert len(set(h.values())) == 1
-    assert None not in h.values()
 
 
 def test_equivalent_nodes_get_bitwise_equal_embeddings():
@@ -141,10 +132,6 @@ def test_readout_conventions():
     out = readout(sm[1], model)
     assert np.array_equal(out["b"], np.zeros(2))
     assert out["a"].shape == (2,)
-    sym = CgnnModel.init(1, 1, SgnnConfig(mode=SYMBOLIC, layers=None),
-                         TemporalConfig(), n_intervals=len(g.events))
-    sout = readout(cgnn_forward(g, sym)[1], sym)
-    assert sout["b"] == 0 and sout["a"] != 0
 
 
 def test_permutation_equivariance_bitwise():
@@ -171,7 +158,8 @@ def test_model_init_guards():
         CgnnModel.init(1, 1, SgnnConfig(mode="bogus"), TemporalConfig(), 2)
     with pytest.raises(ValueError):
         CgnnModel.init(1, 1, SgnnConfig(mode=NUMERIC), TemporalConfig(mode="bogus"), 2)
-    assert CgnnModel.init(1, 1, SgnnConfig(mode=SYMBOLIC), TemporalConfig(), 2).parameters() == []
+    with pytest.raises(ValueError, match="unknown encoder mode 'symbolic'"):
+        CgnnModel.init(1, 1, SgnnConfig(mode="symbolic"), TemporalConfig(), 2)
     for sg, tc, message in [
         (SgnnConfig(layers=0), TemporalConfig(), "SgnnConfig.layers must be at least 1, got 0"),
         (SgnnConfig(hidden_dim=0), TemporalConfig(), "SgnnConfig.hidden_dim must be at least 1"),
@@ -234,7 +222,7 @@ def test_target_lookup_and_json_round_trip():
 def test_prefix_indicator_marks_anchor_class():
     g = static_cdg(k3())
     target = CdynTarget.prefix_indicator([g], 0, "a")
-    prefix = trajectory_prefixes([g])[0]["a"].sigs
+    prefix = cut_trajectories([g])[0]["a"].sigs
     assert target.value_for(0, prefix[:1]) == (1.0,)
     assert target.value_for(0, (99999,)) == (0.0,)
 
@@ -268,6 +256,13 @@ def test_gradient_check_needs_a_sample():
         with pytest.raises(InvalidBoundError, match="samples must be at least 1") as err:
             gradient_check(probe, *numeric_cfg(), n_samples=n_samples)
         assert isinstance(err.value, ValueError)
+
+
+def test_gradient_check_needs_a_live_node():
+    # with no live (timestamp, node) slot the loss is 0 whatever the parameters
+    probe = Cdg(StartGraph({}, {}), dim=1)
+    with pytest.raises(EmptyInputError, match="no live node"):
+        gradient_check(probe, *numeric_cfg())
 
 
 def test_gradient_check_keeps_a_nan_error(monkeypatch):
@@ -346,7 +341,7 @@ def test_cross_graph_batching_is_exact(mode):
         delete_readd_cdg(),
         generate(GeneratorConfig(n_nodes=4, n_events=3), seed=70),
     ]
-    prefixes = trajectory_prefixes(corpus)
+    prefixes = cut_trajectories(corpus)
     target = CdynTarget.prefix_indicator(corpus, 1, "a")
     sg, tc = numeric_cfg(hidden=3, state=5, mode=mode)
     model = CgnnModel.init(1, 1, sg, tc, n_intervals=3, seed=12)

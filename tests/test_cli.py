@@ -333,6 +333,13 @@ def test_cgnn_gradcheck_that_checks_nothing_exits_2(flags, message, tmp_path, ca
     assert code == 2 and payload is None and message in err
 
 
+def test_cgnn_gradcheck_on_a_probe_without_nodes_exits_2(tmp_path, capsys):
+    probe = tmp_path / "empty.jsonl"
+    probe.write_text('{"type":"start","d":1,"nodes":[],"edges":[]}\n')
+    code, payload, err = run_cli(capsys, "cgnn", "gradcheck", "--probe", str(probe))
+    assert code == 2 and payload is None and "no live node" in err
+
+
 def test_run_experiment_with_report(tmp_path, capsys):
     report_file = tmp_path / "report.json"
     code, payload, _ = run_cli(
