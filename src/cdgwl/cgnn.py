@@ -23,9 +23,15 @@ Equal input multisets give bitwise-equal states however the corpus is
 batched and whichever rows are shared: ``Mlp.forward`` multiplies with
 ``einsum``, whose result for a row does not depend on the batch (``x @
 w.T`` through BLAS does), and a receiver's messages are summed sequentially
-from +0.0 in the order of the bit patterns of their input rows.  Earlier
-versions summed in another order, so trained parameters match theirs
-within float tolerance, not bitwise.
+from +0.0 in the order of the bit patterns of their input rows, by one
+``np.add.at`` call over the edge rows in that order.  Earlier versions
+summed in another order, so trained parameters match theirs within float
+tolerance, not bitwise.
+
+Layer 0's own rows, message inputs and summation order depend only on the
+batch, so the batch computes them once for every model and step.
+Training views every parameter in one flat vector and its gradient in
+another, so a step zeroes and updates each with one call.
 """
 
 from __future__ import annotations
@@ -124,9 +130,6 @@ class Mlp:
         grads[f"{prefix}.b1"] += dz.sum(axis=0)
         return dz @ self.w1
 
-    def named(self, prefix):
-        return [(f"{prefix}.{name}", getattr(self, name)) for name in ("w1", "b1", "w2", "b2")]
-
 
 @dataclass(frozen=True)
 class StateMatrix:
@@ -184,17 +187,16 @@ class CgnnModel:
         )
 
     def parameters(self):
-        out = []
-        for li, m in enumerate(self.aggr):
-            out.extend(m.named(f"aggr{li}"))
-        for li, m in enumerate(self.comb):
-            out.extend(m.named(f"comb{li}"))
-        for ci, m in enumerate(self.cells):
-            out.extend(m.named(f"cell{ci}"))
-        out.extend(self.readout_net.named("readout"))
+        return [(name, holder[key]) for name, holder, key in self._slots()]
+
+    def _slots(self):
+        """(name, holder, key) per parameter, in ``parameters()`` order: it is ``holder[key]``."""
+        groups = {"aggr": self.aggr, "comb": self.comb, "cell": self.cells}
+        nets = [(f"{kind}{i}", m) for kind, ms in groups.items() for i, m in enumerate(ms)]
+        nets.append(("readout", self.readout_net))
+        out = [(f"{p}.{k}", vars(m), k) for p, m in nets for k in ("w1", "b1", "w2", "b2")]
         if self.adapter is not None:
-            out.append(("adapter.w", self.adapter[0]))
-            out.append(("adapter.b", self.adapter[1]))
+            out += [("adapter.w", self.adapter, 0), ("adapter.b", self.adapter, 1)]
         return out
 
 
@@ -212,7 +214,9 @@ class _Batch:
     edge attributes).  Its output row ``r`` combines input row ``own[r]``
     with the messages of the edge rows ``e`` with ``recv[e] == r``, each from
     input row ``send[e]``; layer 0's input rows are ``attrs``.  ``out`` maps
-    each slot to its row of the last layer.
+    each slot to its row of the last layer.  ``first`` holds what layer 0
+    reads and no parameter changes: its own rows, its message inputs and
+    their canonical summation order, computed once for every model and step.
 
     A layer-l row is computed only for a slot whose l-hop ball changed since
     the node's previous timestamp, and every other slot reads the row of the
@@ -228,7 +232,8 @@ class _Batch:
     A level whose rows are all new lists its edge rows by the snapshot's
     edges, in order, each in both directions.  A target makes every row new,
     so training sums each slot's gradients in that fixed order.  ``targets``
-    holds each slot's target row, so an undefined target raises here, before
+    holds each slot's target row, so an undefined target, or a corpus with no
+    live slot (whose loss is 0 whatever the parameters), raises here, before
     any step.
     """
 
@@ -290,6 +295,9 @@ class _Batch:
         for rows, edge_rows in zip(own, messages):
             to, frm, k = _index(edge_rows).reshape(-1, 3).T
             self.layers.append((_index(rows), to, frm, table[k]))
+        own, recv, send, edge_attrs = self.layers[0]
+        x = np.concatenate([self.attrs[send], edge_attrs], axis=1)
+        self.first = (self.attrs[own], x, _canonical_order(x, recv))
         self.out = _index(out)
         self.fresh = _index(fresh)
         self.intervals = [
@@ -298,6 +306,8 @@ class _Batch:
             if now
         ]
         if target is not None:
+            if not self.keys:
+                raise EmptyInputError("the corpus has no live node, so its loss has no gradient")
             self.targets = np.array(
                 [target.value_for(i, prefixes[gi][v].sigs[: i + 1]) for gi, i, v in self.keys],
                 dtype=float,
@@ -362,33 +372,30 @@ def _stream(g):
     return universe(g), g.start.nodes, g.start.edges, g.events
 
 
-def _canonical_sum(out, rows, inputs, recv):
-    """Add each receiver's ``rows`` into ``out``, one position at a time.
+def _canonical_order(inputs, recv):
+    """Edge rows by receiver, each receiver's in the order of the bit patterns of its ``inputs``.
 
-    A receiver's rows go in the order of the bit patterns of their
-    ``inputs``, so an equal multiset of inputs is summed in the same order.
+    An equal multiset of inputs is then summed in the same order.
     """
     bits = np.ascontiguousarray(inputs).view(np.int64)
-    order = np.lexsort(np.vstack((bits.T[::-1], recv)))
-    ranked = recv[order]
-    position = np.arange(len(order)) - np.searchsorted(ranked, ranked)
-    for k in range(position.max() + 1):
-        at = order[position == k]
-        out[recv[at]] += rows[at]
+    return np.lexsort(np.vstack((bits.T[::-1], recv)))
 
 
 def _encode(model, batch):
     """All encoder layers over the batch's rows; final embeddings per slot plus caches."""
-    h = batch.attrs
+    h_own, x, order = batch.first
     caches = []
     for li, (own, recv, send, edge_attrs) in enumerate(batch.layers):
-        h_own = h[own]
+        if li:
+            h_own, x = h[own], np.concatenate([h[send], edge_attrs], axis=1)
+            order = _canonical_order(x, recv)
         m = np.zeros((len(h_own), model.sgnn.hidden_dim))
         acache = None
         if len(recv):
-            x = np.concatenate([h[send], edge_attrs], axis=1)
             msgs, acache = model.aggr[li].forward(x)
-            _canonical_sum(m, msgs, x, recv)
+            # add.at applies repeated indices in index order: each receiver's
+            # messages are summed one after another from +0.0, in canonical order
+            np.add.at(m, recv[order], msgs[order])
         h, ccache = model.comb[li].forward(np.concatenate([h_own, m], axis=1))
         caches.append((acache, ccache))
     return h[batch.out], caches
@@ -410,8 +417,12 @@ def _temporal(model, batch, h):
     return q, caches
 
 
-def _loss(model, batch, with_grads=False):
-    """Mean squared readout error over every slot, plus gradients if asked."""
+def _loss(model, batch, with_grads=False, grads=None):
+    """Mean squared readout error over every slot, plus gradients if asked.
+
+    The gradients accumulate into ``grads`` (name -> array) if given, else
+    into fresh zeros.
+    """
     h, encoder_caches = _encode(model, batch)
     q, cell_caches = _temporal(model, batch, h)
     pred, rcache = model.readout_net.forward(q)
@@ -420,7 +431,8 @@ def _loss(model, batch, with_grads=False):
     loss = float(np.sum(diff * diff)) / n_terms
     if not with_grads:
         return loss
-    grads = {name: np.zeros(arr.shape) for name, arr in model.parameters()}
+    if grads is None:
+        grads = {name: np.zeros(arr.shape) for name, arr in model.parameters()}
     dq = model.readout_net.backward((2.0 / n_terms) * diff, rcache, grads, "readout")
     dh = np.zeros_like(h)
     s_dim = model.temporal.state_dim
@@ -683,16 +695,30 @@ def train_to_target(corpus, target, sgnn, temporal, steps=2000, lr=0.5, seed=0, 
     )
     batch = _corpus_batch(model, corpus, target, None)
     initial = _loss(model, batch)
+    flat, gflat, grads = _flatten(model)
     updates = 0
     for _ in range(steps):
-        loss, grads = _loss(model, batch, with_grads=True)
+        gflat.fill(0.0)
+        loss, _ = _loss(model, batch, True, grads)
         if goal is not None and loss <= goal:
             break
-        for name, arr in model.parameters():
-            arr -= lr * grads[name]
+        flat -= lr * gflat
         updates += 1
     final = _loss(model, batch)
     return TrainResult(model, final, updates, initial)
+
+
+def _flatten(model):
+    """Rebind every parameter to its view of one vector: (vector, gradient vector, its views)."""
+    slots = model._slots()
+    flat = np.concatenate([holder[key].ravel() for _, holder, key in slots])
+    gflat = np.zeros_like(flat)
+    grads, at = {}, 0
+    for name, holder, key in slots:
+        shape, end = holder[key].shape, at + holder[key].size
+        holder[key], grads[name] = flat[at:end].reshape(shape), gflat[at:end].reshape(shape)
+        at = end
+    return flat, gflat, grads
 
 
 GRAD_STEP = 1e-5
@@ -802,6 +828,7 @@ def expressivity_check(
     if layers is None or layers < 1:
         raise InvalidBoundError(f"layers must be at least 1, got {layers}")
     report = ExpressivityReport()
+    sg, tc = SgnnConfig(mode=NUMERIC, layers=layers), TemporalConfig(mode=temporal_mode)
     for idx, (g1, g2) in enumerate(pairs):
         # Hidden ids are the stable colors, with None where color 0 marks absence.
         colors, states = (
@@ -818,8 +845,13 @@ def expressivity_check(
             report.symbolic_exact += 1
         else:
             report.symbolic_mismatches.append({"pair": idx})
-        sg = SgnnConfig(mode=NUMERIC, layers=layers)
-        tc = TemporalConfig(mode=temporal_mode)
+        # nodes sharing a color prefix, per prefix length; a singleton can't be separated
+        groups = []
+        for i in range(n_t):
+            by_prefix = {}
+            for tagged, tr in colors.items():
+                by_prefix.setdefault(tr[: i + 1], []).append(tagged)
+            groups.append([members for members in by_prefix.values() if len(members) > 1])
         batch = _Batch([_stream(g) for g in (g1, g2)], g1.dim, layers)
         for s in range(seeds):
             model = CgnnModel.init(
@@ -829,11 +861,8 @@ def expressivity_check(
             numeric = {tagged: [None] * n_t for tagged in colors}
             for k, (gi, i, v) in enumerate(batch.keys):
                 numeric[(gi, v)][i] = q[k].tobytes()
-            for i in range(n_t):
-                groups = {}
-                for tagged, tr in colors.items():
-                    groups.setdefault(tr[: i + 1], []).append(tagged)
-                for prefix, members in groups.items():
+            for i, prefix_groups in enumerate(groups):
+                for members in prefix_groups:
                     first = numeric[members[0]][: i + 1]
                     for other in members[1:]:
                         if numeric[other][: i + 1] != first:

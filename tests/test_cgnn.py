@@ -492,3 +492,100 @@ def test_default_approximation_run_is_pinned(monkeypatch):
         (r.steps_run, hashlib.sha256(model_params_json(r.model).encode()).hexdigest())
         for r in results
     ) == APPROXIMATION_RUNS
+
+
+def reference_encode(model, batch, canonical=True):
+    # the encoder with each receiver's messages added one at a time from
+    # +0.0, in the bit order of their inputs, or else in input order
+    h = batch.attrs
+    for li, (own, recv, send, edge_attrs) in enumerate(batch.layers):
+        x = np.concatenate([h[send], edge_attrs], axis=1)
+        m = np.zeros((len(own), model.sgnn.hidden_dim))
+        if len(recv):
+            msgs, _ = model.aggr[li].forward(x)
+            edges = range(len(recv))
+            if canonical:
+                edges = sorted(edges, key=lambda e: (recv[e], *x[e].view(np.int64)))
+            for e in edges:
+                m[recv[e]] += msgs[e]
+        h, _ = model.comb[li].forward(np.concatenate([h[own], m], axis=1))
+    return h[batch.out]
+
+
+def test_encode_sums_messages_in_canonical_order():
+    # the center's messages are -1e16, 1e16 and 1 in edge order (from leaves
+    # of attribute -1, 1 and 0): summed in input order they give 1, in the
+    # bit order of their inputs (-1, 0, 1) they give 0
+    nodes = {"c": (0.5,), "p": (-1.0,), "q": (1.0,), "z": (0.0,)}
+    g = Cdg(StartGraph(nodes, {("c", v): (0.0,) for v in "pqz"}))
+    model = CgnnModel.init(1, 1, *numeric_cfg(layers=1, hidden=2), n_intervals=0, seed=0)
+    model.aggr[0] = Mlp(np.array([[50.0, 0.0]]), np.zeros(1), np.full((2, 1), 1e16), np.ones(2))
+    batch = cgnn._Batch([cgnn._stream(g)], 1, 1)
+    h, _ = cgnn._encode(model, batch)
+    assert h.tobytes() == reference_encode(model, batch).tobytes()
+    assert h.tobytes() != reference_encode(model, batch, canonical=False).tobytes()
+    # every layer, on streams, with messages of widely spread magnitudes
+    for seed in range(4):
+        g = generate(GeneratorConfig(n_nodes=6, n_events=6, p_start_edge=0.6), seed=seed)
+        model = CgnnModel.init(1, 1, *numeric_cfg(layers=3), n_intervals=6, seed=seed)
+        for mlp in model.aggr:
+            mlp.w2 *= 1e12
+        batch = cgnn._Batch([cgnn._stream(g)], 1, 3)
+        assert cgnn._encode(model, batch)[0].tobytes() == reference_encode(model, batch).tobytes()
+
+
+def test_a_shared_batch_gives_each_model_the_bits_of_a_fresh_one():
+    # layer 0's rows, message inputs and summation order are kept in the
+    # batch: they must not depend on the model that reads them
+    corpus = [generate(GeneratorConfig(n_nodes=4, n_events=3), seed=s) for s in (70, 71)]
+    target = CdynTarget.from_entries([], 1, default=(0.25,))
+    sg, tc = numeric_cfg()
+    models = [CgnnModel.init(1, 1, sg, tc, n_intervals=3, seed=s) for s in (1, 2, 1)]
+    shared = cgnn._corpus_batch(models[0], corpus, target, None)
+    for model in models:
+        fresh = cgnn._corpus_batch(model, corpus, target, None)
+        loss, grads = cgnn._loss(model, shared, True)
+        want_loss, want_grads = cgnn._loss(model, fresh, True)
+        assert loss == want_loss
+        for name, grad in grads.items():
+            assert grad.tobytes() == want_grads[name].tobytes(), name
+
+
+def test_one_training_step_is_one_gradient_step():
+    corpus = [generate(GeneratorConfig(n_nodes=4, n_events=3), seed=72)]
+    target = CdynTarget.from_entries([], 1, default=(0.5,))
+    sg, tc = numeric_cfg(hidden=3)  # hidden != state: the adapter is trained too
+    lr = 0.3
+    trained = train_to_target(corpus, target, sg, tc, steps=1, lr=lr, seed=9)
+    assert trained.steps_run == 1
+    model = CgnnModel.init(1, 1, sg, tc, n_intervals=3, seed=9)
+    _, g0 = loss_and_gradients(model, corpus, target)
+    assert [name for name, _ in trained.model.parameters()] == list(g0)
+    for (name, p1), (_, p0) in zip(trained.model.parameters(), model.parameters()):
+        assert p1.tobytes() == (p0 - lr * g0[name]).tobytes(), name
+
+
+def test_loss_and_gradients_returns_fresh_arrays():
+    # also for a trained model, whose parameters are views of one vector
+    corpus = [generate(GeneratorConfig(n_nodes=3, n_events=2), seed=74)]
+    target = CdynTarget.from_entries([], 1, default=(0.5,))
+    model = train_to_target(corpus, target, *numeric_cfg(), steps=2, seed=3).model
+    _, first = loss_and_gradients(model, corpus, target)
+    _, second = loss_and_gradients(model, corpus, target)
+    arrays = [*first.values(), *second.values(), *(arr for _, arr in model.parameters())]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def test_training_needs_a_live_node():
+    # with no live (timestamp, node) slot the loss is 0 whatever the
+    # parameters, which would read as a perfect fit
+    corpus = [Cdg(StartGraph({}, {}), dim=1)] * 2
+    target = CdynTarget.from_entries([], 1, default=(1.0,))
+    with pytest.raises(EmptyInputError, match="no live node"):
+        train_to_target(corpus, target, *numeric_cfg(), steps=5)
+    model = CgnnModel.init(1, 1, *numeric_cfg(), n_intervals=0, seed=0)
+    for loss in (training_loss, loss_and_gradients):
+        with pytest.raises(EmptyInputError, match="no live node"):
+            loss(model, corpus, target)

@@ -340,6 +340,22 @@ def test_cgnn_gradcheck_on_a_probe_without_nodes_exits_2(tmp_path, capsys):
     assert code == 2 and payload is None and "no live node" in err
 
 
+def test_cgnn_train_on_a_corpus_without_nodes_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "empty"
+    corpus.mkdir()
+    (corpus / "e.jsonl").write_text('{"type":"start","d":1,"nodes":[],"edges":[]}\n')
+    (corpus / "manifest.json").write_text(
+        '{"kind":"streams","seed":0,"n_streams":1,"streams":[{"index":0,"file":"e.jsonl"}]}'
+    )
+    target_file = tmp_path / "target.json"
+    target_file.write_text('{"output_dim": 1, "default": [0.0], "entries": []}')
+    code, payload, err = run_cli(
+        capsys, "cgnn", "train", "--corpus", str(corpus), "--target", str(target_file),
+        "--epochs", "5",
+    )
+    assert code == 2 and payload is None and "no live node" in err
+
+
 def test_run_experiment_with_report(tmp_path, capsys):
     report_file = tmp_path / "report.json"
     code, payload, _ = run_cli(
