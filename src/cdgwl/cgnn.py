@@ -148,7 +148,6 @@ class CgnnModel:
     temporal: TemporalConfig
     attr_dim: int
     out_dim: int
-    n_intervals: int
     aggr: list
     comb: list
     cells: list
@@ -182,7 +181,7 @@ class CgnnModel:
         if r != s:
             adapter = [rng.normal(0.0, 1.0, (s, r)) / math.sqrt(r), np.zeros(s)]
         return cls(
-            sgnn, temporal, attr_dim, out_dim, n_intervals,
+            sgnn, temporal, attr_dim, out_dim,
             aggr=aggr, comb=comb, cells=cells, readout_net=readout_net, adapter=adapter,
         )
 
@@ -225,9 +224,10 @@ class _Batch:
     also new when its edge list changed (both ends of an edge event, every
     neighbour of a deleted node) or a neighbour's input row is new.  No bit
     moves: ``Mlp.forward`` gives a row the same bits in any batch, and
-    ``_canonical_sum`` adds a receiver's messages in the bit order of their
-    inputs, so a row computed from inputs bitwise equal to those of the row
-    it would reuse comes out bitwise equal.
+    ``_encode`` sums each receiver's messages with one ``np.add.at`` in the
+    order ``_canonical_order`` gives, the bit order of their inputs, so a
+    row computed from inputs bitwise equal to those of the row it would
+    reuse comes out bitwise equal.
 
     A level whose rows are all new lists its edge rows by the snapshot's
     edges, in order, each in both directions.  A target makes every row new,
@@ -828,7 +828,7 @@ def expressivity_check(
     if layers is None or layers < 1:
         raise InvalidBoundError(f"layers must be at least 1, got {layers}")
     report = ExpressivityReport()
-    sg, tc = SgnnConfig(mode=NUMERIC, layers=layers), TemporalConfig(mode=temporal_mode)
+    sg, tc = SgnnConfig(layers=layers), TemporalConfig(mode=temporal_mode)
     for idx, (g1, g2) in enumerate(pairs):
         # Hidden ids are the stable colors, with None where color 0 marks absence.
         colors, states = (

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .cdg import replay, universe
 from .cgnn import (
-    NUMERIC,
     PER_INTERVAL,
     SHARED_DT,
     CdynTarget,
@@ -168,7 +167,7 @@ def _cmd_cgnn_train(args):
     target = CdynTarget.from_json(Path(args.target).read_text())
     result = train_to_target(
         corpus, target,
-        SgnnConfig(mode=NUMERIC, layers=args.layers, hidden_dim=args.hidden_dim),
+        SgnnConfig(layers=args.layers, hidden_dim=args.hidden_dim),
         TemporalConfig(mode=args.mode, state_dim=args.state_dim),
         steps=args.epochs, lr=args.lr, seed=args.seed, goal=args.goal,
     )
@@ -181,7 +180,7 @@ def _cmd_cgnn_gradcheck(args):
     if not args.tolerance >= 0:  # a negative tolerance is a usage error, not a failed check
         raise ValueError(f"tolerance must be at least 0, got {args.tolerance}")
     probe = load_cdg(args.probe)
-    sgnn = SgnnConfig(mode=NUMERIC, layers=args.layers, hidden_dim=args.hidden_dim)
+    sgnn = SgnnConfig(layers=args.layers, hidden_dim=args.hidden_dim)
     checks = []
     for mode in [args.mode] if args.mode else [PER_INTERVAL, SHARED_DT]:
         temporal = TemporalConfig(mode=mode, state_dim=args.state_dim)

@@ -61,44 +61,31 @@ def match_components(s1, s2):
     universes = [sorted(s1.nodes), sorted(s2.nodes)]
     snap, joint = merged_snapshot([s1, s2], universes)
     colors, _ = awl_stable(snap, joint, ColorDictionary())
-    parts = [components(s1), components(s2)]
-
-    def comp_key(gi, comp):
-        return tuple(sorted(colors[(gi, v)] for v in comp))
-
-    keyed = [
-        [(comp_key(gi, comp), comp) for comp in parts[gi].components] for gi in (0, 1)
+    keys = [
+        [tuple(sorted(colors[(gi, v)] for v in comp)) for comp in components(s).components]
+        for gi, s in enumerate((s1, s2))
     ]
-    multiset_counts = [Counter(k for k, _ in side) for side in keyed]
-    component_counts_match = multiset_counts[0] == multiset_counts[1]
+    component_counts_match = Counter(keys[0]) == Counter(keys[1])
 
     class_nodes = [Counter(), Counter()]
-    for gi in (0, 1):
-        for key, comp in keyed[gi]:
-            class_nodes[gi][tuple(sorted(set(key)))] += len(comp)
-    class_counts_match = class_nodes[0] == class_nodes[1]
-
-    class_keys = sorted(set(class_nodes[0]) | set(class_nodes[1]))
+    for counts, side in zip(class_nodes, keys):
+        for key in side:
+            counts[tuple(sorted(set(key)))] += len(key)
     classes = tuple(
         {
             "colors": list(key),
-            "nodes_a": class_nodes[0].get(key, 0),
-            "nodes_b": class_nodes[1].get(key, 0),
+            "nodes_a": class_nodes[0][key],
+            "nodes_b": class_nodes[1][key],
         }
-        for key in class_keys
+        for key in sorted(set(class_nodes[0]) | set(class_nodes[1]))
     )
 
     bijection = None
     if component_counts_match:
-        by_key = {}
-        for gi in (0, 1):
-            for pos, (key, comp) in enumerate(keyed[gi]):
-                by_key.setdefault(key, ([], []))[gi].append(pos)
-        pairs = []
-        for key in sorted(by_key):
-            side_a, side_b = by_key[key]
-            pairs.extend(zip(side_a, side_b))
-        bijection = tuple(sorted(pairs))
+        # Equal multisets: the i-th component of each key on one side pairs
+        # with the i-th of that key on the other.
+        ranked = [sorted(range(len(side)), key=side.__getitem__) for side in keys]
+        bijection = tuple(sorted(zip(*ranked)))
     return ComponentMatchVerdict(
-        class_counts_match, component_counts_match, classes, bijection
+        class_nodes[0] == class_nodes[1], component_counts_match, classes, bijection
     )

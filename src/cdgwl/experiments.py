@@ -276,7 +276,7 @@ def _w_approximation(args):
     corpus = approximation_corpus(seed, graphs)
     anchor_graph, anchor_node = _approx_anchor(corpus)
     target = CdynTarget.prefix_indicator(corpus, anchor_graph, anchor_node)
-    sgnn = SgnnConfig(mode="numeric", layers=2, hidden_dim=8)
+    sgnn = SgnnConfig(layers=2, hidden_dim=8)
     temporal = TemporalConfig(mode=PER_INTERVAL, state_dim=8)
     result = train_to_target(
         corpus, target, sgnn, temporal, steps=steps, lr=lr, seed=train_seed, goal=goal
@@ -292,7 +292,7 @@ GRADCHECK_CONFIG = GeneratorConfig(n_nodes=3, n_events=2, dim=1, attr_values=2)
 def _w_gradcheck(args):
     seed, probe_idx, mode, samples, tolerance = args
     probe = generate(GRADCHECK_CONFIG, sub_seed(seed, 1, probe_idx))
-    sgnn = SgnnConfig(mode="numeric", layers=2, hidden_dim=4, mlp_hidden=8)
+    sgnn = SgnnConfig(layers=2, hidden_dim=4, mlp_hidden=8)
     temporal = TemporalConfig(mode=mode, state_dim=4, mlp_hidden=8)
     err = gradient_check(probe, sgnn, temporal, n_samples=samples, seed=probe_idx)
     check = {"probe": probe_idx, "mode": mode, "max_relative_error": err}

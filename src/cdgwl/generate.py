@@ -83,82 +83,54 @@ def _build_start(rng, config, ids, alphabet):
     return StartGraph(nodes, edges)
 
 
-def _applicable_kinds(config, ids, live_nodes, live_edges, alphabet):
-    kinds = []
-    absent = [v for v in ids if v not in live_nodes]
-    if absent:
-        kinds.append("add-node")
-    deletable = sorted(live_nodes)
-    if config.ensure_disconnected:
-        deletable = [
-            v
-            for v in deletable
-            if sum(1 for u in live_nodes if _half(u) == _half(v)) > 1
-        ]
-    if deletable:
-        kinds.append("delete-node")
-    addable_edges = [
+def _candidates(config, ids, nodes, edges, alphabet):
+    """The drawable event kinds as ``(item, kind, keys)`` rows in draw order.
+
+    A row is drawable when it has a key; attribute changes need two values.
+    """
+    split = config.ensure_disconnected
+    live = sorted(nodes)
+    deletable = [v for v in live if not split or sum(_half(u) == _half(v) for u in nodes) > 1]
+    addable = [
         (u, v)
-        for u, v in itertools.combinations(sorted(live_nodes), 2)
-        if (u, v) not in live_edges
-        and not (config.ensure_disconnected and _half(u) != _half(v))
+        for u, v in itertools.combinations(live, 2)
+        if (u, v) not in edges and not (split and _half(u) != _half(v))
     ]
-    if addable_edges:
-        kinds.append("add-edge")
-    if live_edges:
-        kinds.append("delete-edge")
-    if live_nodes and len(alphabet) > 1:
-        kinds.append("attr-node")
-    if live_edges and len(alphabet) > 1:
-        kinds.append("attr-edge")
-    return kinds, absent, deletable, addable_edges
+    linked = sorted(edges)
+    recolor = len(alphabet) > 1
+    table = [
+        (NODE, ADD, [v for v in ids if v not in nodes]),
+        (NODE, DELETE, deletable),
+        (EDGE, ADD, addable),
+        (EDGE, DELETE, linked),
+        (NODE, ATTR_CHANGE, live if recolor else []),
+        (EDGE, ATTR_CHANGE, linked if recolor else []),
+    ]
+    return [row for row in table if row[2]]
 
 
 def _try_stream(rng, config, ids, alphabet):
     start = _build_start(rng, config, ids, alphabet)
-    live_nodes = dict(start.nodes)
-    live_edges = dict(start.edges)
+    live = {NODE: dict(start.nodes), EDGE: dict(start.edges)}
     events = []
     t = 0.0
     for _ in range(config.n_events):
         t += float(_pick(rng, [0.5, 1.0, 1.5]))
-        kinds, absent, deletable, addable_edges = _applicable_kinds(
-            config, ids, live_nodes, live_edges, alphabet
-        )
-        if not kinds:
+        candidates = _candidates(config, ids, live[NODE], live[EDGE], alphabet)
+        if not candidates:
             return None
-        kind = _pick(rng, kinds)
-        if kind == "add-node":
-            v = _pick(rng, absent)
-            attr = _pick(rng, alphabet)
-            events.append(Event(t, NODE, v, ADD, attr))
-            live_nodes[v] = attr
-        elif kind == "delete-node":
-            v = _pick(rng, deletable)
-            events.append(Event(t, NODE, v, DELETE))
-            del live_nodes[v]
-            live_edges = {e: a for e, a in live_edges.items() if v not in e}
-        elif kind == "add-edge":
-            u, v = _pick(rng, addable_edges)
-            attr = _pick(rng, alphabet)
-            events.append(Event(t, EDGE, (u, v), ADD, attr))
-            live_edges[(u, v)] = attr
-        elif kind == "delete-edge":
-            e = _pick(rng, sorted(live_edges))
-            events.append(Event(t, EDGE, e, DELETE))
-            del live_edges[e]
-        elif kind == "attr-node":
-            v = _pick(rng, sorted(live_nodes))
-            choices = [a for a in alphabet if a != live_nodes[v]]
-            attr = _pick(rng, choices)
-            events.append(Event(t, NODE, v, ATTR_CHANGE, attr))
-            live_nodes[v] = attr
+        item, kind, keys = _pick(rng, candidates)
+        key = _pick(rng, keys)
+        state = live[item]
+        attr = None
+        if kind == DELETE:
+            del state[key]
+            if item == NODE:
+                live[EDGE] = {e: a for e, a in live[EDGE].items() if key not in e}
         else:
-            e = _pick(rng, sorted(live_edges))
-            choices = [a for a in alphabet if a != live_edges[e]]
-            attr = _pick(rng, choices)
-            events.append(Event(t, EDGE, e, ATTR_CHANGE, attr))
-            live_edges[e] = attr
+            attr = _pick(rng, [a for a in alphabet if a != state.get(key)])
+            state[key] = attr
+        events.append(Event(t, item, key, kind, attr))
     return Cdg(start, tuple(events), dim=config.dim)
 
 

@@ -69,21 +69,26 @@ def check_isomorphism_witness(g1, g2, mapping, mode=IDENTITY):
     return True
 
 
-def _invariant_keys(g, snaps, mode):
-    keys = {}
-    for v in universe(g):
-        parts = []
-        for s in snaps:
-            if v not in s.nodes:
-                parts.append(None)
-                continue
-            deg = sum(1 for pair in s.edges if v in pair)
-            if mode == IDENTITY:
-                parts.append((deg, attr_bytes(s.nodes[v])))
-            else:
-                parts.append((deg,))
-        keys[v] = tuple(parts)
-    return keys
+def _trajectories(g, mode):
+    """Replay ``g`` once into per-node and per-pair trajectories.
+
+    A node's entry at each timestamp is ``(degree, mark)`` and a pair's is
+    its ``mark``, or None while the node or edge is absent; pairs that are
+    never an edge are left out.  The mark is the attribute's bytes in
+    identity mode and a constant in renaming mode.
+    """
+    mark = attr_bytes if mode == IDENTITY else (lambda a: b"")
+    snaps = snapshots(g)
+    degrees = [Counter(v for pair in s.edges for v in pair) for s in snaps]
+    nodes = {
+        v: tuple((d[v], mark(s.nodes[v])) if v in s.nodes else None for s, d in zip(snaps, degrees))
+        for v in universe(g)
+    }
+    edges = {}
+    for i, s in enumerate(snaps):
+        for pair, a in s.edges.items():
+            edges.setdefault(pair, [None] * len(snaps))[i] = mark(a)
+    return nodes, edges
 
 
 def brute_force_isomorphic(g1, g2, mode=IDENTITY):
@@ -105,46 +110,30 @@ def brute_force_isomorphic(g1, g2, mode=IDENTITY):
         )
     if len(u1) != len(u2):
         return IsoVerdict(False)
-    snaps1, snaps2 = snapshots(g1), snapshots(g2)
-    keys1 = _invariant_keys(g1, snaps1, mode)
-    keys2 = _invariant_keys(g2, snaps2, mode)
-
-    by_key = {}
-    for v, k in keys2.items():
-        by_key.setdefault(k, []).append(v)
-    if Counter(keys1.values()) != Counter(keys2.values()):
+    nodes1, edges1 = _trajectories(g1, mode)
+    nodes2, edges2 = _trajectories(g2, mode)
+    if Counter(nodes1.values()) != Counter(nodes2.values()):
         return IsoVerdict(False)
+    by_key = {}
+    for v, k in nodes2.items():
+        by_key.setdefault(k, []).append(v)
 
-    order = sorted(u1, key=lambda v: (len(by_key[keys1[v]]), v))
+    order = sorted(u1, key=lambda v: (len(by_key[nodes1[v]]), v))
     mapping = {}
-    used = set()
-
-    def _edges_consistent(v, w):
-        for s1, s2 in zip(snaps1, snaps2):
-            for prev, img in mapping.items():
-                p1 = edge_key(v, prev)
-                p2 = edge_key(w, img)
-                in1, in2 = p1 in s1.edges, p2 in s2.edges
-                if in1 != in2:
-                    return False
-                if in1 and mode == IDENTITY:
-                    if attr_bytes(s1.edges[p1]) != attr_bytes(s2.edges[p2]):
-                        return False
-        return True
 
     def _search(pos):
         if pos == len(order):
             return check_isomorphism_witness(g1, g2, mapping, mode)
         v = order[pos]
-        for w in by_key[keys1[v]]:
-            if w in used or not _edges_consistent(v, w):
+        for w in by_key[nodes1[v]]:
+            if w in mapping.values() or any(
+                edges1.get(edge_key(v, p)) != edges2.get(edge_key(w, q)) for p, q in mapping.items()
+            ):
                 continue
             mapping[v] = w
-            used.add(w)
             if _search(pos + 1):
                 return True
             del mapping[v]
-            used.discard(w)
         return False
 
     if _search(0):

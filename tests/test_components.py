@@ -1,6 +1,18 @@
 """Component decomposition and two-granularity matching."""
 
-from cdgwl import components, is_disconnected, match_components, snapshots, six_cycle, two_triangles
+import dataclasses
+import hashlib
+import json
+
+from cdgwl import (
+    components,
+    is_disconnected,
+    make_pair,
+    match_components,
+    snapshots,
+    six_cycle,
+    two_triangles,
+)
 from conftest import A, B, k3, path3, snap
 
 
@@ -64,3 +76,17 @@ def test_class_level_detects_count_mismatch():
     v = match_components(left, right)
     assert not v.class_counts_match
     assert not v.component_counts_match
+
+
+def test_match_components_is_pinned():
+    snap_pairs = []
+    for disconnected in (False, True):
+        for i in range(40):
+            a, b = make_pair(0, i, disconnected=disconnected)
+            snap_pairs += zip(snapshots(a), snapshots(b))
+    tri, cyc = snapshots(two_triangles())[0], snapshots(six_cycle())[0]
+    snap_pairs += [(tri, cyc), (cyc, tri)]
+    verdicts = [dataclasses.astuple(match_components(s1, s2)) for s1, s2 in snap_pairs]
+    assert (len(verdicts), sum(v[1] for v in verdicts)) == (282, 56)
+    digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+    assert digest == "78cfd2b33b33ec42414f434df079a593c8bf180c2768f5045e1f88342bf23281"

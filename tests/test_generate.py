@@ -1,5 +1,7 @@
 """Random stream generator and fixed demonstration graphs."""
 
+import hashlib
+
 import pytest
 
 from cdgwl import (
@@ -120,3 +122,30 @@ def test_node_ids_use_stable_scheme():
 def test_out_of_range_generator_sizes_are_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be at least"):
         GeneratorConfig(**{field: value})
+
+
+# Edge-case configs: one attribute value, no or all start edges, the
+# smallest disconnected universes, and one config with no drawable event.
+PINNED_CONFIGS = [
+    GeneratorConfig(3, 6, attr_values=1),
+    GeneratorConfig(4, 8, p_start_edge=0.0),
+    GeneratorConfig(4, 8, dim=2, attr_values=2, p_start_edge=1.0),
+    GeneratorConfig(2, 6, ensure_disconnected=True),
+    GeneratorConfig(3, 8, attr_values=2, ensure_disconnected=True),
+    GeneratorConfig(3, 6, attr_values=1, p_start_edge=1.0, ensure_disconnected=True),
+    GeneratorConfig(6, 12, attr_values=3, p_start_edge=0.0, ensure_disconnected=True),
+    GeneratorConfig(2, 3, attr_values=1, ensure_disconnected=True),
+    GeneratorConfig(6, 10),
+]
+
+
+def test_generated_bytes_are_pinned():
+    h = hashlib.sha256()
+    for cfg in PINNED_CONFIGS:
+        for seed in range(40):
+            try:
+                text = cdg_to_jsonl(generate(cfg, seed))
+            except GenerationExhaustedError:
+                text = "GenerationExhaustedError\n"
+            h.update(text.encode())
+    assert h.hexdigest() == "630764637e6b0616f70c5fb9e6f425843af91d90a3d0e0021b0485a96ecaa427"

@@ -1,5 +1,8 @@
 """Brute-force isomorphism oracle and witness verification."""
 
+import hashlib
+import json
+
 import pytest
 
 from cdgwl import (
@@ -14,10 +17,13 @@ from cdgwl import (
     check_isomorphism_witness,
     generate,
     generate_isomorphic_pair,
+    make_pair,
+    sub_seed,
     six_cycle,
     two_triangles,
     universe,
 )
+from cdgwl.experiments import pair_config
 from conftest import A, churn_cdg
 
 
@@ -112,3 +118,18 @@ def test_universe_size_mismatch_is_refutation():
     g1 = Cdg(StartGraph({"a": A}, {}))
     g2 = Cdg(StartGraph({"a": A, "b": A}, {}))
     assert not brute_force_isomorphic(g1, g2, IDENTITY).isomorphic
+
+
+def test_oracle_verdicts_and_mappings_are_pinned():
+    pairs = [make_pair(0, i) for i in range(60)]
+    pairs += [generate_isomorphic_pair(pair_config(i), sub_seed(0, i, 0))[:2] for i in range(40)]
+    cfg = GeneratorConfig(n_nodes=5, n_events=5, attr_values=3)
+    pairs += [generate_isomorphic_pair(cfg, seed, rename_attrs=True)[:2] for seed in range(20)]
+    found = []
+    for a, b in pairs:
+        for mode in (IDENTITY, RENAMING):
+            v = brute_force_isomorphic(a, b, mode)
+            found.append([v.isomorphic, sorted(v.mapping.items()) if v.mapping else None])
+    assert sum(f[0] for f in found) == 124
+    digest = hashlib.sha256(json.dumps(found).encode()).hexdigest()
+    assert digest == "5ce5cde8a4843eb8b5ac15e91f47a2600453be0eaebe958a92b148bd1e807359"
