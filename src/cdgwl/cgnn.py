@@ -30,15 +30,27 @@ tolerance, not bitwise.
 
 Layer 0's own rows, message inputs and summation order depend only on the
 batch, so the batch computes them once for every model and step.
-Training views every parameter in one flat vector and its gradient in
-another, so a step zeroes and updates each with one call.
+
+The same kernels run a stack of models on one batch: every parameter and
+every row batch then has a leading model axis.  Each model's rows go
+through the one-model ``einsum``; the backward products are ``np.matmul``
+over the stack, which makes per model the BLAS call that ``@`` makes for
+one; and one ``np.add.at`` sums every model's messages, at flat rows
+``model * rows + row`` and in each model's canonical order.  So a model
+gets the same bits alone and in any stack.  Training runs every seed of a
+corpus as one stack (``_train_stack``; ``train_to_target`` is a stack of
+one): the parameters are the rows of one array and the gradients the rows
+of another, so a step zeroes and updates all of them with one call each
+and runs one forward and one backward pass for every seed.  A seed leaves
+the stack at the step that reaches its goal, keeping the parameters its
+own run would end with.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,13 +109,33 @@ class TemporalConfig:
 
 
 def _affine(x, w, b):
-    """``x @ w.T + b``, row by row: a row's result never depends on the batch."""
-    return np.einsum("ij,kj->ik", x, w) + b
+    """``x @ w.T + b``, row by row: a row's result never depends on the batch.
+
+    A stack's ``w`` and ``b`` have a leading model axis; each model's rows go
+    through the one-model product, and rows without the model axis are every
+    model's input.
+    """
+    if w.ndim == 2:
+        return np.einsum("ij,kj->ik", x, w) + b
+    out = np.empty((len(w), x.shape[-2], w.shape[1]))
+    for k, wk in enumerate(w):
+        np.einsum("ij,kj->ik", x if x.ndim == 2 else x[k], wk, out=out[k])
+    out += b[:, None]
+    return out
+
+
+def _t(m):
+    """The transpose of each model's matrix."""
+    return m.swapaxes(-1, -2)
 
 
 @dataclass
 class Mlp:
-    """Two affine layers around a tanh; operates on row batches."""
+    """Two affine layers around a tanh; operates on row batches.
+
+    In a stack (see ``_flatten``) every parameter and every row batch has a
+    leading model axis.
+    """
 
     w1: np.ndarray
     b1: np.ndarray
@@ -122,12 +154,12 @@ class Mlp:
 
     def backward(self, dy, cache, grads, prefix):
         x, a = cache
-        grads[f"{prefix}.w2"] += dy.T @ a
-        grads[f"{prefix}.b2"] += dy.sum(axis=0)
+        grads[f"{prefix}.w2"] += _t(dy) @ a
+        grads[f"{prefix}.b2"] += dy.sum(axis=-2)
         da = dy @ self.w2
         dz = da * (1.0 - a * a)
-        grads[f"{prefix}.w1"] += dz.T @ x
-        grads[f"{prefix}.b1"] += dz.sum(axis=0)
+        grads[f"{prefix}.w1"] += _t(dz) @ x
+        grads[f"{prefix}.b1"] += dz.sum(axis=-2)
         return dz @ self.w1
 
 
@@ -298,6 +330,7 @@ class _Batch:
         own, recv, send, edge_attrs = self.layers[0]
         x = np.concatenate([self.attrs[send], edge_attrs], axis=1)
         self.first = (self.attrs[own], x, _canonical_order(x, recv))
+        self._views = {}
         self.out = _index(out)
         self.fresh = _index(fresh)
         self.intervals = [
@@ -312,6 +345,36 @@ class _Batch:
                 [target.value_for(i, prefixes[gi][v].sigs[: i + 1]) for gi, i, v in self.keys],
                 dtype=float,
             ).reshape(len(self.keys), target.output_dim)
+
+    def view(self, lead):
+        """What the kernels read for models of leading shape ``lead``, built once per shape.
+
+        ``lead`` is ``()`` for one model and ``(B,)`` for a stack of B, whose
+        rows at a layer are the flat rows of its (B, rows) array: row ``r``
+        of model ``b`` is flat row ``b * rows + r``.  Returns layer 0's own
+        rows and message inputs; the order in which layer 0's flat edge rows
+        are summed (each model's in the canonical order); per layer the flat
+        receiver and sender row of each edge row and the edge attributes;
+        and per interval its elapsed-time column.  A stack sees what every
+        model reads alike broadcast along its model axis, but layer 0's
+        message inputs stay one array, which ``Mlp`` gives every model.
+        """
+        got = self._views.get(lead)
+        if got is None:
+            if lead:
+                step = np.arange(lead[0])[:, None]
+                flat = lambda index, rows: (index + step * rows).ravel()
+                shared = lambda a: np.broadcast_to(a, (*lead, *a.shape))
+            else:
+                flat, shared = lambda index, rows: index, lambda a: a
+            h_own, x, order = self.first
+            layers, n_in = [], len(self.attrs)
+            for own, recv, send, edge_attrs in self.layers:
+                layers.append((flat(recv, len(own)), flat(send, n_in), shared(edge_attrs)))
+                n_in = len(own)
+            dts = [shared(dt) for *_, dt in self.intervals]
+            got = self._views[lead] = (shared(h_own), x, flat(order, len(order)), layers, dts)
+        return got
 
 
 def _in_slot_order(nodes, slot):
@@ -383,36 +446,40 @@ def _canonical_order(inputs, recv):
 
 def _encode(model, batch):
     """All encoder layers over the batch's rows; final embeddings per slot plus caches."""
-    h_own, x, order = batch.first
+    lead, r = model.readout_net.b2.shape[:-1], model.sgnn.hidden_dim  # lead: () or (B,)
+    h_own, x, order, flat, _dts = batch.view(lead)
     caches = []
-    for li, (own, recv, send, edge_attrs) in enumerate(batch.layers):
+    for li, ((own, _recv, send, _ea), (to, _frm, edge_attrs)) in enumerate(zip(batch.layers, flat)):
         if li:
-            h_own, x = h[own], np.concatenate([h[send], edge_attrs], axis=1)
-            order = _canonical_order(x, recv)
-        m = np.zeros((len(h_own), model.sgnn.hidden_dim))
+            h_own = h.take(own, axis=-2)
+            x = np.concatenate([h.take(send, axis=-2), edge_attrs], axis=-1)
+            order = _canonical_order(x.reshape(-1, x.shape[-1]), to)
+        m = np.zeros((*lead, len(own), r))
         acache = None
-        if len(recv):
+        if len(to):
             msgs, acache = model.aggr[li].forward(x)
             # add.at applies repeated indices in index order: each receiver's
             # messages are summed one after another from +0.0, in canonical order
-            np.add.at(m, recv[order], msgs[order])
-        h, ccache = model.comb[li].forward(np.concatenate([h_own, m], axis=1))
+            np.add.at(m.reshape(-1, r), to[order], msgs.reshape(-1, r)[order])
+        h, ccache = model.comb[li].forward(np.concatenate([h_own, m], axis=-1))
         caches.append((acache, ccache))
-    return h[batch.out], caches
+    return h.take(batch.out, axis=-2), caches
 
 
 def _temporal(model, batch, h):
     """States of every slot: fresh embeddings, then one cell call per interval."""
-    q = np.empty((len(h), model.temporal.state_dim))
-    hf = h[batch.fresh]
-    q[batch.fresh] = hf if model.adapter is None else _affine(hf, *model.adapter)
+    lead = h.shape[:-2]
+    q = np.empty((*lead, h.shape[-2], model.temporal.state_dim))
+    hf = h.take(batch.fresh, axis=-2)
+    q[..., batch.fresh, :] = hf if model.adapter is None else _affine(hf, *model.adapter)
     caches = []
-    for i, prev, cur, dt in batch.intervals:
+    for (i, prev, cur, _dt), dt in zip(batch.intervals, batch.view(lead)[4]):
+        parts = [q.take(prev, axis=-2), h.take(cur, axis=-2)]
         if model.temporal.mode == PER_INTERVAL:
-            ci, x = i - 1, np.concatenate([q[prev], h[cur]], axis=1)
+            ci = i - 1
         else:
-            ci, x = 0, np.concatenate([q[prev], h[cur], dt], axis=1)
-        q[cur], cache = model.cells[ci].forward(x)
+            ci, parts = 0, [*parts, dt]
+        q[..., cur, :], cache = model.cells[ci].forward(np.concatenate(parts, axis=-1))
         caches.append((ci, cache))
     return q, caches
 
@@ -420,42 +487,50 @@ def _temporal(model, batch, h):
 def _loss(model, batch, with_grads=False, grads=None):
     """Mean squared readout error over every slot, plus gradients if asked.
 
-    The gradients accumulate into ``grads`` (name -> array) if given, else
-    into fresh zeros.
+    A stack gets one loss per model.  The gradients accumulate into
+    ``grads`` (name -> array) if given, else into fresh zeros.
     """
     h, encoder_caches = _encode(model, batch)
     q, cell_caches = _temporal(model, batch, h)
     pred, rcache = model.readout_net.forward(q)
     diff = pred - batch.targets
-    n_terms = max(diff.size, 1)
-    loss = float(np.sum(diff * diff)) / n_terms
+    lead = diff.shape[:-2]
+    n_terms = max(diff.shape[-2] * diff.shape[-1], 1)
+    loss = np.sum((diff * diff).reshape(*lead, -1), axis=-1) / n_terms
+    if not lead:
+        loss = float(loss)
     if not with_grads:
         return loss
     if grads is None:
         grads = {name: np.zeros(arr.shape) for name, arr in model.parameters()}
     dq = model.readout_net.backward((2.0 / n_terms) * diff, rcache, grads, "readout")
     dh = np.zeros_like(h)
-    s_dim = model.temporal.state_dim
+    s_dim, r = model.temporal.state_dim, model.sgnn.hidden_dim
     for (_i, prev, cur, _dt), (ci, cache) in zip(reversed(batch.intervals), reversed(cell_caches)):
-        dx = model.cells[ci].backward(dq[cur], cache, grads, f"cell{ci}")
-        dq[prev] += dx[:, :s_dim]
-        dh[cur] += dx[:, s_dim : s_dim + model.sgnn.hidden_dim]
-    dqf = dq[batch.fresh]
+        dx = model.cells[ci].backward(dq.take(cur, axis=-2), cache, grads, f"cell{ci}")
+        dq[..., prev, :] += dx[..., :s_dim]
+        dh[..., cur, :] += dx[..., s_dim : s_dim + r]
+    dqf = dq.take(batch.fresh, axis=-2)
     if model.adapter is None:
-        dh[batch.fresh] += dqf
+        dh[..., batch.fresh, :] += dqf
     else:
-        grads["adapter.w"] += dqf.T @ h[batch.fresh]
-        grads["adapter.b"] += dqf.sum(axis=0)
-        dh[batch.fresh] += dqf @ model.adapter[0]
-    for li, (_own, recv, send, _edge_attrs) in reversed(list(enumerate(batch.layers))):
+        grads["adapter.w"] += _t(dqf) @ h.take(batch.fresh, axis=-2)
+        grads["adapter.b"] += dqf.sum(axis=-2)
+        dh[..., batch.fresh, :] += dqf @ model.adapter[0]
+    flat = batch.view(lead)[3]
+    for li in reversed(range(len(batch.layers))):
         acache, ccache = encoder_caches[li]
-        h_in = model.attr_dim if li == 0 else model.sgnn.hidden_dim
+        recv, frm = batch.layers[li][1], flat[li][1]
+        h_in = model.attr_dim if li == 0 else r
         dxc = model.comb[li].backward(dh, ccache, grads, f"comb{li}")
-        dh = dxc[:, :h_in]
         if acache is not None:
-            # one gradient row per edge: duplicate input rows each pass their own
-            dx = model.aggr[li].backward(dxc[recv, h_in:], acache, grads, f"aggr{li}")
-            np.add.at(dh, send, dx[:, :h_in])
+            # one gradient row per edge: duplicate input rows each pass their own;
+            # layer 0's inputs are the attributes, which take no gradient
+            dx = model.aggr[li].backward(dxc[..., recv, h_in:], acache, grads, f"aggr{li}")
+            if li:
+                rows = dxc.reshape(-1, h_in + r)
+                np.add.at(rows[:, :h_in], frm, dx.reshape(-1, dx.shape[-1])[:, :h_in])
+        dh = dxc[..., :h_in]
     return loss, grads
 
 
@@ -580,8 +655,11 @@ class CdynTarget:
     @classmethod
     def prefix_indicator(cls, corpus, anchor_graph, anchor_node):
         """Indicator of the anchor node's trajectory-prefix class, per timestamp."""
-        trajs = cut_trajectories(list(corpus))
-        anchor = trajs[anchor_graph][anchor_node].sigs
+        return cls._indicator(cut_trajectories(list(corpus))[anchor_graph][anchor_node].sigs)
+
+    @classmethod
+    def _indicator(cls, anchor):
+        """Indicator of the prefixes of the signature trajectory ``anchor``, per timestamp."""
         entries = [(i, anchor[: i + 1], (1.0,)) for i in range(len(anchor))]
         return cls.from_entries(entries, 1, default=(0.0,))
 
@@ -679,6 +757,18 @@ def train_to_target(corpus, target, sgnn, temporal, steps=2000, lr=0.5, seed=0, 
     ``steps`` below 0, an ``lr`` that is not positive and finite and a
     ``goal`` given and not positive raise ``InvalidBoundError``.
     """
+    return _train_stack(corpus, target, sgnn, temporal, steps, lr, (seed,), goal)[0]
+
+
+def _train_stack(corpus, target, sgnn, temporal, steps, lr, seeds, goal, prefixes=None):
+    """``train_to_target`` for every seed of ``seeds`` at once: one ``TrainResult`` per seed.
+
+    The seeds' models form one stack, so a step is one forward and one
+    backward pass for all of them.  A model leaves the stack at the step
+    that reaches ``goal`` and is never updated again, so each model takes
+    exactly the steps, losses and parameters of its own run.
+    ``prefixes`` are the corpus's ``cut_trajectories``, if already made.
+    """
     if steps < 0:
         raise InvalidBoundError(f"steps must be at least 0, got {steps}")
     if not lr > 0:
@@ -689,36 +779,72 @@ def train_to_target(corpus, target, sgnn, temporal, steps=2000, lr=0.5, seed=0, 
         raise InvalidBoundError(f"goal must be positive, got {goal}")
     corpus = list(corpus)
     check_comparable(corpus)
-    model = CgnnModel.init(
-        corpus[0].dim, target.output_dim, sgnn, temporal,
-        n_intervals=len(corpus[0].events), seed=seed,
-    )
-    batch = _corpus_batch(model, corpus, target, None)
-    initial = _loss(model, batch)
-    flat, gflat, grads = _flatten(model)
-    updates = 0
+    models = [
+        CgnnModel.init(
+            corpus[0].dim, target.output_dim, sgnn, temporal,
+            n_intervals=len(corpus[0].events), seed=seed,
+        )
+        for seed in seeds
+    ]
+    batch = _corpus_batch(models[0], corpus, target, prefixes)
+    stack, flat, gflat, grads = _flatten(models)
+    initial = _loss(stack, batch)
+    final, updates, live = initial.copy(), np.zeros(len(models), dtype=int), np.arange(len(models))
     for _ in range(steps):
         gflat.fill(0.0)
-        loss, _ = _loss(model, batch, True, grads)
-        if goal is not None and loss <= goal:
-            break
-        flat -= lr * gflat
-        updates += 1
-    final = _loss(model, batch)
-    return TrainResult(model, final, updates, initial)
+        loss, _ = _loss(stack, batch, True, grads)
+        step = gflat
+        if goal is not None and (met := loss <= goal).any():
+            final[live[met]] = loss[met]
+            live, step = live[~met], gflat[~met]
+            if not len(live):
+                break
+            # the models that met the goal keep the rows of the old arrays
+            stack, flat, gflat, grads = _flatten([models[i] for i in live])
+        flat -= lr * step
+        updates[live] += 1
+    else:
+        final[live] = _loss(stack, batch)
+    return [
+        TrainResult(model, float(f), int(n), float(i))
+        for model, f, n, i in zip(models, final, updates, initial)
+    ]
 
 
-def _flatten(model):
-    """Rebind every parameter to its view of one vector: (vector, gradient vector, its views)."""
-    slots = model._slots()
-    flat = np.concatenate([holder[key].ravel() for _, holder, key in slots])
+def _flatten(models):
+    """Stack ``models``: rebind each one's parameters to views of its row of one array.
+
+    Returns (stack, parameter array, gradient array, gradient views).  The
+    arrays are (models, parameters), each row in ``parameters()`` order;
+    ``stack`` is a model whose every parameter is the view of all rows at
+    once, with a leading model axis, and the gradient views are its
+    gradients by name.  Each model's own arrays view its row, so
+    ``model_params_json`` reads them as before.
+    """
+    rows = [model._slots() for model in models]
+    flat = np.array([np.concatenate([holder[key].ravel() for _, holder, key in s]) for s in rows])
     gflat = np.zeros_like(flat)
+    stack = _skeleton(models[0])
     grads, at = {}, 0
-    for name, holder, key in slots:
+    for j, (name, holder, key) in enumerate(stack._slots()):
         shape, end = holder[key].shape, at + holder[key].size
-        holder[key], grads[name] = flat[at:end].reshape(shape), gflat[at:end].reshape(shape)
+        holder[key] = flat[:, at:end].reshape(-1, *shape)
+        grads[name] = gflat[:, at:end].reshape(-1, *shape)
+        for slots, row in zip(rows, flat):
+            _, own, own_key = slots[j]
+            own[own_key] = row[at:end].reshape(shape)
         at = end
-    return flat, gflat, grads
+    return stack, flat, gflat, grads
+
+
+def _skeleton(model):
+    """``model`` with containers of its own, so that rebinding a parameter leaves ``model`` alone."""
+    nets = lambda ms: [Mlp(**vars(m)) for m in ms]
+    return replace(
+        model, aggr=nets(model.aggr), comb=nets(model.comb), cells=nets(model.cells),
+        readout_net=Mlp(**vars(model.readout_net)),
+        adapter=None if model.adapter is None else list(model.adapter),
+    )
 
 
 GRAD_STEP = 1e-5

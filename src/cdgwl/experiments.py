@@ -7,7 +7,9 @@ the report's results (by default the pair count plus every row count
 summed).  Workers regenerate their instance from (root seed, index), so
 workers in a process pool rebuild exactly the instance they check and
 reports come out byte-identical for identical inputs (the wall-clock field
-aside).  Counterexamples embed full stream serializations for replay.
+aside).  An ``approximation`` instance is a contiguous run of train seeds,
+trained as one stack, one run per worker.  Counterexamples embed full
+stream serializations for replay.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .cgnn import (
     CdynTarget,
     SgnnConfig,
     TemporalConfig,
+    _train_stack,
     expressivity_check,
     gradient_check,
-    train_to_target,
 )
 from .components import match_components
 from .errors import MalformedManifestError
@@ -233,15 +235,15 @@ def _term_identity(sigs, i):
     return ("chain", j, tuple(sigs[j : i + 1]))
 
 
-def _approx_anchor(corpus):
+def _approx_anchor(prefixes):
     """Pick an anchor whose prefix-indicator the model class can realize.
 
-    Prefix-respecting tables can still conflict with the restart semantics
-    (two terms may share a state bitwise while their prefixes differ), so
-    candidates whose indicator would label any structural state class
-    inconsistently are rejected.
+    ``prefixes`` are the corpus's ``cut_trajectories``.  Prefix-respecting
+    tables can still conflict with the restart semantics (two terms may
+    share a state bitwise while their prefixes differ), so candidates whose
+    indicator would label any structural state class inconsistently are
+    rejected.
     """
-    prefixes = cut_trajectories(list(corpus))
     terms = []
     for trajs in prefixes:
         for v, traj in sorted(trajs.items()):
@@ -272,18 +274,24 @@ def _approx_anchor(corpus):
 
 
 def _w_approximation(args):
-    seed, train_seed, graphs, steps, lr, goal = args
+    """Train a contiguous run of seeds as one stack on the corpus, built once for them."""
+    seed, train_seeds, graphs, steps, lr, goal = args
     corpus = approximation_corpus(seed, graphs)
-    anchor_graph, anchor_node = _approx_anchor(corpus)
-    target = CdynTarget.prefix_indicator(corpus, anchor_graph, anchor_node)
+    prefixes = cut_trajectories(corpus)
+    anchor_graph, anchor_node = _approx_anchor(prefixes)
+    target = CdynTarget._indicator(prefixes[anchor_graph][anchor_node].sigs)
     sgnn = SgnnConfig(layers=2, hidden_dim=8)
     temporal = TemporalConfig(mode=PER_INTERVAL, state_dim=8)
-    result = train_to_target(
-        corpus, target, sgnn, temporal, steps=steps, lr=lr, seed=train_seed, goal=goal
+    results = _train_stack(
+        corpus, target, sgnn, temporal, steps=steps, lr=lr, seeds=train_seeds, goal=goal,
+        prefixes=prefixes,
     )
-    run = {"train_seed": train_seed}
-    run.update((k, getattr(result, k)) for k in ("final_loss", "initial_loss", "steps_run"))
-    return run, [] if result.final_loss <= goal else [{"kind": "seed-missed-goal", **run}]
+    runs = [
+        {"train_seed": s, **{k: getattr(r, k) for k in ("final_loss", "initial_loss", "steps_run")}}
+        for s, r in zip(train_seeds, results)
+    ]
+    ces = [{"kind": "seed-missed-goal", **run} for run in runs if not run["final_loss"] <= goal]
+    return {"anchor": (anchor_graph, anchor_node), "runs": runs}, ces
 
 
 GRADCHECK_CONFIG = GeneratorConfig(n_nodes=3, n_events=2, dim=1, attr_values=2)
@@ -344,10 +352,11 @@ def _expressivity_results(seed, sizes, rows, ces):
 
 def _approximation_results(seed, sizes, rows, ces):
     """The runs; missed goals count only when fewer than ``min_successes`` met it."""
-    anchor_graph, anchor_node = _approx_anchor(approximation_corpus(seed, sizes["graphs"]))
-    successes = sum(run["final_loss"] <= sizes["goal"] for run in rows)
+    anchor_graph, anchor_node = rows[0]["anchor"]
+    runs = [run for row in rows for run in row["runs"]]
+    successes = sum(run["final_loss"] <= sizes["goal"] for run in runs)
     results = {
-        "anchor_graph": anchor_graph, "anchor_node": anchor_node, "runs": rows,
+        "anchor_graph": anchor_graph, "anchor_node": anchor_node, "runs": runs,
         "goal": sizes["goal"], "successes": successes, "required": sizes["min_successes"],
     }
     return results, [] if successes >= sizes["min_successes"] else ces
@@ -360,27 +369,38 @@ def _gradcheck_results(seed, sizes, rows, ces):
 
 def _indexed(count, *keys):
     """Instances ``(seed, i, *sizes[keys])`` for every ``i`` below ``sizes[count]``."""
-    return lambda seed, sizes: [(seed, i, *(sizes[k] for k in keys)) for i in range(sizes[count])]
+    return lambda seed, sizes, jobs: [
+        (seed, i, *(sizes[k] for k in keys)) for i in range(sizes[count])
+    ]
 
 
 _PAIRS = _indexed("pairs", "n_nodes")
 
 
-def _depth_bound_pairs(seed, sizes):
+def _depth_bound_pairs(seed, sizes, jobs):
     counts = ((False, sizes["pairs"]), (True, sizes["disconnected_pairs"]))
     return [(seed, idx, sizes["n_nodes"], disc) for disc, n in counts for idx in range(n)]
 
 
-def _gradcheck_probes(seed, sizes):
+def _gradcheck_probes(seed, sizes, jobs):
     return [
         (seed, p, mode, sizes["samples"], sizes["tolerance"])
         for p in range(sizes["probes"]) for mode in (PER_INTERVAL, SHARED_DT)
     ]
 
 
+def _approximation_stacks(seed, sizes, jobs):
+    """The train seeds in ``min(jobs, seeds)`` contiguous runs, one stack each."""
+    parts = np.array_split(np.arange(sizes["seeds"]), min(jobs, sizes["seeds"]))
+    return [
+        (seed, tuple(map(int, part)), *(sizes[k] for k in ("graphs", "steps", "lr", "goal")))
+        for part in parts
+    ]
+
+
 @dataclass(frozen=True)
 class _Experiment:
-    """Default sizes, ``instances(seed, sizes)`` -> worker args, worker, reduction."""
+    """Default sizes, ``instances(seed, sizes, jobs)`` -> worker args, worker, reduction."""
 
     sizes: dict
     instances: Callable
@@ -405,8 +425,7 @@ _EXPERIMENTS = {
     ),
     "approximation": _Experiment(
         {"graphs": 6, "seeds": 5, "steps": 5000, "lr": 0.3, "goal": 1e-2, "min_successes": 4},
-        _indexed("seeds", "graphs", "steps", "lr", "goal"),
-        _w_approximation, _approximation_results,
+        _approximation_stacks, _w_approximation, _approximation_results,
     ),
     "gradcheck": _Experiment(
         {"probes": 3, "samples": 40, "tolerance": 1e-4}, _gradcheck_probes,
@@ -452,7 +471,7 @@ def run_experiment(name, seed=0, jobs=1, out=None, **overrides):
             raise ValueError(f"experiment {name!r}: {k} must be {rule}, got {v}")
         sizes[k] = v
     t0 = time.perf_counter()
-    outs = _parallel_map(experiment.worker, experiment.instances(seed, sizes), jobs)
+    outs = _parallel_map(experiment.worker, experiment.instances(seed, sizes, jobs), jobs)
     rows = [row for row, _ in outs]
     results, ces = experiment.results(seed, sizes, rows, [c for _, found in outs for c in found])
     report = Report(

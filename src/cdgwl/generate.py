@@ -138,11 +138,25 @@ def generate(config, seed=0):
     """One random valid stream; a candidate left with no applicable event is redrawn.
 
     ``seed`` may be an int, a ``numpy`` SeedSequence, or a Generator.
+
+    A config whose streams can never draw an event raises
+    ``GenerationExhaustedError`` before any draw.  With ``n_events >= 1``
+    that is exactly the split config with two node ids and one attribute
+    value.  Without a split, some id is dead (add) or some node is live
+    (delete).  With a split, every half keeps a live node, so a second
+    attribute value allows a change; and with three or more ids one half
+    holds two, which are either both live (delete) or not (add).  Two ids
+    are one per half, each live for good: no add, delete or edge.
     """
     rng = np.random.default_rng(seed)
     ids = [f"n{i}" for i in range(config.n_nodes)]
     if config.ensure_disconnected and config.n_nodes < 2:
         raise GenerationExhaustedError("disconnected streams need at least 2 node ids")
+    if config.ensure_disconnected and config.n_nodes == 2 and config.attr_values == 1 and config.n_events:
+        raise GenerationExhaustedError(
+            "no event can ever be drawn: 2 node ids split into halves of one node each "
+            "can be neither added, deleted nor linked, and 1 attribute value allows no change"
+        )
     alphabet = _alphabet(config)
     for _ in range(MAX_ATTEMPTS):
         g = _try_stream(rng, config, ids, alphabet)

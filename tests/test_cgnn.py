@@ -479,10 +479,11 @@ def test_default_approximation_run_is_pinned(monkeypatch):
     results = []
 
     def keep(*args, **kwargs):
-        results.append(train_to_target(*args, **kwargs))
-        return results[-1]
+        stack = cgnn._train_stack(*args, **kwargs)
+        results.extend(stack)
+        return stack
 
-    monkeypatch.setattr(experiments, "train_to_target", keep)
+    monkeypatch.setattr(experiments, "_train_stack", keep)
     report = run_experiment("approximation", seed=0, jobs=1)
     assert report.passed
     assert tuple(run["steps_run"] for run in report.results["runs"]) == tuple(
@@ -492,6 +493,42 @@ def test_default_approximation_run_is_pinned(monkeypatch):
         (r.steps_run, hashlib.sha256(model_params_json(r.model).encode()).hexdigest())
         for r in results
     ) == APPROXIMATION_RUNS
+
+
+@pytest.mark.parametrize(
+    "mode, hidden, goal", [(SHARED_DT, 3, 3e-2), (PER_INTERVAL, 4, 5e-2)], ids=["shared-dt", "per-interval"]
+)
+def test_a_stack_trains_each_seed_as_its_own_run(mode, hidden, goal):
+    # the seeds leave the stack at different steps (one runs out of steps
+    # in shared-dt): each keeps the steps, losses and bits of its own run
+    corpus = experiments.approximation_corpus(0, 3)
+    target = CdynTarget.prefix_indicator(corpus, 0, "n0")
+    sg, tc = numeric_cfg(hidden=hidden, mode=mode)
+    stacked = cgnn._train_stack(corpus, target, sg, tc, 120, 0.3, range(5), goal)
+    assert len({r.steps_run for r in stacked}) > 2
+    for seed, got in enumerate(stacked):
+        alone = train_to_target(corpus, target, sg, tc, steps=120, lr=0.3, seed=seed, goal=goal)
+        assert (got.steps_run, got.initial_loss, got.final_loss) == (
+            alone.steps_run, alone.initial_loss, alone.final_loss
+        )
+        assert model_params_json(got.model) == model_params_json(alone.model)
+
+
+@pytest.mark.parametrize("mode", [SHARED_DT, PER_INTERVAL])
+@pytest.mark.parametrize("hidden", [3, 4], ids=["adapter", "no-adapter"])
+def test_a_model_in_a_stack_gets_its_own_gradients(mode, hidden):
+    corpus = [delete_readd_cdg(), generate(GeneratorConfig(n_nodes=4, n_events=3), seed=70)]
+    target = CdynTarget.prefix_indicator(corpus, 1, "n0")
+    sg, tc = numeric_cfg(hidden=hidden, mode=mode)
+    models = [CgnnModel.init(1, 1, sg, tc, n_intervals=3, seed=s) for s in (4, 5, 6)]
+    stack, _flat, _gflat, grads = cgnn._flatten(models)
+    loss, _ = cgnn._loss(stack, cgnn._corpus_batch(models[0], corpus, target, None), True, grads)
+    for b, model in enumerate(models):
+        want_loss, want = loss_and_gradients(model, corpus, target)
+        assert loss[b] == want_loss
+        assert [name for name, _ in model.parameters()] == list(want) == list(grads)
+        for name, grad in want.items():
+            assert grads[name][b].tobytes() == grad.tobytes(), name
 
 
 def reference_encode(model, batch, canonical=True):

@@ -77,11 +77,19 @@ def test_reports_are_canonical_modulo_wall_clock():
     assert "wall_clock_seconds" not in without
 
 
-def test_parallel_run_matches_serial():
-    r1 = run_experiment("depth-bound", seed=3, pairs=6, disconnected_pairs=2,
-                        n_nodes=4, jobs=1)
-    r2 = run_experiment("depth-bound", seed=3, pairs=6, disconnected_pairs=2,
-                        n_nodes=4, jobs=2)
+@pytest.mark.parametrize(
+    "name, sizes, jobs",
+    [
+        ("depth-bound", {"pairs": 6, "disconnected_pairs": 2, "n_nodes": 4}, 2),
+        # the train seeds split into min(jobs, seeds) stacks: one of 3 at jobs=1,
+        # then 2 + 1, then 1 + 1 + 1
+        ("approximation", {"graphs": 3, "seeds": 3, "steps": 60, "min_successes": 0}, 2),
+        ("approximation", {"graphs": 3, "seeds": 3, "steps": 60, "min_successes": 0}, 3),
+    ],
+)
+def test_parallel_run_matches_serial(name, sizes, jobs):
+    r1 = run_experiment(name, seed=3, jobs=1, **sizes)
+    r2 = run_experiment(name, seed=3, jobs=jobs, **sizes)
     assert r1.to_json(include_wall_clock=False) == r2.to_json(include_wall_clock=False)
 
 
@@ -127,10 +135,10 @@ def test_float_sizes_out_of_range_are_rejected(name, sizes, message):
 
 
 def test_nan_training_loss_fails_approximation(monkeypatch):
-    def diverged(corpus, target, sgnn, temporal, steps, lr, seed, goal):
-        return TrainResult(None, float("nan"), steps, float("nan"))
+    def diverged(corpus, target, sgnn, temporal, steps, lr, seeds, goal, prefixes):
+        return [TrainResult(None, float("nan"), steps, float("nan")) for _ in seeds]
 
-    monkeypatch.setattr(experiments, "train_to_target", diverged)
+    monkeypatch.setattr(experiments, "_train_stack", diverged)
     report = run_experiment("approximation", seed=0, **TINY["approximation"])
     assert not report.passed
     assert report.results["successes"] == 0

@@ -1,7 +1,9 @@
 """Random stream generator and fixed demonstration graphs."""
 
 import hashlib
+import itertools
 
+import numpy as np
 import pytest
 
 from cdgwl import (
@@ -67,6 +69,33 @@ def test_disconnected_streams_stay_disconnected(seed):
 def test_disconnected_needs_two_nodes():
     with pytest.raises(GenerationExhaustedError):
         generate(GeneratorConfig(n_nodes=1, ensure_disconnected=True), seed=0)
+
+
+# The configs of the grid below for which ``generate`` used to redraw all
+# MAX_ATTEMPTS streams before giving up (recorded at seed 0 before the
+# check existed); a split over one id already raised before any draw.
+EXHAUSTED_ALL_ATTEMPTS = {(2, 1, True, n_events) for n_events in (1, 2, 3)}
+
+
+def test_a_config_that_can_never_draw_an_event_raises_at_once():
+    grid = itertools.product(range(1, 5), (1, 2), (False, True), range(1, 4))
+    for n_nodes, attr_values, split, n_events in grid:
+        config = GeneratorConfig(n_nodes, n_events, attr_values=attr_values,
+                                 ensure_disconnected=split)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        try:
+            generate(config, rng)
+            outcome = "stream"
+        except GenerationExhaustedError as exc:
+            drawn = rng.bit_generator.state != before
+            outcome, message = "after draws" if drawn else "at once", str(exc)
+        if (n_nodes, attr_values, split, n_events) in EXHAUSTED_ALL_ATTEMPTS:
+            assert outcome == "at once" and "no event can ever be drawn" in message, config
+        elif split and n_nodes == 1:
+            assert outcome == "at once" and "at least 2 node ids" in message, config
+        else:
+            assert outcome == "stream", config
 
 
 def test_zero_event_config():
