@@ -29,7 +29,10 @@ summed in another order, so trained parameters match theirs within float
 tolerance, not bitwise.
 
 Layer 0's own rows, message inputs and summation order depend only on the
-batch, so the batch computes them once for every model and step.
+batch, so the batch computes them once for every model and step.  Only a
+pass that computes gradients keeps each layer's and each interval's inputs
+and activations for the backward pass; forward passes (``cgnn_forward``,
+``sgnn_forward``, ``expressivity_check``) and loss-only passes keep none.
 
 The same kernels run a stack of models on one batch: every parameter and
 every row batch then has a leading model axis.  Each model's rows go
@@ -444,11 +447,15 @@ def _canonical_order(inputs, recv):
     return np.lexsort(np.vstack((bits.T[::-1], recv)))
 
 
-def _encode(model, batch):
-    """All encoder layers over the batch's rows; final embeddings per slot plus caches."""
+def _encode(model, batch, keep=False):
+    """All encoder layers over the batch's rows: final embeddings per slot, and caches.
+
+    The caches are the per-layer inputs and activations that the backward
+    pass reads; they are kept only if ``keep``, else None.
+    """
     lead, r = model.readout_net.b2.shape[:-1], model.sgnn.hidden_dim  # lead: () or (B,)
     h_own, x, order, flat, _dts = batch.view(lead)
-    caches = []
+    caches = [] if keep else None
     for li, ((own, _recv, send, _ea), (to, _frm, edge_attrs)) in enumerate(zip(batch.layers, flat)):
         if li:
             h_own = h.take(own, axis=-2)
@@ -462,17 +469,22 @@ def _encode(model, batch):
             # messages are summed one after another from +0.0, in canonical order
             np.add.at(m.reshape(-1, r), to[order], msgs.reshape(-1, r)[order])
         h, ccache = model.comb[li].forward(np.concatenate([h_own, m], axis=-1))
-        caches.append((acache, ccache))
+        if keep:
+            caches.append((acache, ccache))
     return h.take(batch.out, axis=-2), caches
 
 
-def _temporal(model, batch, h):
-    """States of every slot: fresh embeddings, then one cell call per interval."""
+def _temporal(model, batch, h, keep=False):
+    """States of every slot: fresh embeddings, then one cell call per interval.
+
+    Returns the states and, only if ``keep``, each interval's cell and cache
+    for the backward pass (else None).
+    """
     lead = h.shape[:-2]
     q = np.empty((*lead, h.shape[-2], model.temporal.state_dim))
     hf = h.take(batch.fresh, axis=-2)
     q[..., batch.fresh, :] = hf if model.adapter is None else _affine(hf, *model.adapter)
-    caches = []
+    caches = [] if keep else None
     for (i, prev, cur, _dt), dt in zip(batch.intervals, batch.view(lead)[4]):
         parts = [q.take(prev, axis=-2), h.take(cur, axis=-2)]
         if model.temporal.mode == PER_INTERVAL:
@@ -480,7 +492,8 @@ def _temporal(model, batch, h):
         else:
             ci, parts = 0, [*parts, dt]
         q[..., cur, :], cache = model.cells[ci].forward(np.concatenate(parts, axis=-1))
-        caches.append((ci, cache))
+        if keep:
+            caches.append((ci, cache))
     return q, caches
 
 
@@ -490,8 +503,8 @@ def _loss(model, batch, with_grads=False, grads=None):
     A stack gets one loss per model.  The gradients accumulate into
     ``grads`` (name -> array) if given, else into fresh zeros.
     """
-    h, encoder_caches = _encode(model, batch)
-    q, cell_caches = _temporal(model, batch, h)
+    h, encoder_caches = _encode(model, batch, with_grads)
+    q, cell_caches = _temporal(model, batch, h, with_grads)
     pred, rcache = model.readout_net.forward(q)
     diff = pred - batch.targets
     lead = diff.shape[:-2]

@@ -7,6 +7,12 @@ to a key.  One dictionary defines one comparison session: every id minted
 in a session is directly comparable, and ids from different sessions are
 not.
 
+A key is one flat tuple.  Level 0 keys ``(tag0, attribute bytes)``; a
+later level keys ``(tag, self part, w1, id1, w2, id2, ...)``, the node's
+(edge attribute bytes, neighbour id) pairs in sorted order, laid end to
+end.  The tag fixes the layout and every pair has two fields, so the flat
+key is as injective as a tuple of pair tuples, and holds no tuple per pair.
+
 The temporal test runs refinement independently per timestamp but jointly
 over the disjoint union of all compared snapshots, so colors of different
 graphs at the same timestamp line up by construction.  A node's color
@@ -63,9 +69,13 @@ class ColorDictionary:
     level, one per class in class order, so class ``r`` at level ``j`` of the
     block has id ``start + j * size + r``.  The block's first level is stored
     key by key; ``id_of`` decodes a key of a later level from the classes'
-    shapes (their keys with block ids replaced by ranks).  ``len`` counts
-    every id, stored or in a block, and ``items()`` yields every
-    (key, id) pair in id order, blocks expanded.
+    shapes.  A shape is a key without its tag and with block ids replaced by
+    ranks, as flat as the key: ``(self part, w1, rank1, w2, rank2, ...)``.
+    ``len`` counts every id, stored or in a block, and ``items()`` yields
+    every (key, id) pair in id order, blocks expanded.
+
+    Every key is one flat tuple (see the module docstring).  ``id_of``
+    unpacks a missed key only once its probe id falls inside a block level.
 
     The dictionary also remembers, for ids that refinement calls held past
     their stable level, the latest call and class that held each.  Each
@@ -119,13 +129,13 @@ class ColorDictionary:
 
     def _decode(self, key):
         """The id of a block key past its block's first level, else None."""
-        if len(key) != 3:
+        if len(key) < 2 or len(key) % 2:
             return None
-        tag, own, nbrs = key
+        tag, own = key[0], key[1]
         if tag == "c":
             probe = own
-        elif tag == "t" and nbrs:
-            probe = nbrs[0][1]
+        elif tag == "t" and len(key) > 2:
+            probe = key[3]
         else:
             return None
         found = self._locate(probe)
@@ -136,10 +146,14 @@ class ColorDictionary:
             return None
         lo = block.start + level * block.size
         hi = lo + block.size
-        if not all(lo <= i < hi for _, i in nbrs):
+        ids = key[3::2]
+        if not all(lo <= i < hi for i in ids):
             return None
-        shape = (own - lo if tag == "c" else own, tuple([(w, i - lo) for w, i in nbrs]))
-        rank = block.shapes.get(shape)
+        shape = list(key[1:])
+        if tag == "c":
+            shape[0] = own - lo
+        shape[2::2] = [i - lo for i in ids]
+        rank = block.shapes.get(tuple(shape))
         return None if rank is None else hi + rank
 
     def _owner(self, i):
@@ -173,10 +187,12 @@ class _Block:
     def items(self):
         for level in range(1, self.count):
             lo = self.start + (level - 1) * self.size
-            for (own, nbrs), rank in self.shapes.items():
-                own_key = lo + own if self.tag == "c" else own
-                key = (self.tag, own_key, tuple((w, lo + j) for w, j in nbrs))
-                yield key, lo + self.size + rank
+            for shape, rank in self.shapes.items():
+                key = [self.tag, *shape]
+                if self.tag == "c":
+                    key[1] += lo
+                key[3::2] = [lo + j for j in shape[2::2]]
+                yield tuple(key), lo + self.size + rank
 
 
 class _Chain:
@@ -206,12 +222,17 @@ class _Chain:
 
 
 def _step(id_of, tag, tree, own, prev, nbrs, members):
-    """Next-level ids of ``members`` (0 for dead ones) from their ids ``prev``."""
+    """Next-level ids of ``members`` (0 for dead ones) from their ids ``prev``.
+
+    A key is one flat tuple, ``(tag, self part, w1, id1, w2, id2, ...)``:
+    ``sum`` appends the sorted (edge attribute, neighbour id) pairs to
+    ``(tag, self part)``.
+    """
     return [
         BOTTOM
         if nbrs[i] is None
         else id_of(
-            (tag, own[i] if tree else prev[i], tuple(sorted([(w, prev[j]) for w, j in nbrs[i]])))
+            sum(sorted([(w, prev[j]) for w, j in nbrs[i]]), (tag, own[i] if tree else prev[i]))
         )
         for i in members
     ]
@@ -297,7 +318,7 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
         fresh.sort()
         rank = {c: r for r, c in enumerate(fresh)}
         shapes = {
-            (own[c] if tree else r, tuple(sorted([(w, rank[j]) for w, j in nbrs[c]]))): r
+            sum(sorted([(w, rank[j]) for w, j in nbrs[c]]), (own[c] if tree else r,)): r
             for r, c in enumerate(fresh)
         }
         start = dictionary._next
@@ -426,9 +447,10 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
     """Levels ``lo``..``rounds`` of attributed refinement, for colors and trees.
 
     Level 0 keys a live node on its attribute; level d+1 on a self part plus
-    the sorted multiset of (edge attribute, neighbor level-d id) pairs.  The
-    self part is the level-d color for refinement (tags ``c0``/``c``) and the
-    node's attribute for trees (``t0``/``t``); dead nodes carry 0.
+    the sorted multiset of (edge attribute, neighbor level-d id) pairs, as
+    one flat key ``(tag, self part, w1, id1, w2, id2, ...)``.  The self part
+    is the level-d color for refinement (tags ``c0``/``c``) and the node's
+    attribute for trees (``t0``/``t``); dead nodes carry 0.
     ``until_stable`` stops at the first level that leaves the partition
     unchanged.  The maps are keyed by ``union.order``.
 

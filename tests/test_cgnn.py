@@ -531,6 +531,47 @@ def test_a_model_in_a_stack_gets_its_own_gradients(mode, hidden):
             assert grads[name][b].tobytes() == grad.tobytes(), name
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-model", "stack-of-three"])
+def test_a_loss_only_pass_gives_the_bits_of_a_gradient_pass(stacked):
+    corpus = [delete_readd_cdg(), generate(GeneratorConfig(n_nodes=4, n_events=3), seed=70)]
+    target = CdynTarget.prefix_indicator(corpus, 1, "n0")
+    sg, tc = numeric_cfg(hidden=3)
+    models = [CgnnModel.init(1, 1, sg, tc, n_intervals=3, seed=s) for s in (4, 5, 6)]
+    model = cgnn._flatten(models)[0] if stacked else models[0]
+    batch = cgnn._corpus_batch(models[0], corpus, target, None)
+    loss, (with_grads, _) = cgnn._loss(model, batch), cgnn._loss(model, batch, True)
+    assert type(loss) is type(with_grads)
+    assert np.asarray(loss).tobytes() == np.asarray(with_grads).tobytes()
+
+
+def test_only_a_gradient_pass_keeps_caches(monkeypatch):
+    corpus = [generate(GeneratorConfig(n_nodes=4, n_events=3), seed=70)]
+    target = CdynTarget.from_entries([], 1, default=(0.25,))
+    model = CgnnModel.init(1, 1, *numeric_cfg(), n_intervals=3, seed=1)
+    batch = cgnn._corpus_batch(model, corpus, target, None)
+    h, caches = cgnn._encode(model, batch)
+    assert caches is None
+    assert cgnn._temporal(model, batch, h)[1] is None
+    handed = []
+
+    def spy(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            handed.append(out[1])
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(cgnn, "_encode", spy(cgnn._encode))
+    monkeypatch.setattr(cgnn, "_temporal", spy(cgnn._temporal))
+    cgnn_forward(corpus[0], model)
+    training_loss(model, corpus, target)
+    assert handed == [None] * 4
+    handed.clear()
+    loss_and_gradients(model, corpus, target)
+    assert [len(c) for c in handed] == [model.sgnn.layers, len(batch.intervals)]
+
+
 def reference_encode(model, batch, canonical=True):
     # the encoder with each receiver's messages added one at a time from
     # +0.0, in the bit order of their inputs, or else in input order

@@ -145,9 +145,10 @@ def ref_round(snapshot, prev, dictionary, tree):
         if v not in snapshot.nodes:
             nxt[v] = 0
             continue
-        ms = tuple(sorted((attr_bytes(w), prev[u]) for u, w in adj[v]))
+        ms = sorted((attr_bytes(w), prev[u]) for u, w in adj[v])
         own = attr_bytes(snapshot.nodes[v]) if tree else prev[v]
-        nxt[v] = dictionary.id_of(("t" if tree else "c", own, ms))
+        # one flat key: (tag, self part, w1, id1, w2, id2, ...)
+        nxt[v] = dictionary.id_of(("t" if tree else "c", own, *(x for pair in ms for x in pair)))
     return nxt
 
 

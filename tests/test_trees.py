@@ -214,6 +214,24 @@ def test_cut_keys_a_quarter_of_the_levels_of_a_full_walk():
     assert dictionary.calls <= 199596 // 4
 
 
+def test_every_session_key_is_one_flat_tuple():
+    """A level key is ``(tag, self part, w1, id1, w2, id2, ...)``, stored or in a block.
+
+    Every key ``items()`` yields, tail-block keys expanded, is a tuple
+    holding no tuple, and ``id_of`` finds each one's id again.
+    """
+    config = GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1)
+    a, b, _ = generate_isomorphic_pair(config, 0)
+    dictionary = ColorDictionary()
+    cut_trajectories([a, b], dictionary=dictionary)
+    items = list(dictionary.items())
+    assert len(items) == len(dictionary) == 89938 and dictionary._blocks
+    for key, i in items:
+        assert type(key) is tuple and not any(isinstance(x, tuple) for x in key), key
+        assert dictionary.id_of(key) == i
+    assert len(dictionary) == 89938
+
+
 def test_every_level_read_keys_a_third_of_a_full_walk():
     """The read ``verify_depth_bound`` makes: every level, one session per pair.
 
