@@ -224,9 +224,8 @@ class _Chain:
 def _step(id_of, tag, tree, own, prev, nbrs, members):
     """Next-level ids of ``members`` (0 for dead ones) from their ids ``prev``.
 
-    A key is one flat tuple, ``(tag, self part, w1, id1, w2, id2, ...)``:
-    ``sum`` appends the sorted (edge attribute, neighbour id) pairs to
-    ``(tag, self part)``.
+    ``sum`` lays the sorted (edge attribute, neighbour id) pairs end to end
+    after ``(tag, self part)``, which makes the flat key.
     """
     return [
         BOTTOM
