@@ -1,11 +1,12 @@
 """Continuous-time dynamic graphs, refinement tests, and a toy dynamic GNN.
 
 The package models a dynamic graph as a start graph plus an ordered stream
-of timestamped events.  On top of that it provides per-snapshot color
-refinement with per-node color trajectories, unfolding-tree signatures
-with the decisive depth bound, a brute-force isomorphism oracle,
-component decomposition and matching, a trainable dynamic network with
-gradient checking and its injective symbolic counterpart, and seeded
+of timestamped events; a static graph is a stream with no events, so one
+API serves both.  On top of that it provides color refinement along the
+stream with per-node color trajectories, unfolding-tree signature
+trajectories with the decisive depth bound, a brute-force isomorphism
+oracle, component decomposition and matching, a trainable dynamic network
+with gradient checking and its injective symbolic counterpart, and seeded
 certification experiments tying those pieces together.
 """
 
@@ -48,7 +49,6 @@ from .cgnn import (
     loss_and_gradients,
     model_params_json,
     readout,
-    sgnn_forward,
     symbolic_state_trajectories,
     train_to_target,
     training_loss,
@@ -118,9 +118,6 @@ from .trees import (
     depth_bound,
     graph_cut_equivalent,
     signature,
-    stable_trajectories,
-    tree_sigs_at_depth,
-    tree_sigs_stable,
     unfolding_tree,
     verify_cut_cwl_correspondence,
     verify_depth_bound,
@@ -131,15 +128,9 @@ from .wl import (
     ColorDictionary,
     EXISTENCE,
     GraphComparison,
-    awl_init,
-    awl_stable,
-    awl_step,
     check_comparable,
     compare_graphs,
     cwl,
-    merged_snapshot,
-    partition_of,
-    refine_at_depth,
 )
 
 __version__ = "0.1.0"

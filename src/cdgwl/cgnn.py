@@ -24,15 +24,13 @@ batched and whichever rows are shared: ``Mlp.forward`` multiplies with
 ``einsum``, whose result for a row does not depend on the batch (``x @
 w.T`` through BLAS does), and a receiver's messages are summed sequentially
 from +0.0 in the order of the bit patterns of their input rows, by one
-``np.add.at`` call over the edge rows in that order.  Earlier versions
-summed in another order, so trained parameters match theirs within float
-tolerance, not bitwise.
+``np.add.at`` call over the edge rows in that order.
 
 Layer 0's own rows, message inputs and summation order depend only on the
 batch, so the batch computes them once for every model and step.  Only a
 pass that computes gradients keeps each layer's and each interval's inputs
 and activations for the backward pass; forward passes (``cgnn_forward``,
-``sgnn_forward``, ``expressivity_check``) and loss-only passes keep none.
+``expressivity_check``) and loss-only passes keep none.
 
 The same kernels run a stack of models on one batch: every parameter and
 every row batch then has a leading model axis.  Each model's rows go
@@ -53,6 +51,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -547,33 +547,21 @@ def _loss(model, batch, with_grads=False, grads=None):
     return loss, grads
 
 
-def _check_fits(model, dims, n_intervals):
-    """Raise unless the numeric ``model`` takes attributes of ``dims`` over ``n_intervals``."""
-    if dims - {model.attr_dim}:
+def _check_fits(model, g):
+    """Raise unless the numeric ``model`` takes graph ``g``'s attributes and intervals."""
+    if g.dim != model.attr_dim:
         raise DimensionMismatchError(
-            f"attribute dimensions {sorted(dims)}, but the model takes {model.attr_dim}"
+            f"attribute dimension {g.dim}, but the model takes {model.attr_dim}"
         )
-    if model.temporal.mode == PER_INTERVAL and n_intervals > len(model.cells):
+    if model.temporal.mode == PER_INTERVAL and len(g.events) > len(model.cells):
         raise LengthMismatchError(
-            f"{n_intervals} intervals, but the model has {len(model.cells)} cells"
+            f"{len(g.events)} intervals, but the model has {len(model.cells)} cells"
         )
-
-
-def sgnn_forward(snapshot, universe_, model):
-    """Per-node embeddings for one snapshot (None for absent nodes)."""
-    attrs = (*snapshot.nodes.values(), *snapshot.edges.values())
-    _check_fits(model, set(map(len, attrs)), 0)
-    stream = (universe_, snapshot.nodes, snapshot.edges, ())
-    batch = _Batch([stream], model.attr_dim, model.sgnn.layers)
-    h, _ = _encode(model, batch)
-    out = dict.fromkeys(universe_)
-    out.update((v, h[k]) for k, (_gi, _i, v) in enumerate(batch.keys))
-    return out
 
 
 def cgnn_forward(cdg_, model):
     """States at every timestamp of one dynamic graph."""
-    _check_fits(model, {cdg_.dim}, len(cdg_.events))
+    _check_fits(model, cdg_)
     us = universe(cdg_)
     batch = _Batch([_stream(cdg_)], cdg_.dim, model.sgnn.layers)
     h, _ = _encode(model, batch)
@@ -651,19 +639,31 @@ class CdynTarget:
 
     @classmethod
     def from_entries(cls, entries, output_dim, default=None):
+        """The table of ``(timestamp index, prefix, value)`` entries.
+
+        A broken rule raises ``MalformedTargetError`` naming the field as
+        ``from_json`` reads it: ``output_dim``, ``default``, ``entries[k].t``,
+        ``entries[k].prefix`` or ``entries[k].value``.
+        """
+        ok = _is_int(output_dim) and output_dim > 0
+        _require(ok, "output_dim", "a positive integer", output_dim)
+        if default is not None:
+            default = _vector(default, output_dim, "default")
         table = {}
-        for t_index, prefix, value in entries:
-            key = (int(t_index), tuple(prefix))
-            value = tuple(float(x) for x in value)
-            if len(value) != output_dim:
-                raise ValueError(f"target value {value} has dimension != {output_dim}")
+        for k, (t_index, prefix, value) in enumerate(entries):
+            at = f"entries[{k}]"
+            _require(_is_int(t_index) and t_index >= 0, f"{at}.t", "an integer >= 0", t_index)
+            ok = isinstance(prefix, (list, tuple)) and all(map(_is_int, prefix))
+            _require(ok, f"{at}.prefix", "a list of integers", prefix)
+            key = (int(t_index), tuple(map(int, prefix)))
+            value = _vector(value, output_dim, f"{at}.value")
             if key in table and table[key] != value:
                 raise TargetNotCutRespectingError(
                     f"equal trajectory prefixes at timestamp {t_index} map to "
                     f"{table[key]} and {value}"
                 )
             table[key] = value
-        return cls(output_dim, table, tuple(default) if default is not None else None)
+        return cls(int(output_dim), table, default)
 
     @classmethod
     def prefix_indicator(cls, corpus, anchor_graph, anchor_node):
@@ -688,33 +688,30 @@ class CdynTarget:
     @classmethod
     def from_json(cls, text):
         """Parse ``to_json`` output; a schema break raises ``MalformedTargetError``."""
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedTargetError(None, f"invalid JSON ({exc})") from None
         _require(isinstance(obj, dict), None, "a JSON object", obj)
-        dim = _field(obj, "output_dim", lambda x: _is_int(x) and x > 0, "a positive integer")
-
-        def vector(x):
-            return isinstance(x, list) and len(x) == dim and all(
-                (_is_int(c) or isinstance(c, float)) and math.isfinite(c) for c in x
-            )
-
-        default = obj.get("default")
-        expected = f"null or a list of {dim} numbers"
-        _require(default is None or vector(default), "default", expected, default)
-        entries = []
-        for k, e in enumerate(_field(obj, "entries", lambda x: isinstance(x, list), "a list")):
-            at = f"entries[{k}]"
-            _require(isinstance(e, dict), at, "a JSON object", e)
-            entries.append((
-                _field(e, "t", lambda x: _is_int(x) and x >= 0, "an integer >= 0", at),
-                _field(e, "prefix", lambda x: isinstance(x, list) and all(map(_is_int, x)),
-                       "a list of integers", at),
-                _field(e, "value", vector, f"a list of {dim} numbers", at),
-            ))
-        return cls.from_entries(entries, dim, default)
+        dim, entries = _field(obj, "output_dim"), _field(obj, "entries")
+        rows = []
+        for k, e in enumerate(_require(isinstance(entries, list), "entries", "a list", entries)):
+            _require(isinstance(e, dict), f"entries[{k}]", "a JSON object", e)
+            rows.append([_field(e, name, f"entries[{k}]") for name in ("t", "prefix", "value")])
+        return cls.from_entries(rows, dim, obj.get("default"))
 
 
 def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _vector(x, dim, field):
+    """``x`` as ``dim`` finite floats; the bound also rejects ints too large for a float."""
+    ok = isinstance(x, (list, tuple)) and len(x) == dim and all(
+        isinstance(c, numbers.Real) and not isinstance(c, bool) and abs(c) <= sys.float_info.max
+        for c in x
+    )
+    return tuple(map(float, _require(ok, field, f"a list of {dim} finite numbers", x)))
 
 
 def _require(ok, field, expected, value):
@@ -723,11 +720,11 @@ def _require(ok, field, expected, value):
     return value
 
 
-def _field(obj, name, ok, expected, within=None):
+def _field(obj, name, within=None):
     field = name if within is None else f"{within}.{name}"
     if name not in obj:
         raise MalformedTargetError(field, "missing")
-    return _require(ok(obj[name]), field, expected, obj[name])
+    return obj[name]
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +734,7 @@ def _field(obj, name, ok, expected, within=None):
 def _corpus_batch(model, corpus, target, prefixes):
     corpus = list(corpus)
     for g in corpus:
-        _check_fits(model, {g.dim}, len(g.events))
+        _check_fits(model, g)
     if prefixes is None:
         prefixes = cut_trajectories(corpus)
     return _Batch([_stream(g) for g in corpus], model.attr_dim, model.sgnn.layers, target, prefixes)

@@ -27,11 +27,12 @@ class MalformedStreamError(CdgError, ValueError):
 
 
 class MalformedManifestError(CdgError, ValueError):
-    """A corpus manifest breaks its schema; names the field (a ``ValueError`` too)."""
+    """A corpus manifest is not JSON or breaks its schema; names the field (also a ValueError)."""
 
     def __init__(self, path, field, problem):
         self.field = field
-        super().__init__(f"{path}, field {field!r}: {problem}")
+        where = path if field is None else f"{path}, field {field!r}"
+        super().__init__(f"{where}: {problem}")
 
 
 class EmptyInputError(CdgError):
@@ -87,7 +88,7 @@ class TargetNotCutRespectingError(CdgError):
 
 
 class MalformedTargetError(CdgError, ValueError):
-    """A target table breaks its JSON schema; names the field."""
+    """A target table, read from JSON or built in code, breaks its schema; names the field."""
 
     def __init__(self, field, problem):
         self.field = field

@@ -545,13 +545,13 @@ def write_stream_corpus(dirpath, seed, n_streams, config=None):
     return manifest
 
 
-def load_manifest(dirpath):
-    return json.loads((Path(dirpath) / "manifest.json").read_text())
-
-
 def _checked_manifest(dirpath, kind, files):
     """The manifest, once every ``kind`` entry names each of ``files`` as a string."""
-    manifest, path = load_manifest(dirpath), Path(dirpath) / "manifest.json"
+    path = Path(dirpath) / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise MalformedManifestError(path, None, f"invalid JSON ({exc})") from None
     entries = manifest.get(kind) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise MalformedManifestError(path, kind, f"expected a list of {kind}, got {entries!r}")

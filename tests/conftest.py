@@ -12,6 +12,7 @@ from cdgwl import (
     NODE,
     Snapshot,
     StartGraph,
+    cgnn_forward,
 )
 
 A = (1.0,)
@@ -40,8 +41,20 @@ def k3():
     return snap({"a": A, "b": A, "c": A}, {("a", "b"): A, ("b", "c"): A, ("a", "c"): A})
 
 
-def static_cdg(snapshot):
-    return Cdg(StartGraph(dict(snapshot.nodes), dict(snapshot.edges)))
+def static_cdg(snapshot, dim=None):
+    """The snapshot as a stream with no events."""
+    return Cdg(StartGraph(dict(snapshot.nodes), dict(snapshot.edges)), dim=dim)
+
+
+def sgnn_forward(snapshot, universe_, model):
+    """Per-node embeddings of one snapshot (None for absent nodes).
+
+    The snapshot's zero-event stream has one timestamp, so ``cgnn_forward``
+    computes every row of it fresh, sharing none with another timestamp.
+    """
+    out = dict.fromkeys(universe_)
+    out.update(cgnn_forward(static_cdg(snapshot, model.attr_dim), model)[0].hidden)
+    return out
 
 
 def delete_readd_cdg():

@@ -44,7 +44,6 @@ from cdgwl import (
     relabel_cdg,
     replay,
     run_experiment,
-    sgnn_forward,
     snapshots,
     six_cycle,
     symbolic_state_trajectories,
@@ -54,7 +53,7 @@ from cdgwl import (
     universe,
 )
 from cdgwl import cgnn, experiments
-from conftest import A, B, delete_readd_cdg, k3, static_cdg
+from conftest import A, B, delete_readd_cdg, k3, sgnn_forward, static_cdg
 
 
 def numeric_cfg(layers=2, hidden=4, state=4, mode=PER_INTERVAL):
@@ -217,6 +216,31 @@ def test_target_lookup_and_json_round_trip():
     bare = CdynTarget.from_entries([(0, (3,), (1.0,))], 1)
     with pytest.raises(KeyError):
         bare.value_for(0, (99,))
+
+
+@pytest.mark.parametrize("args, field", [
+    (([], 0), "output_dim"),
+    (([], 1.0), "output_dim"),
+    (([], 2, (1.0,)), "default"),
+    (([], 1, (math.inf,)), "default"),
+    (([(-1, (1,), (1.0,))], 1), "entries[0].t"),
+    (([(0, ("a",), (1.0,))], 1), "entries[0].prefix"),
+    (([(0, (1,), (1.0,)), (0, (2,), (math.nan,))], 1), "entries[1].value"),
+    (([(0, (1,), (10**400,))], 1), "entries[0].value"),
+    (([(0, (1,), (1.0, 2.0))], 1), "entries[0].value"),
+])
+def test_from_entries_names_the_field_as_from_json_does(args, field):
+    # the Python API holds every rule of the file format, so a wrong-length
+    # default fails here and not later inside a training batch
+    with pytest.raises(MalformedTargetError) as err:
+        CdynTarget.from_entries(*args)
+    assert err.value.field == field
+
+
+def test_a_target_that_is_not_json_is_a_malformed_target():
+    with pytest.raises(MalformedTargetError, match=r"^target: invalid JSON \(") as err:
+        CdynTarget.from_json("{nope")
+    assert err.value.field is None
 
 
 def test_prefix_indicator_marks_anchor_class():
@@ -409,8 +433,6 @@ def test_a_model_of_another_attribute_dimension_is_rejected():
     model = CgnnModel.init(1, 1, *numeric_cfg(), n_intervals=2, seed=0)
     with pytest.raises(DimensionMismatchError):
         cgnn_forward(g, model)
-    with pytest.raises(DimensionMismatchError):
-        sgnn_forward(snapshots(g)[0], universe(g), model)
     with pytest.raises(DimensionMismatchError):
         training_loss(model, [g], CdynTarget.from_entries([], 1, default=(0.0,)))
 

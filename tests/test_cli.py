@@ -247,6 +247,7 @@ BAD_TARGETS = {
     "entry-without-value": (
         '{"output_dim": 1, "entries": [{"t": 0, "prefix": [1]}]}', "'entries[0].value'"),
     "json-list": ('[{"output_dim": 1, "entries": []}]', "JSON object"),
+    "not-json": ("{nope", "target: invalid JSON"),
     "undefined-on-corpus": ('{"output_dim": 1, "default": null, "entries": []}',
                             "target undefined"),
 }
@@ -280,6 +281,13 @@ def test_malformed_manifest_exits_2(tmp_path, capsys):
     assert code == 2 and payload is None
     assert err.startswith("error: ") and "'streams[0].file': expected a file name" in err
     assert "unexpected" not in err
+
+
+def test_a_manifest_that_is_not_json_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text("{nope")
+    code, payload, err = run_cli(capsys, "verify", "cut-cwl", "--corpus", str(tmp_path))
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and "manifest.json: invalid JSON" in err
 
 
 def test_unexpected_exception_exits_2(pair_files, capsys, monkeypatch):

@@ -217,6 +217,14 @@ def test_stream_manifest_errors_name_the_field(tmp_path, manifest, field):
     assert isinstance(err.value, CdgError) and isinstance(err.value, ValueError)
 
 
+def test_a_manifest_that_is_not_json_names_its_file(tmp_path):
+    (tmp_path / "manifest.json").write_text("{nope")
+    for load in (load_stream_corpus, load_pair_corpus):
+        with pytest.raises(MalformedManifestError, match="invalid JSON") as err:
+            load(tmp_path)
+        assert err.value.field is None and "manifest.json" in str(err.value)
+
+
 def test_pair_manifest_errors_name_the_field(tmp_path):
     manifest = '{"pairs": [{"a": "x.jsonl", "b": "y.jsonl"}, {"a": "z.jsonl"}]}'
     (tmp_path / "manifest.json").write_text(manifest)

@@ -23,23 +23,17 @@ from cdgwl import (
     GeneratorConfig,
     adjacency,
     attr_bytes,
-    awl_stable,
-    awl_step,
     cut_trajectories,
     cwl,
     generate_isomorphic_pair,
     make_pair,
-    merged_snapshot,
-    partition_of,
-    refine_at_depth,
     snapshots,
-    stable_trajectories,
     symbolic_state_trajectories,
-    tree_sigs_stable,
     universe,
 )
 from cdgwl.experiments import approximation_corpus
-from cdgwl.trees import tree_sig_levels
+from cdgwl.trees import stable_trajectories, tree_sig_levels, tree_sigs_stable
+from cdgwl.wl import awl_stable, awl_step, merged_snapshot, partition_of, refine_at_depth
 from conftest import A, B, snap
 
 

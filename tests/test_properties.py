@@ -35,7 +35,6 @@ from cdgwl import (
     SgnnConfig,
     StartGraph,
     TemporalConfig,
-    awl_stable,
     cdg_from_jsonl,
     cdg_to_jsonl,
     cgnn_forward,
@@ -43,18 +42,14 @@ from cdgwl import (
     compare_graphs,
     generate,
     graph_cut_equivalent,
-    merged_snapshot,
-    refine_at_depth,
     relabel_cdg,
-    sgnn_forward,
     snapshots,
-    tree_sigs_at_depth,
-    tree_sigs_stable,
     universe,
     verify_cut_cwl_correspondence,
 )
-from cdgwl.trees import tree_sig_levels
-from cdgwl.wl import _joint_timeline
+from cdgwl.trees import tree_sig_levels, tree_sigs_at_depth, tree_sigs_stable
+from cdgwl.wl import _joint_timeline, awl_stable, merged_snapshot, refine_at_depth
+from conftest import sgnn_forward
 from test_golden import ref_levels, ref_stable
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+import cdgwl
 from cdgwl import (
+    Cdg,
     ColorDictionary,
     CutVerdict,
     EMPTY_TREE,
@@ -16,22 +18,18 @@ from cdgwl import (
     generate_isomorphic_pair,
     graph_cut_equivalent,
     make_pair,
-    merged_snapshot,
-    refine_at_depth,
-    partition_of,
+    replay,
     signature,
     six_cycle,
     snapshots,
-    stable_trajectories,
-    tree_sigs_at_depth,
-    tree_sigs_stable,
     two_triangles,
     unfolding_tree,
     universe,
     verify_cut_cwl_correspondence,
     verify_depth_bound,
 )
-from cdgwl.trees import tree_sig_levels
+from cdgwl.trees import stable_trajectories, tree_sig_levels, tree_sigs_at_depth, tree_sigs_stable
+from cdgwl.wl import awl_stable, merged_snapshot, partition_of, refine_at_depth
 from conftest import A, B, delete_readd_cdg, path3, snap
 
 
@@ -258,6 +256,7 @@ NEGATIVE_DEPTH = {
     "tree_sig_levels": lambda s, us: tree_sig_levels(s, us, ColorDictionary(), -2),
     "unfolding_tree": lambda s, us: unfolding_tree(s, us[0], -1),
     "cwl": lambda s, us: cwl([delete_readd_cdg()], depth=-1),
+    "cut_trajectories": lambda s, us: cut_trajectories([delete_readd_cdg()], depth=-1),
     "graph_cut_equivalent": lambda s, us: graph_cut_equivalent(
         delete_readd_cdg(), delete_readd_cdg(), depth=-1
     ),
@@ -269,3 +268,46 @@ def test_negative_depth_is_a_typed_error(call):
     with pytest.raises(InvalidBoundError, match="depth must be non-negative") as info:
         NEGATIVE_DEPTH[call](path3(), ["a", "b", "c"])
     assert isinstance(info.value, ValueError)
+
+
+def test_a_start_graph_is_refined_as_its_zero_event_stream():
+    # a static graph is a stream with no events: on the start graph taken as
+    # one, the stream API mints the per-snapshot functions' ids for every live
+    # node, each side in a fresh session; only the snapshot functions also
+    # list the universe's absent nodes, as 0
+    for i in range(100):
+        g = make_pair(0, i)[0]
+        static, s, us = Cdg(g.start, dim=g.dim), replay(g, 0.0), universe(g)
+
+        def first(trajs):
+            return {v: tr[0] for v, tr in trajs.items()}
+
+        def live(ids):
+            assert all(ids[v] == 0 for v in us if v not in s.nodes)
+            return {v: ids[v] for v in s.nodes}
+
+        stable, _ = awl_stable(s, us, ColorDictionary())
+        assert first(cwl([static])[0]) == live(stable)
+        colors = refine_at_depth(s, us, ColorDictionary(), 3)
+        assert first(cwl([static], depth=3)[0]) == live(colors)
+        for d in (0, 1, 3, depth_bound(len(us))):
+            sigs = {v: tr.sigs for v, tr in cut_trajectories([static], depth=d)[0].items()}
+            assert first(sigs) == live(tree_sigs_at_depth(s, us, ColorDictionary(), d))
+
+
+SNAPSHOT_NAMES = {
+    "wl": ("awl_init", "awl_step", "awl_stable", "refine_at_depth", "merged_snapshot",
+           "partition_of"),
+    "trees": ("tree_sigs_at_depth", "tree_sigs_stable", "stable_trajectories"),
+}
+
+
+def test_per_snapshot_functions_are_module_functions_only():
+    # the package exports one API, over streams; the refinement kernel's
+    # per-snapshot entry points stay callable in their modules
+    public = dir(cdgwl)
+    for module_name, names in SNAPSHOT_NAMES.items():
+        for name in names:
+            assert name not in public
+            assert callable(getattr(getattr(cdgwl, module_name), name))
+    assert "sgnn_forward" not in public and not hasattr(cdgwl.cgnn, "sgnn_forward")

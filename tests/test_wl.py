@@ -17,9 +17,6 @@ from cdgwl import (
     GeneratorConfig,
     StartGraph,
     TimestampMismatchError,
-    awl_init,
-    awl_stable,
-    awl_step,
     check_comparable,
     compare_graphs,
     cut_trajectories,
@@ -28,13 +25,19 @@ from cdgwl import (
     generate_isomorphic_pair,
     is_disconnected,
     make_pair,
-    merged_snapshot,
     NODE,
-    partition_of,
     snapshots,
     universe,
 )
-from cdgwl.wl import _encode, _joint_timeline
+from cdgwl.wl import (
+    _encode,
+    _joint_timeline,
+    awl_init,
+    awl_stable,
+    awl_step,
+    merged_snapshot,
+    partition_of,
+)
 from conftest import A, B, churn_cdg, delete_readd_cdg, k3, path3, snap, star4
 from test_trees import CountingDictionary
 
