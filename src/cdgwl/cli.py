@@ -30,7 +30,7 @@ from .cgnn import (
     train_to_target,
 )
 from .components import components, is_disconnected, match_components
-from .errors import CdgError
+from .errors import CdgError, MalformedTargetError
 from .experiments import (
     DEFAULT_SIZES,
     EXPERIMENT_NAMES,
@@ -42,7 +42,7 @@ from .experiments import (
 )
 from .generate import GeneratorConfig, generate
 from .iso import IDENTITY, RENAMING, brute_force_isomorphic
-from .serialize import cdg_to_jsonl, load_cdg
+from .serialize import _reading, cdg_to_jsonl, load_cdg
 from .trees import (
     graph_cut_equivalent,
     tree_sigs_at_depth,
@@ -67,11 +67,18 @@ def _checked(report):
     return {**asdict(report), "passed": report.ok}, report.ok
 
 
+# ``gen``'s stream sizes by ``GeneratorConfig`` field; unset, they keep its defaults.
+_GEN_SIZE_FLAGS = {"n_events": "--events", "dim": "--dim", "attr_values": "--attr-values"}
+
+
 def _cmd_gen(args):
-    cfg = GeneratorConfig(
-        n_nodes=args.n_nodes, n_events=args.events, dim=args.dim,
-        attr_values=args.attr_values, ensure_disconnected=args.disconnected,
-    )
+    sizes = {k: getattr(args, k) for k in _GEN_SIZE_FLAGS if getattr(args, k) is not None}
+    if args.pairs is not None and sizes:
+        flags = ", ".join(_GEN_SIZE_FLAGS[k] for k in sizes)
+        raise ValueError(f"--pairs takes no {flags}: a pair corpus cycles its sizes per index")
+    if args.no_mixed and args.pairs is None:
+        raise ValueError("--no-mixed applies only to --pairs")
+    cfg = GeneratorConfig(n_nodes=args.n_nodes, ensure_disconnected=args.disconnected, **sizes)
     if args.pairs is not None or args.streams is not None:
         out_dir = _corpus_dir(args)
         if args.pairs is not None:
@@ -164,7 +171,8 @@ def _cmd_cgnn_expressivity(args):
 
 def _cmd_cgnn_train(args):
     corpus, _ = load_stream_corpus(_corpus_dir(args))
-    target = CdynTarget.from_json(Path(args.target).read_text())
+    with _reading(args.target, lambda line, problem: MalformedTargetError(None, problem)) as text:
+        target = CdynTarget.from_json(text)
     result = train_to_target(
         corpus, target,
         SgnnConfig(layers=args.layers, hidden_dim=args.hidden_dim),
@@ -229,14 +237,15 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a stream, a pair corpus, or a stream corpus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-nodes", type=int, default=5)
-    p.add_argument("--events", type=int, default=8)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--attr-values", type=int, default=4)
+    p.add_argument("--events", dest="n_events", type=int, help="default 8; not with --pairs")
+    p.add_argument("--dim", type=int, help="default 1; not with --pairs")
+    p.add_argument("--attr-values", type=int, help="default 4; not with --pairs")
     p.add_argument("--disconnected", action="store_true")
-    p.add_argument("--pairs", type=int, help="write a pair corpus of this size")
-    p.add_argument("--streams", type=int, help="write a stream corpus of this size")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--pairs", type=int, help="write a pair corpus of this size")
+    what.add_argument("--streams", type=int, help="write a stream corpus of this size")
+    what.add_argument("--out", help="output file for a single stream")
     p.add_argument("--no-mixed", action="store_true", help="pair corpora: no isomorphic pairs")
-    p.add_argument("--out", help="output file for a single stream")
     _add_corpus(p)
     p.set_defaults(func=_cmd_gen)
 

@@ -80,7 +80,7 @@ class InvalidBoundError(CdgError, ValueError):
 
 
 class GenerationExhaustedError(CdgError):
-    """Random generation could not satisfy its constraints within budget."""
+    """A generator config can never satisfy its constraints (raised before any draw)."""
 
 
 class TargetNotCutRespectingError(CdgError):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cdg import snapshots, universe
+from .cdg import snapshots
 from .cgnn import (
     PER_INTERVAL,
     SHARED_DT,
@@ -219,58 +219,36 @@ def approximation_corpus(seed, graphs):
     return [generate(APPROX_CONFIG, sub_seed(seed, 0, i)) for i in range(graphs)]
 
 
-def _term_identity(sigs, i):
-    """Structural state class of a live (node, timestamp) term.
-
-    A (re)appearing node's state is its raw current embedding, so every
-    appearance slot with the same tree shares one state bitwise, at any
-    timestamp in any corpus graph.  Older nodes carry a per-interval cell
-    chain, shared only when start index and signature chain both agree.
-    """
-    j = i
-    while j > 0 and sigs[j - 1] != 0:
-        j -= 1
-    if j == i:
-        return ("fresh", sigs[i])
-    return ("chain", j, tuple(sigs[j : i + 1]))
-
-
 def _approx_anchor(prefixes):
-    """Pick an anchor whose prefix-indicator the model class can realize.
+    """The first candidate anchor whose prefix-indicator the model can realize.
 
-    ``prefixes`` are the corpus's ``cut_trajectories``.  Prefix-respecting
-    tables can still conflict with the restart semantics (two terms may
-    share a state bitwise while their prefixes differ), so candidates whose
-    indicator would label any structural state class inconsistently are
-    rejected.
+    ``prefixes`` are the corpus's ``cut_trajectories``.  Live terms share a
+    state bitwise by class: a (re)appearing node's is its raw embedding,
+    ``("fresh", sig)`` in any graph at any timestamp; an older node's is a
+    cell chain, ``("chain", run start, sig chain)``.  A realizable indicator
+    holds each class's ``(timestamp index, prefix)`` keys wholly or not at all.
     """
-    terms = []
+    classes = {}
     for trajs in prefixes:
-        for v, traj in sorted(trajs.items()):
-            for i, sig in enumerate(traj.sigs):
+        for traj in trajs.values():
+            sigs = traj.sigs
+            for i, sig in enumerate(sigs):
                 if sig != 0:
-                    terms.append((_term_identity(traj.sigs, i), i, traj.sigs[: i + 1]))
+                    start = i if i == 0 or sigs[i - 1] == 0 else start
+                    ident = ("fresh", sig) if start == i else ("chain", start, sigs[start : i + 1])
+                    classes.setdefault(ident, set()).add((i, sigs[: i + 1]))
     candidates = [
         (gi, v)
         for gi, trajs in enumerate(prefixes)
         for v, traj in sorted(trajs.items())
-        if all(s != 0 for s in traj.sigs)
+        if 0 not in traj.sigs
     ]
     for gi, v in candidates:
-        anchor_keys = {
-            (i, prefixes[gi][v].sigs[: i + 1])
-            for i in range(len(prefixes[gi][v].sigs))
-        }
-        seen = {}
-        if all(
-            seen.setdefault(ident, (i, prefix) in anchor_keys)
-            == ((i, prefix) in anchor_keys)
-            for ident, i, prefix in terms
-        ):
+        sigs = prefixes[gi][v].sigs
+        keys = {(i, sigs[: i + 1]) for i in range(len(sigs))}
+        if all(members <= keys or members.isdisjoint(keys) for members in classes.values()):
             return gi, v
-    if candidates:
-        return candidates[0]
-    return 0, sorted(prefixes[0])[0]
+    return candidates[0] if candidates else (0, sorted(prefixes[0])[0])
 
 
 def _w_approximation(args):
@@ -549,8 +527,8 @@ def _checked_manifest(dirpath, kind, files):
     """The manifest, once every ``kind`` entry names each of ``files`` as a string."""
     path = Path(dirpath) / "manifest.json"
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedManifestError(path, None, f"invalid JSON ({exc})") from None
     entries = manifest.get(kind) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):

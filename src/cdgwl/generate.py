@@ -28,9 +28,6 @@ from .cdg import (
 )
 from .errors import GenerationExhaustedError
 
-# Candidate streams ``generate`` draws before giving up.
-MAX_ATTEMPTS = 200
-
 # Chance that a node id is alive in the start graph.
 P_START_NODE = 0.8
 
@@ -109,17 +106,38 @@ def _candidates(config, ids, nodes, edges, alphabet):
     return [row for row in table if row[2]]
 
 
-def _try_stream(rng, config, ids, alphabet):
+def generate(config, seed=0):
+    """One random valid stream, drawn once.
+
+    ``seed`` may be an int, a ``numpy`` SeedSequence, or a Generator.
+
+    A config whose streams can never draw an event raises
+    ``GenerationExhaustedError`` before any draw.  With ``n_events >= 1``
+    that is exactly the split config with two node ids and one attribute
+    value.  Every other config has a drawable event at every timestamp.
+    Without a split, some id is dead (add) or some node is live (delete).
+    With a split, every half keeps a live node, so a second attribute value
+    allows a change; and with three or more ids one half holds two, which
+    are either both live (delete) or not (add).  Two ids are one per half,
+    each live for good: no add, delete or edge.
+    """
+    rng = np.random.default_rng(seed)
+    ids = [f"n{i}" for i in range(config.n_nodes)]
+    if config.ensure_disconnected and config.n_nodes < 2:
+        raise GenerationExhaustedError("disconnected streams need at least 2 node ids")
+    if config.ensure_disconnected and config.n_nodes == 2 and config.attr_values == 1 and config.n_events:
+        raise GenerationExhaustedError(
+            "no event can ever be drawn: 2 node ids split into halves of one node each "
+            "can be neither added, deleted nor linked, and 1 attribute value allows no change"
+        )
+    alphabet = _alphabet(config)
     start = _build_start(rng, config, ids, alphabet)
     live = {NODE: dict(start.nodes), EDGE: dict(start.edges)}
     events = []
     t = 0.0
     for _ in range(config.n_events):
         t += float(_pick(rng, [0.5, 1.0, 1.5]))
-        candidates = _candidates(config, ids, live[NODE], live[EDGE], alphabet)
-        if not candidates:
-            return None
-        item, kind, keys = _pick(rng, candidates)
+        item, kind, keys = _pick(rng, _candidates(config, ids, live[NODE], live[EDGE], alphabet))
         key = _pick(rng, keys)
         state = live[item]
         attr = None
@@ -132,37 +150,6 @@ def _try_stream(rng, config, ids, alphabet):
             state[key] = attr
         events.append(Event(t, item, key, kind, attr))
     return Cdg(start, tuple(events), dim=config.dim)
-
-
-def generate(config, seed=0):
-    """One random valid stream; a candidate left with no applicable event is redrawn.
-
-    ``seed`` may be an int, a ``numpy`` SeedSequence, or a Generator.
-
-    A config whose streams can never draw an event raises
-    ``GenerationExhaustedError`` before any draw.  With ``n_events >= 1``
-    that is exactly the split config with two node ids and one attribute
-    value.  Without a split, some id is dead (add) or some node is live
-    (delete).  With a split, every half keeps a live node, so a second
-    attribute value allows a change; and with three or more ids one half
-    holds two, which are either both live (delete) or not (add).  Two ids
-    are one per half, each live for good: no add, delete or edge.
-    """
-    rng = np.random.default_rng(seed)
-    ids = [f"n{i}" for i in range(config.n_nodes)]
-    if config.ensure_disconnected and config.n_nodes < 2:
-        raise GenerationExhaustedError("disconnected streams need at least 2 node ids")
-    if config.ensure_disconnected and config.n_nodes == 2 and config.attr_values == 1 and config.n_events:
-        raise GenerationExhaustedError(
-            "no event can ever be drawn: 2 node ids split into halves of one node each "
-            "can be neither added, deleted nor linked, and 1 attribute value allows no change"
-        )
-    alphabet = _alphabet(config)
-    for _ in range(MAX_ATTEMPTS):
-        g = _try_stream(rng, config, ids, alphabet)
-        if g is not None:
-            return g
-    raise GenerationExhaustedError(f"no valid stream after {MAX_ATTEMPTS} attempts")
 
 
 def _all_attrs(cdg_):

@@ -15,9 +15,11 @@ serialization is byte-stable.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from pathlib import Path
 
 from .cdg import EDGE, EVENT_KINDS, ITEM_KINDS, NODE, Cdg, Event, StartGraph
-from .errors import MalformedStreamError
+from .errors import CdgError, MalformedStreamError
 
 
 def cdg_to_jsonl(cdg) -> str:
@@ -138,6 +140,27 @@ def save_cdg(path, cdg):
         fh.write(cdg_to_jsonl(cdg))
 
 
+@contextmanager
+def _reading(path, malformed):
+    """Yield the text of file ``path``; a ``CdgError`` raised in the block names the file.
+
+    The file must be UTF-8, as JSON is; other bytes raise
+    ``malformed(line, problem)``.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise malformed(line, f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        yield text
+    except CdgError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_cdg(path) -> Cdg:
-    with open(path) as fh:
-        return cdg_from_jsonl(fh.read())
+    """Parse a stream file; a parse or validation error starts with the file's path."""
+    with _reading(path, lambda line, problem: MalformedStreamError(line, None, problem)) as text:
+        return cdg_from_jsonl(text)

@@ -6,8 +6,6 @@ slow tests; everything else in the suite exists so that a failure here
 has already been localized somewhere faster.
 """
 
-import pytest
-
 from cdgwl import (
     BIJECTION,
     GeneratorConfig,

@@ -2,13 +2,16 @@
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from cdgwl import cli
 from cdgwl.cgnn import ExpressivityReport
-from cdgwl.experiments import DEFAULT_SIZES, Report
-from cdgwl.serialize import load_cdg, save_cdg
+from cdgwl.experiments import DEFAULT_SIZES, Report, write_stream_corpus
+from cdgwl.errors import InvalidCdgError
+from cdgwl.serialize import cdg_to_jsonl, load_cdg, save_cdg
 from cdgwl.generate import GeneratorConfig, generate, generate_isomorphic_pair
 from cdgwl.generate import six_cycle, two_triangles
 
@@ -64,6 +67,59 @@ def test_gen_pair_corpus_and_verify(tmp_path, capsys):
         capsys, "verify", "depth-bound", "--corpus", str(corpus), "--n-bound", "4"
     )
     assert code == 0 and payload["passed"] is True
+
+
+def test_gen_keeps_the_stream_defaults(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "gen", "--seed", "3", "--out", str(tmp_path / "g.jsonl"))
+    assert code == 0
+    assert (tmp_path / "g.jsonl").read_text() == cdg_to_jsonl(generate(GeneratorConfig(), 3))
+    code, _, _ = run_cli(capsys, "gen", "--streams", "2", "--corpus", str(tmp_path / "s"))
+    assert code == 0
+    write_stream_corpus(tmp_path / "ref", 0, 2, GeneratorConfig())
+    for name in ("stream0000.jsonl", "stream0001.jsonl", "manifest.json"):
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--pairs", "2", "--events", "20"], "--events"),
+        (["--pairs", "2", "--dim", "3"], "--dim"),
+        (["--pairs", "2", "--attr-values", "9"], "--attr-values"),
+        (["--no-mixed"], "--no-mixed"),
+        (["--streams", "2", "--no-mixed"], "--no-mixed"),
+    ],
+)
+def test_gen_rejects_a_flag_it_would_ignore(argv, flag, tmp_path, capsys):
+    code, payload, err = run_cli(capsys, "gen", *argv, "--corpus", str(tmp_path / "c"))
+    assert code == 2 and payload is None and flag in err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--pairs", "2", "--streams", "2"],
+        ["--pairs", "2", "--out", "g.jsonl"],
+        ["--streams", "2", "--out", "g.jsonl"],
+    ],
+)
+def test_gen_takes_one_of_pairs_streams_and_out(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["gen", *argv, "--corpus", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2 and "not allowed with argument" in err
+    assert argv[2] in err and not (tmp_path / "c").exists()
+
+
+def test_the_readme_gen_lines_run(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [ln.split("#")[0] for ln in readme.splitlines() if ln.startswith("cdgwl gen ")]
+    assert len(lines) == 3
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
 
 
 def test_corpus_env_var(tmp_path, capsys, monkeypatch):
@@ -248,6 +304,7 @@ BAD_TARGETS = {
         '{"output_dim": 1, "entries": [{"t": 0, "prefix": [1]}]}', "'entries[0].value'"),
     "json-list": ('[{"output_dim": 1, "entries": []}]', "JSON object"),
     "not-json": ("{nope", "target: invalid JSON"),
+    "not-utf8": (b"\xff\xfe{", "target.json: target: not UTF-8"),
     "undefined-on-corpus": ('{"output_dim": 1, "default": null, "entries": []}',
                             "target undefined"),
 }
@@ -260,7 +317,7 @@ def test_bad_target_file_exits_2(case, tmp_path, capsys):
     run_cli(capsys, "gen", "--streams", "2", "--n-nodes", "3", "--events", "2",
             "--corpus", str(corpus))
     target_file = tmp_path / "target.json"
-    target_file.write_text(text)
+    target_file.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, payload, err = run_cli(
         capsys, "cgnn", "train", "--corpus", str(corpus), "--target", str(target_file),
         "--epochs", "3",
@@ -288,6 +345,43 @@ def test_a_manifest_that_is_not_json_exits_2_naming_it(tmp_path, capsys):
     code, payload, err = run_cli(capsys, "verify", "cut-cwl", "--corpus", str(tmp_path))
     assert code == 2 and payload is None
     assert err.startswith("error: ") and "manifest.json: invalid JSON" in err
+
+
+NOT_UTF8 = b"\xff\xfe{"
+
+
+def test_a_stream_file_that_is_not_utf8_exits_2_naming_it(pair_files, tmp_path, capsys):
+    bad = tmp_path / "bytes.jsonl"
+    bad.write_bytes(NOT_UTF8)
+    code, payload, err = run_cli(capsys, "cwl", "compare", str(bad), pair_files[0])
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: {bad}: line 1: not UTF-8")
+
+
+def test_an_invalid_stream_file_exits_2_naming_it(pair_files, tmp_path, capsys):
+    bad = tmp_path / "ghost.jsonl"
+    bad.write_text(GOOD_START + "\n" + _event(key="z", kind="delete", attr=None) + "\n")
+    code, payload, err = run_cli(capsys, "cwl", "compare", pair_files[0], str(bad))
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: {bad}: event 0: node 'z' not present")
+    with pytest.raises(InvalidCdgError) as exc:
+        load_cdg(bad)
+    assert len(exc.value.diagnostics) == 1
+
+
+def test_a_manifest_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_bytes(NOT_UTF8)
+    code, payload, err = run_cli(capsys, "verify", "cut-cwl", "--corpus", str(tmp_path))
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: {tmp_path / 'manifest.json'}: invalid JSON")
+
+
+def test_a_bad_stream_in_a_pair_corpus_exits_2_naming_it(tmp_path, capsys):
+    run_cli(capsys, "gen", "--pairs", "3", "--corpus", str(tmp_path))
+    (tmp_path / "pair0001_b.jsonl").write_text("{nope\n")
+    code, payload, err = run_cli(capsys, "verify", "cut-cwl", "--corpus", str(tmp_path))
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: {tmp_path / 'pair0001_b.jsonl'}: line 1: invalid JSON")
 
 
 def test_unexpected_exception_exits_2(pair_files, capsys, monkeypatch):
@@ -477,7 +571,7 @@ def test_malformed_jsonl_exits_2_naming_line_and_field(case, tmp_path, capsys):
     good.write_text(GOOD_START + "\n" + GOOD_EVENT + "\n")
     code, payload, err = run_cli(capsys, "cwl", "compare", str(bad), str(good))
     assert code == 2 and payload is None
-    assert err.startswith(f"error: line {line_no}, field {field!r}:")
+    assert err.startswith(f"error: {bad}: line {line_no}, field {field!r}:")
 
 
 

@@ -13,7 +13,7 @@ from cdgwl import (
     six_cycle,
     two_triangles,
 )
-from conftest import A, B, k3, path3, snap
+from conftest import A, B, path3, snap
 
 
 def test_path_is_one_component():

@@ -71,31 +71,35 @@ def test_disconnected_needs_two_nodes():
         generate(GeneratorConfig(n_nodes=1, ensure_disconnected=True), seed=0)
 
 
-# The configs of the grid below for which ``generate`` used to redraw all
-# MAX_ATTEMPTS streams before giving up (recorded at seed 0 before the
-# check existed); a split over one id already raised before any draw.
-EXHAUSTED_ALL_ATTEMPTS = {(2, 1, True, n_events) for n_events in (1, 2, 3)}
+# The configs of the grid below that can never draw an event: two ids split
+# into halves of one node each, with one attribute value.  A split over one id
+# raises before any draw as well.
+NO_EVENT_CONFIGS = {(2, 1, True, n_events) for n_events in (1, 2, 3)}
 
 
 def test_a_config_that_can_never_draw_an_event_raises_at_once():
-    grid = itertools.product(range(1, 5), (1, 2), (False, True), range(1, 4))
-    for n_nodes, attr_values, split, n_events in grid:
+    # Every other config returns a full stream from one draw, which is what
+    # lets ``generate`` draw each stream once.
+    grid = itertools.product(
+        range(1, 7), (1, 2, 3), (0.0, 0.5, 1.0), (False, True), range(1, 4), range(5)
+    )
+    for n_nodes, attr_values, p_start_edge, split, n_events, seed in grid:
         config = GeneratorConfig(n_nodes, n_events, attr_values=attr_values,
-                                 ensure_disconnected=split)
-        rng = np.random.default_rng(0)
+                                 p_start_edge=p_start_edge, ensure_disconnected=split)
+        rng = np.random.default_rng(seed)
         before = rng.bit_generator.state
         try:
-            generate(config, rng)
+            g = generate(config, rng)
             outcome = "stream"
         except GenerationExhaustedError as exc:
             drawn = rng.bit_generator.state != before
             outcome, message = "after draws" if drawn else "at once", str(exc)
-        if (n_nodes, attr_values, split, n_events) in EXHAUSTED_ALL_ATTEMPTS:
+        if (n_nodes, attr_values, split, n_events) in NO_EVENT_CONFIGS:
             assert outcome == "at once" and "no event can ever be drawn" in message, config
         elif split and n_nodes == 1:
             assert outcome == "at once" and "at least 2 node ids" in message, config
         else:
-            assert outcome == "stream", config
+            assert outcome == "stream" and len(g.events) == n_events, (config, seed)
 
 
 def test_zero_event_config():
