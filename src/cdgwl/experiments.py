@@ -474,11 +474,16 @@ def write_pair_corpus(dirpath, seed, n_pairs, n_nodes=6, disconnected=False, mix
     """Materialize the standard pair corpus as files plus a manifest."""
     if n_pairs < 1:
         raise ValueError(f"a pair corpus needs at least 1 pair, got {n_pairs}")
+    # Draw every pair before the directory exists: a config the generator
+    # rejects leaves nothing behind.
+    pairs = [
+        make_pair(seed, idx, n_nodes, disconnected=disconnected, mixed=mixed)
+        for idx in range(n_pairs)
+    ]
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     entries = []
-    for idx in range(n_pairs):
-        a, b = make_pair(seed, idx, n_nodes, disconnected=disconnected, mixed=mixed)
+    for idx, (a, b) in enumerate(pairs):
         name_a, name_b = f"pair{idx:04d}_a.jsonl", f"pair{idx:04d}_b.jsonl"
         save_cdg(dirpath / name_a, a)
         save_cdg(dirpath / name_b, b)
@@ -502,12 +507,12 @@ def write_stream_corpus(dirpath, seed, n_streams, config=None):
     """Materialize mutually comparable single streams plus a manifest."""
     if n_streams < 1:
         raise ValueError(f"a stream corpus needs at least 1 stream, got {n_streams}")
+    config = config or APPROX_CONFIG
+    streams = [generate(config, sub_seed(seed, 0, idx)) for idx in range(n_streams)]
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    config = config or APPROX_CONFIG
     entries = []
-    for idx in range(n_streams):
-        g = generate(config, sub_seed(seed, 0, idx))
+    for idx, g in enumerate(streams):
         name = f"stream{idx:04d}.jsonl"
         save_cdg(dirpath / name, g)
         entries.append({"index": idx, "file": name})

@@ -18,10 +18,11 @@ few levels, far short of the decisive depth ``2n - 1``.  From there a full
 recompute keys each stable class on its smallest member, classes in sorted
 order, and only hits the dictionary for the other members.  The kernel
 (``wl._stable_tail``) goes further: it stops keying a component of the
-class graph once its later ids are known.  Two facts carry this.  Ids name
-trees: a level-d key holds level-(d-1) ids, so by induction two
-non-isolated nodes share a level-d id exactly when their depth-d trees are
-equal, and each such id belongs to one depth.
+class graph once its later ids are known.  Three facts carry this, (a),
+(b) and (d) below; (c) carries the timeline.  Ids name trees: a level-d
+key holds level-(d-1) ids, so by induction two non-isolated nodes share a
+level-d id exactly when their depth-d trees are equal, and each such id
+belongs to one depth.
 
 (a) Fresh ids stay fresh.  Let a non-isolated class get, at a level d at or
 past the stable level, an id no earlier key had.  Its depth-(d+1) tree
@@ -30,11 +31,10 @@ or by another class of this one, its truncation would have been keyed
 before too (or the two classes would be one).  So its level-(d+1) key is
 new, and likewise at every later level.  A color key holds the class's own
 previous id, so the same holds for colors, isolated classes included.  A
-fresh class makes its neighbours fresh one level later, so once a whole
-component is fresh, every later level mints exactly one id per fresh class,
-in class order, and nothing else mints: the kernel stores that run as a
-tail block of the dictionary (first id, first level, the classes' shapes)
-instead of keying it.
+fresh class makes its neighbours fresh one level later: their keys hold its
+new id.  So once a whole component is fresh, every later level mints
+exactly one id per fresh class, in class order, and nothing else of it
+mints; (d) extends this to components that are only partly fresh.
 
 (b) Components that only hit follow an earlier chain.  Suppose every class
 c of a component has, at a level d at or past both stable levels, the id a
@@ -63,6 +63,37 @@ recompute would hit the id it held then.  The kernel copies that id and
 keys only the ball, in position order; only ball nodes can mint, so they
 mint in the same order.  A copied id is an old one, like a hit, so the
 freshness test of (a) (an id at least the level's first mint) still holds.
+
+(d) The freshness front.  Let a component have, at a level s at or past
+the stable level, fresh classes F_0 and repeated ones, and let one earlier
+call, at least as deep as this one, hold every repeated id: each repeated
+class c holds at level s the id its class pi(c) held there.  Let F_j be the
+classes at most j hops from F_0.
+
+- A repeated class more than j hops from F_0 holds pi(c)'s id at level
+  s+j.  For j = 0 this is the premise.  For j+1, take c more than j+1 hops
+  away: c and its neighbours are more than j hops away, so all of them
+  hold pi's ids at level s+j, and the step of (b), run on this ball instead
+  of a whole component, gives c and pi(c) equal level-(s+j+1) keys.
+- F_j is exactly the set of classes that mint at level s+j.  Those of F_0
+  stay fresh by (a); a class of F_j outside F_{j-1} has a neighbour in
+  F_{j-1}, whose new level-(s+j-1) id its key holds; every other class hits
+  (the point above).  No two classes share a key past the stable level, so
+  level s+j mints one id per class of F_j, in class order.
+- For j >= 2 every class of F_j has a neighbour in F_{j-1}: a class of F_0
+  has all its neighbours in F_1, and a class that joined at F_i (i >= 1) has
+  one in F_{i-1}.  Its key therefore holds an id of level s+j-1 minted by
+  F_{j-1}, and every other id it holds is a repeated one, older than any id
+  of level s+1 or later.  So the largest id of the key names its level.
+
+The kernel keys such a component, with the wholly fresh ones, at level s+1
+and then stores levels s+1 .. rounds as one tail block: level s+j holds the
+ids ``lo_j .. lo_j + |F_j| - 1``, one per class of F_j in class order, and a
+class outside F_j copies pi(c)'s id.  The block starts only once every
+other component of the call follows a chain or keeps one id, so nothing
+else mints at those levels, and a full recompute mints the block's ids in
+the same order.  A component whose repeated ids several chains, or none,
+hold is keyed level by level until it is wholly fresh or follows one chain.
 
 Every id the kernel does not key is therefore the id a full recompute would
 mint or hit, in the same order, and no id changes.

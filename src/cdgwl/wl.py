@@ -65,23 +65,34 @@ class ColorDictionary:
 
     Most keys are stored one by one.  A *tail block* stores, as one range of
     ids, the keys a refinement call mints for its fresh stable classes over
-    its last levels, in which nothing else is minted: ``size`` ids per
-    level, one per class in class order, so class ``r`` at level ``j`` of the
-    block has id ``start + j * size + r``.  The block's first level is stored
-    key by key; ``id_of`` decodes a key of a later level from the classes'
-    shapes.  A shape is a key without its tag and with block ids replaced by
-    ranks, as flat as the key: ``(self part, w1, rank1, w2, rank2, ...)``.
-    ``len`` counts every id, stored or in a block, and ``items()`` yields
-    every (key, id) pair in id order, blocks expanded.
+    its last levels, in which nothing else is minted.  Each level of a block
+    has its own class set, which only grows: the level mints one id per
+    class of the set, in class order, so the class of rank ``r`` at a level
+    starting at id ``lo`` has id ``lo + r``.  Once the set stops growing,
+    every level has the same size.  The block's first level is stored key by
+    key; ``id_of`` decodes a key of a later level from the classes' shapes.
+    The level of a key is the level after the one holding the key's largest
+    id: a key of a lazy level holds ids of the level before, and any other id
+    it holds (a class the freshness front has not reached, see ``trees``) is
+    older than the block.  A shape is a key without its tag, with each id of
+    that previous level replaced by a negative rank (the id minus the level's
+    end) and every other id kept, as flat as the key:
+    ``(self part, w1, x1, w2, x2, ...)``.  A level's shapes are built when a
+    probe first lands in it; every level past the set's growth shares one
+    table.  ``len`` counts every id, stored or in a block, and ``items()``
+    yields every (key, id) pair in id order, block keys rebuilt from the
+    block's class graph.
 
     Every key is one flat tuple (see the module docstring).  ``id_of``
     unpacks a missed key only once its probe id falls inside a block level.
 
     The dictionary also remembers, for ids that refinement calls held past
-    their stable level, the latest call and class that held each.  Each
-    call's classes have one keyed run and at most one tail (see ``_Chain``),
-    so a later call in the session that is no deeper can copy them instead
-    of keying.
+    their stable level, the latest call and class that held each: in
+    ``_owners`` an id a call keyed, or copied for a class its block's front
+    had not reached; any other block id by its id range.  Each call's
+    classes have one run of ids and at most one tail (see ``_Chain``), so a
+    later call in the session that is no deeper can copy them instead of
+    keying.
     """
 
     def __init__(self):
@@ -109,7 +120,7 @@ class ColorDictionary:
         blocks = iter(self._blocks)
         block = next(blocks, None)
         for key, i in self._ids.items():
-            while block is not None and block.start + block.size < i:
+            while block is not None and block.lo(1) < i:
                 yield from block.items()
                 block = next(blocks, None)
             yield key, i
@@ -122,38 +133,35 @@ class ColorDictionary:
         k = bisect_right(self._starts, i) - 1
         if k >= 0:
             block = self._blocks[k]
-            level, rank = divmod(i - block.start, block.size)
-            if level < block.count:
-                return block, level, rank
+            if i < block.end:
+                los = block.los
+                if i >= los[-1]:
+                    level, rank = divmod(i - los[-1], len(block.fresh[-1]))
+                    return block, level + len(los) - 1, rank
+                level = bisect_right(los, i) - 1
+                return block, level, i - los[level]
         return None
 
     def _decode(self, key):
         """The id of a block key past its block's first level, else None."""
         if len(key) < 2 or len(key) % 2:
             return None
-        tag, own = key[0], key[1]
+        tag = key[0]
         if tag == "c":
-            probe = own
+            probe = max(key[1::2])
         elif tag == "t" and len(key) > 2:
-            probe = key[3]
+            probe = max(key[3::2])
         else:
             return None
         found = self._locate(probe)
         if found is None:
             return None
         block, level, _ = found
-        if level + 1 >= block.count or block.tag != tag:
+        level += 1
+        if level >= block.count or block.tag != tag:
             return None
-        lo = block.start + level * block.size
-        hi = lo + block.size
-        ids = key[3::2]
-        if not all(lo <= i < hi for i in ids):
-            return None
-        shape = list(key[1:])
-        if tag == "c":
-            shape[0] = own - lo
-        shape[2::2] = [i - lo for i in ids]
-        rank = block.shapes.get(tuple(shape))
+        hi = block.lo(level)
+        rank = block.shapes(level).get(_shape(key, block.lo(level - 1), hi))
         return None if rank is None else hi + rank
 
     def _owner(self, i):
@@ -162,63 +170,123 @@ class ColorDictionary:
         Such an id belongs to one level (its key holds ids of the level
         before), so the pair also names the level.
         """
-        found = self._blocks and self._locate(i)
-        if found:
-            block, _, rank = found
-            return block.chain, block.classes[rank]
-        return self._owners.get(i)
+        got = self._owners.get(i)
+        if got is None:
+            found = self._blocks and self._locate(i)
+            if found:
+                block, level, rank = found
+                return block.chain, block.members(level)[rank]
+        return got
 
     def _add_block(self, block):
         """Register a block whose first level was just minted; reserve the rest."""
         self._blocks.append(block)
         self._starts.append(block.start)
-        self._next = block.start + block.count * block.size
+        self._next = block.end
+
+
+def _shape(key, lo, hi):
+    """``key`` without its tag, each id in ``[lo, hi)`` as its rank minus the size."""
+    shape = list(key[1:])
+    if key[0] == "c" and shape[0] >= lo:
+        shape[0] -= hi
+    shape[2::2] = [i - hi if i >= lo else i for i in key[3::2]]
+    return tuple(shape)
 
 
 class _Block:
-    """``count`` levels of ids for the fresh classes of one call."""
+    """``count`` levels of ids for the fresh classes of one call, from level ``at``.
 
-    __slots__ = ("start", "size", "count", "tag", "shapes", "chain", "classes")
+    ``fresh[l]`` holds the classes (in class order) that mint at level ``l``
+    of the block, up to the level where the set stops growing or the block
+    ends; every later level mints ``fresh[-1]``.  ``los[l]`` is the first id
+    of level ``l``.  ``links`` maps every class of the block's components,
+    reached by the front or not, to its ``(attribute, w1, class1, w2,
+    class2, ...)``, the attribute None for colors.  The ids of a level come
+    from ``chain``, whose runs and tails hold them.
+    """
 
-    def __init__(self, start, count, tag, shapes, chain, classes):
-        self.start, self.size, self.count = start, len(classes), count
-        self.tag, self.shapes, self.chain, self.classes = tag, shapes, chain, classes
+    __slots__ = ("start", "count", "tag", "chain", "at", "links", "fresh", "los", "end",
+                 "_shapes")
+
+    def __init__(self, start, count, tag, chain, at, links, fresh):
+        self.start, self.count, self.tag, self.chain, self.at = start, count, tag, chain, at
+        self.links, self.fresh = links, fresh
+        self.los = list(accumulate(map(len, fresh[:-1]), initial=start))
+        self.end = self.lo(count)
+        self._shapes = {}
+
+    def lo(self, level):
+        """The first id of block level ``level`` (``end`` for ``count``)."""
+        los = self.los
+        if level < len(los):
+            return los[level]
+        return los[-1] + (level - len(los) + 1) * len(self.fresh[-1])
+
+    def members(self, level):
+        return self.fresh[min(level, len(self.fresh) - 1)]
+
+    def _keys(self, level):
+        """The keys of the classes that mint at block ``level`` >= 1, in rank order."""
+        prev = self.chain.column(self.at + level - 1)
+        tree = self.tag == "t"
+        for c in self.members(level):
+            link = self.links[c]
+            pairs = sorted(zip(link[1::2], [prev[y] for y in link[2::2]]))
+            yield sum(pairs, (self.tag, link[0] if tree else prev[c]))
+
+    def shapes(self, level):
+        """{shape: rank} of block ``level`` >= 1, built on first use."""
+        level = min(level, len(self.fresh))
+        got = self._shapes.get(level)
+        if got is None:
+            lo, hi = self.lo(level - 1), self.lo(level)
+            got = self._shapes[level] = {
+                _shape(key, lo, hi): rank for rank, key in enumerate(self._keys(level))
+            }
+        return got
 
     def items(self):
         for level in range(1, self.count):
-            lo = self.start + (level - 1) * self.size
-            for shape, rank in self.shapes.items():
-                key = [self.tag, *shape]
-                if self.tag == "c":
-                    key[1] += lo
-                key[3::2] = [lo + j for j in shape[2::2]]
-                yield tuple(key), lo + self.size + rank
+            lo = self.lo(level)
+            for rank, key in enumerate(self._keys(level)):
+                yield key, lo + rank
 
 
 class _Chain:
     """The ids one call gave its stable classes, from its stable ``level`` to ``last``.
 
-    Class ``c`` has one run of keyed ids, ``keyed[c]``, from the stable level
-    on, and past it at most one tail, ``tails[c] = (first, at, step)``: id
-    ``first`` at level ``at`` and ``step`` more per level, so a constant id
-    (step 0) or a class of a block (step the block's size).
+    Class ``c`` has one run of ids, ``runs[c]``, from the stable level on:
+    the levels the call keyed, then those it copied from an earlier chain or
+    filled from a tail block's growing levels.  Past it comes at most one
+    tail, ``tails[c] = (first, at, step)``: id ``first`` at level ``at`` and
+    ``step`` more per level, so a constant id (step 0) or a class of a block
+    whose class set has stopped growing (step the set's size).
     """
 
-    __slots__ = ("level", "last", "keyed", "tails")
+    __slots__ = ("level", "last", "runs", "tails")
 
     def __init__(self, level, last, cur):
         self.level, self.last = level, last
-        self.keyed, self.tails = [[i] for i in cur], [None] * len(cur)
+        self.runs, self.tails = [[i] for i in cur], [None] * len(cur)
 
     def ids(self, c, lo, hi):
         """Ids of class ``c`` at levels ``lo``..``hi``."""
-        keyed, tail = self.keyed[c], self.tails[c]
-        out = keyed[lo - self.level : hi + 1 - self.level]
+        run, tail = self.runs[c], self.tails[c]
+        out = run[lo - self.level : hi + 1 - self.level]
         if tail:
             first, at, step = tail
-            lo = max(lo, self.level + len(keyed))
+            lo = max(lo, self.level + len(run))
             out += [first + (d - at) * step for d in range(lo, hi + 1)]
         return out
+
+    def column(self, d):
+        """Every class's id at level ``d``."""
+        k = d - self.level
+        return [
+            run[k] if k < len(run) else tail[0] + (d - tail[1]) * tail[2]
+            for run, tail in zip(self.runs, self.tails)
+        ]
 
 
 def _step(id_of, tag, tree, own, prev, nbrs, members):
@@ -243,18 +311,21 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
     ``cur`` holds the classes' ids at ``level``, ``own`` their attributes,
     ``nbrs`` their (edge attribute, class) lists (None for dead nodes), and
     ``mark`` the first id minted at ``level``.  Each component of the class
-    graph is keyed level by level until its later ids are known: all of its
-    classes fresh, or all of its ids held, at this level, by the classes of
-    one earlier chain that reaches ``rounds`` (then it copies their keyed runs
-    and tails).  Once no component is unknown, the fresh classes take one
-    block up to ``rounds``.  Dead and isolated tree classes keep one id.  So
-    each class gets one keyed run and at most one tail; see ``trees`` for why
-    the ids are those of a full recompute.
+    graph is sorted out at the first level where one of three holds.  All of
+    its ids are held, at this level, by the classes of one earlier chain that
+    reaches ``rounds``: it copies their runs and tails.  Its repeated ids (if
+    any) are all held so and the rest are fresh: it joins the tail block,
+    whose freshness front reaches the repeated classes one hop per level.
+    Otherwise it is keyed one more level.  Once no component is left, the
+    block's first level is keyed and its later levels are counted: each is
+    the level before plus its neighbours, and a class the front has not
+    reached copies its holder's ids.  Dead and isolated tree classes keep one
+    id.  See ``trees`` for why the ids are those of a full recompute.
     """
     tag = "t" if tree else "c"
     chain = _Chain(level, rounds, cur)
-    keyed, tails = chain.keyed, chain.tails
-    owners, id_of = dictionary._owners, dictionary.id_of
+    runs, tails = chain.runs, chain.tails
+    owners, id_of, owner = dictionary._owners, dictionary.id_of, dictionary._owner
     comp, comps = [None] * len(cur), []
     for c in range(len(cur)):
         if nbrs[c] is None or (tree and not nbrs[c]):
@@ -276,26 +347,32 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
         for c in members:
             owners[cur[c]] = (chain, c)
 
-    fresh = []
+    def holders(old):
+        """The (chain, class) that holds each id of ``old``, if one chain reaching
+        ``rounds`` holds them all."""
+        held = [owner(cur[c]) for c in old]
+        src = held[0] and held[0][0]
+        if src and src.last >= rounds and all(o and o[0] is src for o in held):
+            return held
+        return None
+
+    grown, follow = [], {}
 
     def settle(candidates):
         """Components still unknown at ``level`` after sorting out the rest."""
         unknown = []
         for k in candidates:
             members = comps[k]
-            new = [cur[c] >= mark for c in members]
-            held = not any(new) and [dictionary._owner(cur[c]) for c in members]
-            src = held and held[0] and held[0][0]
-            if (
-                src and src is not chain and src.last >= rounds
-                and all(o and o[0] is src for o in held)
-            ):
-                for c, (_, o) in zip(members, held):
-                    keyed[c] += src.keyed[o][level + 1 - src.level :]
+            old = [c for c in members if cur[c] < mark]
+            held = old and holders(old)
+            if held and len(old) == len(members):
+                for c, (src, o) in zip(members, held):
+                    runs[c] += src.runs[o][level + 1 - src.level :]
                     tails[c] = src.tails[o]
                 continue
-            if all(new):
-                fresh.extend(members)
+            if held or not old:
+                grown.extend(members)
+                follow.update(zip(old, held or ()))
             else:
                 unknown.append(k)
             hold(members)
@@ -306,25 +383,48 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
         unknown = settle(unknown)
         if not unknown:
             break
-        stepped = sorted(fresh + [c for k in unknown for c in comps[k]])
+        stepped = sorted(grown + [c for k in unknown for c in comps[k]])
         mark = dictionary._next
         level += 1
         for c, i in zip(stepped, _step(id_of, tag, tree, own, cur, nbrs, stepped)):
             cur[c] = i
-            keyed[c].append(i)
-        hold(fresh)
-    if fresh and level < rounds:
-        fresh.sort()
-        rank = {c: r for r, c in enumerate(fresh)}
-        shapes = {
-            sum(sorted([(w, rank[j]) for w, j in nbrs[c]]), (own[c] if tree else r,)): r
-            for r, c in enumerate(fresh)
-        }
+            runs[c].append(i)
+        hold(grown)
+    if grown and level < rounds:
+        grown.sort()
+        # join[c]: the block level from which c mints.  The fresh classes and
+        # their neighbours mint from the first; a class j + 1 hops from every
+        # fresh one, from level j.
+        front = [c for c in grown if cur[c] >= mark]
+        join, reach = dict.fromkeys(front, 0), 0
+        while front:
+            reached = []
+            for x in front:
+                for _, y in nbrs[x]:
+                    if y not in join:
+                        join[y] = reach
+                        reached.append(y)
+            front, reach = reached, reach + 1
+        count = rounds - level
+        top = min(max(join.values()), count - 1)
+        fresh = [tuple([c for c in grown if join[c] <= j]) for j in range(top + 1)]
         start = dictionary._next
-        _step(id_of, tag, tree, own, cur, nbrs, fresh)
-        dictionary._add_block(_Block(start, rounds - level, tag, shapes, chain, tuple(fresh)))
-        for r, c in enumerate(fresh):
-            tails[c] = (start + r, level + 1, len(fresh))
+        _step(id_of, tag, tree, own, cur, nbrs, fresh[0])
+        links = {c: sum(nbrs[c], (own[c] if tree else None,)) for c in grown}
+        block = _Block(start, count, tag, chain, level + 1, links, fresh)
+        dictionary._add_block(block)
+        # A class the front has not reached yet copies its holder's ids and
+        # holds them, so a later call finds this chain behind all of them.
+        for c, (src, o) in follow.items():
+            copied = src.ids(o, level + 1, level + min(join[c], count))
+            runs[c] += copied
+            for i in copied:
+                owners[i] = (chain, c)
+        for lo, members in zip(block.los, fresh[:top]):
+            for r, c in enumerate(members):
+                runs[c].append(lo + r)
+        for r, c in enumerate(fresh[top]):
+            tails[c] = (block.los[top] + r, level + 1 + top, len(fresh[top]))
     return chain
 
 
@@ -511,9 +611,8 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
             len(levels) - 1,
             rounds,
         )
-        first = max(lo, len(levels))
-        columns = [chain.ids(c, first, rounds) for c in range(len(members))]
-        out += ([columns[k][d] for k in slot_of] for d in range(rounds + 1 - first))
+        columns = map(chain.column, range(max(lo, len(levels)), rounds + 1))
+        out += ([column[k] for k in slot_of] for column in columns)
     return [dict(zip(order, ids)) for ids in out]
 
 

@@ -11,6 +11,8 @@ from cdgwl import (
     EXPERIMENT_NAMES,
     SHARED_DT,
     CdgError,
+    GenerationExhaustedError,
+    GeneratorConfig,
     Report,
     TrainResult,
     check_comparable,
@@ -381,6 +383,22 @@ def test_fewer_than_one_job_is_rejected(jobs):
 def test_empty_corpora_are_not_written(write, count, tmp_path):
     with pytest.raises(ValueError, match="needs at least 1"):
         write(tmp_path / "c", 0, count)
+    assert not (tmp_path / "c").exists()
+
+
+UNDRAWABLE_CORPORA = {
+    "pairs": lambda d: write_pair_corpus(d, 0, 3, n_nodes=1, disconnected=True),
+    "streams": lambda d: write_stream_corpus(
+        d, 0, 3, GeneratorConfig(n_nodes=2, ensure_disconnected=True, attr_values=1)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDRAWABLE_CORPORA))
+def test_a_corpus_the_generator_rejects_leaves_no_directory(kind, tmp_path):
+    # every stream is drawn before the directory is made
+    with pytest.raises(GenerationExhaustedError):
+        UNDRAWABLE_CORPORA[kind](tmp_path / "c")
     assert not (tmp_path / "c").exists()
 
 

@@ -18,16 +18,24 @@ import json
 import pytest
 
 from cdgwl import (
+    ADD,
+    DELETE,
+    EDGE,
+    NODE,
+    Cdg,
     CdynTarget,
     ColorDictionary,
+    Event,
     GeneratorConfig,
     adjacency,
     attr_bytes,
     cut_trajectories,
     cwl,
+    depth_bound,
     generate_isomorphic_pair,
     make_pair,
     snapshots,
+    StartGraph,
     symbolic_state_trajectories,
     universe,
 )
@@ -227,3 +235,109 @@ def test_kernel_matches_reference_in_one_shared_session():
         assert awl_stable(s, joint, got_d) == ref_stable(s, joint, ref_d, False)
         assert tree_sigs_stable(s, joint, got_d) == ref_stable(s, joint, ref_d, True)
     assert list(got_d.items()) == list(ref_d.items())
+
+
+# ---------------------------------------------------------------------------
+# Tail blocks whose class set grows: cut sessions against the reference.
+
+
+def ref_session_call(graphs, depth, dictionary, tree):
+    """Per-timestamp depth-``depth`` ids of the merged snapshots, as trajectories."""
+    universes = [universe(g) for g in graphs]
+    levels = [
+        ref_levels(*merged_snapshot(list(snaps), universes), dictionary, depth, tree)[-1]
+        for snaps in zip(*map(snapshots, graphs))
+    ]
+    return [
+        {v: tuple(ids[(gi, v)] for ids in levels) for v in us} for gi, us in enumerate(universes)
+    ]
+
+
+def check_session(calls, tree=True):
+    """Run ``(graphs, depth)`` calls in one session and the reference in another.
+
+    Trees go through ``cut_trajectories``, colors through ``cwl``.  Every
+    trajectory, the whole key -> id map in id order, and ``id_of`` on every
+    expanded key must agree with the full recompute.
+    """
+    got_d, ref_d = ColorDictionary(), ColorDictionary()
+    for graphs, depth in calls:
+        if tree:
+            if depth is None:
+                depth = depth_bound(max(len(universe(g)) for g in graphs))
+            trajs = cut_trajectories(graphs, depth=depth, dictionary=got_d)
+            got = [{v: tr.sigs for v, tr in m.items()} for m in trajs]
+        else:
+            got = cwl(graphs, depth=depth, dictionary=got_d)
+        assert got == ref_session_call(graphs, depth, ref_d, tree)
+    items = list(got_d.items())
+    assert items == list(ref_d.items())
+    for key, i in items:
+        assert got_d.id_of(key) == i
+    assert len(got_d) == len(ref_d)
+
+
+def labelled_path(names, first):
+    """A path over ``names`` whose attributes count up from ``first``."""
+    nodes = {v: (float(first + i),) for i, v in enumerate(names)}
+    return nodes, {(u, v): (0.0,) for u, v in zip(names, names[1:])}
+
+
+def marked_path_cdg(n=12):
+    """A labelled path with a marker ``m`` at one end that late events move to the other.
+
+    Every attribute differs, so the stable level is 1.  When the marker
+    leaves ``v00`` (t=2) only ``v00`` gets a fresh id at level 1; ``v01`` ..
+    ``v11`` repeat the ids the call at t=1 held, so one component floods over
+    eleven levels with one holder.  Re-attaching it at ``v11`` (t=3) floods
+    from both path ends.
+    """
+    names = [f"v{i:02d}" for i in range(n)]
+    nodes, edges = labelled_path(names, 0)
+    nodes["m"], edges[("m", names[0])] = (-1.0,), (0.0,)
+    return Cdg(StartGraph(nodes, edges), (
+        Event(1.0, NODE, "x", ADD, (5.5,)),
+        Event(2.0, EDGE, ("m", names[0]), DELETE),
+        Event(3.0, EDGE, ("m", names[-1]), ADD, (0.0,)),
+    ))
+
+
+@pytest.mark.parametrize("depth", [None, 6])
+def test_a_flood_with_one_holder_mints_the_full_recompute_ids(depth):
+    # at the decisive depth (25) the front reaches the whole path; at depth 6
+    # the block ends while its far classes still repeat their holder's ids
+    check_session([([marked_path_cdg()], depth)])
+
+
+def test_a_color_flood_with_one_holder_mints_the_full_recompute_ids():
+    # a color key holds the class's own previous id, so a class the front
+    # reaches keys on its holder's id and a fresh neighbour's
+    graphs = [marked_path_cdg()]
+    check_session([(graphs, 11), (graphs, 3), (graphs, 25)], tree=False)
+
+
+def test_a_component_with_two_holders_mints_the_full_recompute_ids():
+    # a-b-c-d-e repeats the first call's ids and g-h-i-j the second's; x and
+    # its neighbours e and f are fresh, so the component is keyed level by
+    # level until freshness has spread across it
+    p1 = labelled_path(["a", "b", "c", "d", "e"], 0)
+    p2 = labelled_path(["f", "g", "h", "i", "j"], 5)
+    joined = Cdg(StartGraph(
+        {**p1[0], **p2[0], "x": (10.0,)},
+        {**p1[1], **p2[1], ("e", "x"): (0.0,), ("f", "x"): (0.0,)},
+    ))
+    calls = [[Cdg(StartGraph(*p1))], [Cdg(StartGraph(*p2))], [joined]]
+    check_session([(graphs, 15) for graphs in calls])
+
+
+@pytest.mark.parametrize("case", ["marked path", "desk pair"])
+def test_a_depth_3_call_after_depth_11_calls_mints_the_full_recompute_ids(case):
+    graphs = [marked_path_cdg()] if case == "marked path" else list(make_pair(0, 3, n_nodes=6))
+    check_session([(graphs, 11), (graphs, 3)])
+
+
+def test_a_deeper_call_does_not_follow_a_shallower_holder():
+    # the depth-3 calls hold the repeated ids first; the depth-11 calls
+    # must key past level 3 instead of copying them
+    graphs = [marked_path_cdg()]
+    check_session([(graphs, 3), (graphs, 11)])

@@ -198,18 +198,36 @@ class CountingDictionary(ColorDictionary):
         return super().id_of(key)
 
 
-def test_cut_keys_a_quarter_of_the_levels_of_a_full_walk():
-    """Past the stable level, components follow earlier chains or fill tail blocks.
-
-    On this n=40/k=150 pair the walk over all 79 levels made 199 596
-    ``id_of`` calls; the tail makes 30 806.  Both mint the same 89 938 ids.
-    """
+def n40_cut_session():
+    """``cut_trajectories`` on the n=40/k=150 isomorphic pair (seed 0), counting ``id_of``."""
     config = GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1)
     a, b, _ = generate_isomorphic_pair(config, 0)
     dictionary = CountingDictionary()
     cut_trajectories([a, b], dictionary=dictionary)
+    return dictionary
+
+
+def test_cut_keys_a_quarter_of_the_levels_of_a_full_walk():
+    """Past the stable level, components follow earlier chains or fill tail blocks.
+
+    On this n=40/k=150 pair the walk over all 79 levels made 199 596
+    ``id_of`` calls; the tail makes 5 782 (see the test below).  Both mint
+    the same 89 938 ids.
+    """
+    dictionary = n40_cut_session()
     assert len(dictionary) == 89938
     assert dictionary.calls <= 199596 // 4
+
+
+def test_cut_id_of_calls_are_pinned():
+    """A component whose repeated classes one earlier chain holds joins the block.
+
+    Keying such a component level by level until freshness had spread
+    across it made 10 786 ``id_of`` calls on this pair; counting its
+    levels as the front grows makes 5 782, for the same 89 938 ids.
+    """
+    dictionary = n40_cut_session()
+    assert (dictionary.calls, len(dictionary)) == (5782, 89938)
 
 
 def test_every_session_key_is_one_flat_tuple():
@@ -234,7 +252,7 @@ def test_every_level_read_keys_a_third_of_a_full_walk():
     """The read ``verify_depth_bound`` makes: every level, one session per pair.
 
     Over the merged snapshots of 200 desk pairs at depth 13, the walk over
-    every level made 94 010 ``id_of`` calls; the tail makes 27 142.  Both
+    every level made 94 010 ``id_of`` calls; the tail makes 26 055.  Both
     mint the same 55 212 ids.
     """
     calls = minted = 0
