@@ -53,6 +53,7 @@ import json
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,11 +169,44 @@ class Mlp:
 
 @dataclass(frozen=True)
 class StateMatrix:
-    """Per-node embedding and state maps at one timestamp (None = absent)."""
+    """Per-node embedding and state maps at one timestamp (None = absent).
+
+    ``hidden`` and ``state`` are read-only mappings from every node of the
+    universe, in universe order, to its row of the graph's embedding or state
+    matrix, or None while the node is absent.  A row is a view of its matrix,
+    made when it is read.
+    """
 
     time: float
-    hidden: dict
-    state: dict
+    hidden: Mapping
+    state: Mapping
+
+
+class _Rows(Mapping):
+    """Node -> its row of ``matrix`` at one timestamp, or None while the node is absent.
+
+    ``position`` maps each universe node to its column of the slot table,
+    and ``slots`` is the timestamp's row of that table: each node's row of
+    ``matrix``, or -1.  An id outside the universe raises ``KeyError``.
+    """
+
+    __slots__ = ("_matrix", "_slots", "_position")
+
+    def __init__(self, matrix, slots, position):
+        self._matrix, self._slots, self._position = matrix, slots, position
+
+    def __getitem__(self, v):
+        k = self._slots[self._position[v]]
+        return None if k < 0 else self._matrix[k]
+
+    def __iter__(self):
+        return iter(self._position)
+
+    def __len__(self):
+        return len(self._position)
+
+    def __repr__(self):
+        return repr(dict(self))
 
 
 @dataclass
@@ -238,8 +272,10 @@ class _Batch:
     """A corpus laid out for the numeric network, built once from its events.
 
     ``streams`` holds (universe, start nodes, start edges, events) per graph.
-    Slot ``k`` is the live (graph, timestamp, node) ``keys[k]``; slots run by
-    graph, then timestamp, then node.  ``fresh`` lists the slots whose state
+    Slot ``k`` is the live (graph, timestamp, node) at column ``k`` of the
+    (3, slots) index array ``slots``: its graph, its timestamp index and the
+    node's position in its graph's universe.  Slots run by graph, then
+    timestamp, then universe order.  ``fresh`` lists the slots whose state
     is their embedding; interval ``i`` is (i, previous slots, current slots,
     elapsed-time column) for the nodes live at both timestamps ``i - 1`` and
     ``i``.
@@ -273,7 +309,7 @@ class _Batch:
     """
 
     def __init__(self, streams, dim, layers, target=None, prefixes=None):
-        self.keys, attrs, fresh, pairs, table = [], [], [], {}, []
+        where, attrs, fresh, pairs, table = [], [], [], {}, []
         own, messages, out = [[] for _ in range(layers)], [[] for _ in range(layers)], []
         for gi, (us, nodes, edges, events) in enumerate(streams):
             graph = _Replay(us, nodes, edges, table)
@@ -288,11 +324,11 @@ class _Batch:
                     graph.apply(e, hit, linked)
                 slot = {}
                 before, now, dts = pairs.setdefault(i, ([], [], []))
-                for v in us:
+                for p, v in enumerate(us):
                     if v not in nodes:
                         continue
-                    slot[v] = k = len(self.keys)
-                    self.keys.append((gi, i, v))
+                    slot[v] = k = len(where) // 3
+                    where += (gi, i, p)
                     if v in prev:
                         before.append(prev[v])
                         now.append(k)
@@ -324,6 +360,7 @@ class _Batch:
                         for (a, b), k in graph.edges.items():
                             edge_rows += (r_out[a], r_in[b], k, r_out[b], r_in[a], k)
                 out += map(latest[layers].__getitem__, slot)
+        self.slots = _index(where).reshape(-1, 3).T
         self.attrs = _rows(attrs, dim)
         table = _rows(table, dim)
         self.layers = []
@@ -342,12 +379,15 @@ class _Batch:
             if now
         ]
         if target is not None:
-            if not self.keys:
+            if not where:
                 raise EmptyInputError("the corpus has no live node, so its loss has no gradient")
             self.targets = np.array(
-                [target.value_for(i, prefixes[gi][v].sigs[: i + 1]) for gi, i, v in self.keys],
+                [
+                    target.value_for(i, prefixes[gi][streams[gi][0][p]].sigs[: i + 1])
+                    for gi, i, p in self.slots.T.tolist()
+                ],
                 dtype=float,
-            ).reshape(len(self.keys), target.output_dim)
+            ).reshape(self.slots.shape[1], target.output_dim)
 
     def view(self, lead):
         """What the kernels read for models of leading shape ``lead``, built once per shape.
@@ -560,16 +600,27 @@ def _check_fits(model, g):
 
 
 def cgnn_forward(cdg_, model):
-    """States at every timestamp of one dynamic graph."""
+    """States at every timestamp of one dynamic graph.
+
+    One ``StateMatrix`` per timestamp.  The result holds the graph's two
+    matrices, embeddings and states with one row per live (timestamp,
+    node), and one slot table of each (timestamp, universe position)'s row,
+    or -1 while the node is absent; the mappings read rows through it.
+    """
     _check_fits(model, cdg_)
-    us = universe(cdg_)
-    batch = _Batch([_stream(cdg_)], cdg_.dim, model.sgnn.layers)
+    stream = _stream(cdg_)
+    batch = _Batch([stream], cdg_.dim, model.sgnn.layers)
     h, _ = _encode(model, batch)
     q, _ = _temporal(model, batch, h)
-    out = [StateMatrix(t, dict.fromkeys(us), dict.fromkeys(us)) for t in timestamps(cdg_)]
-    for (_gi, i, v), h_v, q_v in zip(batch.keys, h, q):
-        out[i].hidden[v], out[i].state[v] = h_v, q_v
-    return out
+    times = timestamps(cdg_)
+    position = {v: p for p, v in enumerate(stream[0])}
+    table = np.full((len(times), len(position)), -1, dtype=np.intp)
+    _gi, i, p = batch.slots
+    table[i, p] = np.arange(len(p))
+    return [
+        StateMatrix(t, _Rows(h, slots, position), _Rows(q, slots, position))
+        for t, slots in zip(times, table)
+    ]
 
 
 def symbolic_state_trajectories(cdgs, dictionary=None, layers=None):
@@ -988,15 +1039,16 @@ def expressivity_check(
             for tagged, tr in colors.items():
                 by_prefix.setdefault(tr[: i + 1], []).append(tagged)
             groups.append([members for members in by_prefix.values() if len(members) > 1])
-        batch = _Batch([_stream(g) for g in (g1, g2)], g1.dim, layers)
+        streams = [_stream(g) for g in (g1, g2)]
+        batch = _Batch(streams, g1.dim, layers)
         for s in range(seeds):
             model = CgnnModel.init(
                 g1.dim, 1, sg, tc, n_intervals=len(g1.events), seed=base_seed + s
             )
             q, _ = _temporal(model, batch, _encode(model, batch)[0])
             numeric = {tagged: [None] * n_t for tagged in colors}
-            for k, (gi, i, v) in enumerate(batch.keys):
-                numeric[(gi, v)][i] = q[k].tobytes()
+            for (gi, i, p), q_k in zip(batch.slots.T.tolist(), q):
+                numeric[(gi, streams[gi][0][p])][i] = q_k.tobytes()
             for i, prefix_groups in enumerate(groups):
                 for members in prefix_groups:
                     first = numeric[members[0]][: i + 1]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,84 @@ def test_forward_encodes_only_rows_whose_ball_changed():
     assert rows == [slots] * 3
     hidden = [h for sm in states for h in sm.hidden.values() if h is not None]
     assert encoded[0].tobytes() == np.stack(hidden).tobytes()
+
+
+SCALED = GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1)
+
+
+@pytest.mark.parametrize("make", [
+    delete_readd_cdg,
+    lambda: generate_isomorphic_pair(SCALED, 0)[0],
+    lambda: generate_isomorphic_pair(SCALED, 0)[1],
+    lambda: generate(SCALED, 1),
+    lambda: generate(SCALED, 2),
+], ids=["delete-readd", "iso-a", "iso-b", "div-1", "div-2"])
+def test_state_maps_are_read_only_views_of_the_forward_matrices(make):
+    g = make()
+    us = universe(g)
+    model = CgnnModel.init(1, 2, *numeric_cfg(layers=3, hidden=3, state=5),
+                           n_intervals=len(g.events), seed=8)
+    states = cgnn_forward(g, model)
+    # the reference: each slot's rows of the batch's matrices, placed by its
+    # graph, timestamp and universe position
+    batch = cgnn._Batch([cgnn._stream(g)], 1, 3)
+    h, _ = cgnn._encode(model, batch)
+    q, _ = cgnn._temporal(model, batch, h)
+    y, _ = model.readout_net.forward(q)
+    want = {}
+    for k, (gi, i, p) in enumerate(batch.slots.T.tolist()):
+        assert gi == 0
+        want[i, us[p]] = (h[k].tobytes(), q[k].tobytes(), y[k].tobytes())
+    snaps = snapshots(g)
+    assert len(want) == sum(len(snap.nodes) for snap in snaps)
+    assert len(states) == len(snaps)
+    for i, (snap, sm) in enumerate(zip(snaps, states)):
+        assert sm.time == snap.time
+        for m in (sm.hidden, sm.state):
+            assert list(m) == list(us) and len(m) == len(us)
+            with pytest.raises(KeyError):
+                m["not a node"]
+            assert m.get("not a node") is None
+            with pytest.raises(TypeError):
+                m[us[0]] = None
+        out = readout(sm, model)
+        assert list(out) == list(us)
+        for v in us:
+            got = sm.hidden.get(v), sm.state.get(v)
+            if (i, v) not in want:
+                assert v not in snap.nodes and got == (None, None)
+                assert out[v].tobytes() == np.zeros(2).tobytes()
+            else:
+                assert v in snap.nodes
+                assert (got[0].tobytes(), got[1].tobytes(), out[v].tobytes()) == want[i, v]
+    for sm in (states[0], states[-1]):
+        for m in (sm.hidden, sm.state):
+            assert dict(m).keys() == m.keys()
+            assert repr(m) == repr(dict(m)) and "object at" not in repr(sm)
+    alone = sgnn_forward(snaps[0], us, model)
+    assert list(alone) == list(us)
+    for v, row in alone.items():
+        assert (row is None) == (v not in snaps[0].nodes)
+        if row is not None:
+            assert row.tobytes() == want[0, v][0]
+
+
+def test_a_forward_result_holds_its_matrices_not_a_row_object_per_slot():
+    # the stream of ``cdgwl gen --n-nodes 60 --events 200 --seed 1``
+    g = generate(GeneratorConfig(n_nodes=60, n_events=200), seed=1)
+    model = CgnnModel.init(1, 1, SgnnConfig(), TemporalConfig(), n_intervals=len(g.events), seed=0)
+    cgnn_forward(g, model)  # whatever a first call leaves behind is not the result
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        states = cgnn_forward(g, model)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    slots = sum(q is not None for sm in states for q in sm.state.values())
+    matrices = slots * (model.sgnn.hidden_dim + model.temporal.state_dim) * 8
+    table = len(states) * len(universe(g)) * np.dtype(np.intp).itemsize
+    assert held <= 1.5 * (matrices + table)
 
 
 def test_a_model_of_another_attribute_dimension_is_rejected():
