@@ -54,10 +54,10 @@ def edge_key(u, v):
 
 
 def _checked_attr(attr):
-    vec = tuple(float(x) for x in attr)
+    vec = tuple(map(float, attr))
     if not vec:
         raise ValueError("attribute vectors must have at least one component")
-    if not all(math.isfinite(x) for x in vec):
+    if not all(map(math.isfinite, vec)):
         raise ValueError(f"attribute components must be finite, got {vec}")
     return vec
 
@@ -134,19 +134,14 @@ class Diagnostic:
         return f"{where}: {self.message}"
 
 
-def apply_event(snapshot, event):
-    """Return a new snapshot with one event applied.
+def _apply(nodes, edges, event):
+    """Apply one event to a node map and an edge map, in place.
 
-    Node deletion cascades to incident edges.  Raises when the event does
-    not apply cleanly: duplicate add, missing delete/attr-change target, or
-    a dangling edge endpoint.
+    The one event rule: node deletion cascades to incident edges.  Raises,
+    leaving both maps as they were, when the event does not apply cleanly:
+    duplicate add, missing delete/attr-change target, or a dangling edge
+    endpoint.  Times are the caller's to check.
     """
-    if event.time <= snapshot.time:
-        raise ValueError(
-            f"event time {event.time} not after snapshot time {snapshot.time}"
-        )
-    nodes = dict(snapshot.nodes)
-    edges = dict(snapshot.edges)
     key, kind = event.key, event.kind
     items = nodes if event.item == NODE else edges
     if kind == ADD:
@@ -166,6 +161,24 @@ def apply_event(snapshot, event):
                 del edges[pair]
     else:
         items[key] = event.attr
+
+
+def apply_event(snapshot, event):
+    """Return a new snapshot with one event applied.
+
+    The event goes through the same rule as ``validate_stream``'s replay,
+    on copies of the snapshot's maps, so ``snapshot`` is never changed.
+    Node deletion cascades to incident edges.  Raises when the event is not
+    after the snapshot's time or does not apply cleanly: duplicate add,
+    missing delete/attr-change target, or a dangling edge endpoint.
+    """
+    if event.time <= snapshot.time:
+        raise ValueError(
+            f"event time {event.time} not after snapshot time {snapshot.time}"
+        )
+    nodes = dict(snapshot.nodes)
+    edges = dict(snapshot.edges)
+    _apply(nodes, edges, event)
     return Snapshot(time=event.time, nodes=nodes, edges=edges)
 
 
@@ -185,7 +198,9 @@ def validate_stream(start, events, dim=None):
     An empty list means every event applies cleanly in order, timestamps
     strictly increase from the start state at 0.0, attribute dimensions
     agree, and node ids do not mix strings with integers (so the universe
-    sorts).
+    sorts).  The stream is replayed once, in place, into one node map and
+    one edge map by ``apply_event``'s rule; an event that fails leaves them
+    as they were, so each diagnostic is the one a replay of copies gives.
     """
     problems = []
     ids = [(None, v) for v in start.nodes]
@@ -204,7 +219,7 @@ def validate_stream(start, events, dim=None):
         elif len(a) != dim:
             problems.append(Diagnostic(idx, f"attribute dimension {len(a)} != {dim}"))
     prev_t = 0.0
-    state = Snapshot(time=0.0, nodes=dict(start.nodes), edges=dict(start.edges))
+    nodes, edges = dict(start.nodes), dict(start.edges)
     for i, e in enumerate(events):
         if e.time <= prev_t:
             problems.append(
@@ -213,7 +228,7 @@ def validate_stream(start, events, dim=None):
             continue
         prev_t = e.time
         try:
-            state = apply_event(state, e)
+            _apply(nodes, edges, e)
         except (
             AddExistingError,
             DeleteMissingError,
@@ -231,8 +246,9 @@ class Cdg:
     The start graph occupies timestamp 0.0; each event occupies one
     strictly later timestamp.  These three fields are exactly what the wire
     format carries, so ``cdg_from_jsonl(cdg_to_jsonl(g)) == g``.
-    Construction replays the full stream and raises ``InvalidCdgError``
-    with diagnostics if any event fails to apply.
+    Construction replays the stream once, in place (``validate_stream``),
+    and raises ``InvalidCdgError`` with diagnostics if any event fails to
+    apply.
     """
 
     start: StartGraph

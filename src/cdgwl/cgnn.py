@@ -167,14 +167,15 @@ class Mlp:
         return dz @ self.w1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateMatrix:
     """Per-node embedding and state maps at one timestamp (None = absent).
 
     ``hidden`` and ``state`` are read-only mappings from every node of the
     universe, in universe order, to its row of the graph's embedding or state
     matrix, or None while the node is absent.  A row is a view of its matrix,
-    made when it is read.
+    made when it is read.  ``==`` is identity, since rows have no truth
+    value; compare two results row by row with ``np.array_equal``.
     """
 
     time: float

@@ -23,6 +23,7 @@ from .cdg import (
     Event,
     NODE,
     StartGraph,
+    _apply,
     edge_key,
     universe,
 )
@@ -57,59 +58,76 @@ def _pick(rng, seq):
     return seq[int(rng.integers(len(seq)))]
 
 
-def _half(v):
-    return int(v[1:]) % 2
-
-
-def _build_start(rng, config, ids, alphabet):
+def _build_start(rng, config, ids, half, alphabet):
     nodes = {}
     for v in ids:
         if rng.random() < P_START_NODE:
             nodes[v] = _pick(rng, alphabet)
     if config.ensure_disconnected:
         for parity in (0, 1):
-            half = [v for v in ids if _half(v) == parity]
-            if half and not any(v in nodes for v in half):
-                nodes[_pick(rng, half)] = _pick(rng, alphabet)
+            side = [v for v in ids if half[v] == parity]
+            if side and not any(v in nodes for v in side):
+                nodes[_pick(rng, side)] = _pick(rng, alphabet)
     edges = {}
     for u, v in itertools.combinations(sorted(nodes), 2):
-        if config.ensure_disconnected and _half(u) != _half(v):
+        if config.ensure_disconnected and half[u] != half[v]:
             continue
         if rng.random() < config.p_start_edge:
             edges[(u, v)] = _pick(rng, alphabet)
     return StartGraph(nodes, edges)
 
 
-def _candidates(config, ids, nodes, edges, alphabet):
-    """The drawable event kinds as ``(item, kind, keys)`` rows in draw order.
+def _drawable(split, n_ids, nodes, edges, per_half, recolor):
+    """The event kinds that have a key now, as ``(item, kind)`` in draw order.
 
-    A row is drawable when it has a key; attribute changes need two values.
+    Decided from counts alone: a split deletes only from a half holding two
+    live nodes, and links only within a half, so the edges present are a
+    subset of the pairs possible and an edge can be added while they are fewer.
+    Attribute changes need two values.
     """
-    split = config.ensure_disconnected
-    live = sorted(nodes)
-    deletable = [v for v in live if not split or sum(_half(u) == _half(v) for u in nodes) > 1]
-    addable = [
-        (u, v)
-        for u, v in itertools.combinations(live, 2)
-        if (u, v) not in edges and not (split and _half(u) != _half(v))
-    ]
-    linked = sorted(edges)
-    recolor = len(alphabet) > 1
-    table = [
-        (NODE, ADD, [v for v in ids if v not in nodes]),
+    if split:
+        deletable = per_half[0] > 1 or per_half[1] > 1
+        pairs = sum(c * (c - 1) // 2 for c in per_half)
+    else:
+        deletable = bool(nodes)
+        pairs = len(nodes) * (len(nodes) - 1) // 2
+    table = (
+        (NODE, ADD, len(nodes) < n_ids),
         (NODE, DELETE, deletable),
-        (EDGE, ADD, addable),
-        (EDGE, DELETE, linked),
-        (NODE, ATTR_CHANGE, live if recolor else []),
-        (EDGE, ATTR_CHANGE, linked if recolor else []),
-    ]
-    return [row for row in table if row[2]]
+        (EDGE, ADD, len(edges) < pairs),
+        (EDGE, DELETE, bool(edges)),
+        (NODE, ATTR_CHANGE, recolor and bool(nodes)),
+        (EDGE, ATTR_CHANGE, recolor and bool(edges)),
+    )
+    return [(item, kind) for item, kind, ok in table if ok]
+
+
+def _keys(item, kind, split, ids, half, nodes, edges, per_half):
+    """The keys of one drawable kind, in draw order: ids for a node add,
+    sorted live nodes or node pairs otherwise."""
+    if item == EDGE and kind != ADD:
+        return sorted(edges)
+    if item == NODE and kind == ADD:
+        return [v for v in ids if v not in nodes]
+    live = sorted(nodes)
+    if kind == ADD:
+        return [
+            (u, v)
+            for u, v in itertools.combinations(live, 2)
+            if (u, v) not in edges and not (split and half[u] != half[v])
+        ]
+    if kind == DELETE and split:
+        return [v for v in live if per_half[half[v]] > 1]
+    return live
 
 
 def generate(config, seed=0):
     """One random valid stream, drawn once.
 
     ``seed`` may be an int, a ``numpy`` SeedSequence, or a Generator.
+
+    Each event draws its kind from the kinds that have a key, then a key
+    from that kind's list, which alone is built.
 
     A config whose streams can never draw an event raises
     ``GenerationExhaustedError`` before any draw.  With ``n_events >= 1``
@@ -123,32 +141,37 @@ def generate(config, seed=0):
     """
     rng = np.random.default_rng(seed)
     ids = [f"n{i}" for i in range(config.n_nodes)]
-    if config.ensure_disconnected and config.n_nodes < 2:
+    half = {v: i % 2 for i, v in enumerate(ids)}
+    split = config.ensure_disconnected
+    if split and config.n_nodes < 2:
         raise GenerationExhaustedError("disconnected streams need at least 2 node ids")
-    if config.ensure_disconnected and config.n_nodes == 2 and config.attr_values == 1 and config.n_events:
+    if split and config.n_nodes == 2 and config.attr_values == 1 and config.n_events:
         raise GenerationExhaustedError(
             "no event can ever be drawn: 2 node ids split into halves of one node each "
             "can be neither added, deleted nor linked, and 1 attribute value allows no change"
         )
     alphabet = _alphabet(config)
-    start = _build_start(rng, config, ids, alphabet)
-    live = {NODE: dict(start.nodes), EDGE: dict(start.edges)}
+    recolor = len(alphabet) > 1
+    start = _build_start(rng, config, ids, half, alphabet)
+    nodes, edges = dict(start.nodes), dict(start.edges)
+    per_half = [0, 0]
+    for v in nodes:
+        per_half[half[v]] += 1
     events = []
     t = 0.0
     for _ in range(config.n_events):
         t += float(_pick(rng, [0.5, 1.0, 1.5]))
-        item, kind, keys = _pick(rng, _candidates(config, ids, live[NODE], live[EDGE], alphabet))
-        key = _pick(rng, keys)
-        state = live[item]
+        item, kind = _pick(rng, _drawable(split, len(ids), nodes, edges, per_half, recolor))
+        key = _pick(rng, _keys(item, kind, split, ids, half, nodes, edges, per_half))
         attr = None
-        if kind == DELETE:
-            del state[key]
-            if item == NODE:
-                live[EDGE] = {e: a for e, a in live[EDGE].items() if key not in e}
-        else:
-            attr = _pick(rng, [a for a in alphabet if a != state.get(key)])
-            state[key] = attr
-        events.append(Event(t, item, key, kind, attr))
+        if kind != DELETE:
+            old = (nodes if item == NODE else edges).get(key)
+            attr = _pick(rng, [a for a in alphabet if a != old])
+        event = Event(t, item, key, kind, attr)
+        _apply(nodes, edges, event)
+        if item == NODE and kind != ATTR_CHANGE:
+            per_half[half[key]] += 1 if kind == ADD else -1
+        events.append(event)
     return Cdg(start, tuple(events), dim=config.dim)
 
 

@@ -1,6 +1,8 @@
 """Stream replay semantics, validation diagnostics, snapshot accessors."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdgwl import (
     ADD,
@@ -17,6 +19,7 @@ from cdgwl import (
     GeneratorConfig,
     InvalidCdgError,
     NODE,
+    Snapshot,
     StartGraph,
     UnknownTimestampError,
     adjacency,
@@ -205,3 +208,120 @@ def test_mixed_node_id_types_are_rejected():
     assert [p.index for p in err.value.diagnostics] == [1]
     assert [p.index for p in validate_stream(StartGraph({1: A}, {}), events)] == [0]
     assert universe(Cdg(StartGraph({1: A, 2: A}, {}), [Event(1.0, NODE, 0, ADD, A)])) == (0, 1, 2)
+
+
+def copying_replay(start, events, dim=None):
+    """``validate_stream`` as it was written before its replay went in place:
+    every event goes through ``apply_event`` on copies of the last state."""
+    problems = []
+    ids = [(None, v) for v in start.nodes]
+    ids += [(i, e.key) for i, e in enumerate(events) if e.item == NODE and e.kind == ADD]
+    mixed = [(i, v) for i, v in ids if isinstance(v, str) != isinstance(ids[0][1], str)]
+    if mixed:
+        idx, v = mixed[0]
+        problems.append((idx, f"node ids mix strings and integers: {v!r}"))
+    for pair in start.edges:
+        for end in pair:
+            if end not in start.nodes:
+                problems.append((None, f"edge {pair!r} endpoint {end!r} missing"))
+    attrs = [(None, a) for a in [*start.nodes.values(), *start.edges.values()]]
+    attrs += [(i, e.attr) for i, e in enumerate(events) if e.attr is not None]
+    for idx, a in attrs:
+        if dim is None:
+            dim = len(a)
+        elif len(a) != dim:
+            problems.append((idx, f"attribute dimension {len(a)} != {dim}"))
+    prev_t = 0.0
+    state = Snapshot(time=0.0, nodes=dict(start.nodes), edges=dict(start.edges))
+    for i, e in enumerate(events):
+        if e.time <= prev_t:
+            problems.append((i, f"timestamp {e.time} not after previous timestamp {prev_t}"))
+            continue
+        prev_t = e.time
+        try:
+            state = apply_event(state, e)
+        except CdgError as err:
+            problems.append((i, str(err)))
+    return problems
+
+
+# Few ids of both types, so adds collide, targets and endpoints go missing,
+# deletes cascade and come back, and ids mix; time steps that mostly rise but
+# may stand or fall; attributes of two dimensions.
+IDS = st.sampled_from(["a", "b", "c", "d", 1, 2])
+ATTRS = st.sampled_from([(0.5,), (1.0,), (0.5, 1.0)])
+RAW_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from([1.0, 1.0, 1.0, 0.5, 0.0, -1.0]),
+        st.sampled_from([NODE, EDGE]),
+        IDS,
+        IDS,
+        st.sampled_from([ADD, DELETE, ATTR_CHANGE]),
+        ATTRS,
+    ),
+    max_size=12,
+)
+EVERY_RULE_BROKEN = (
+    {"a": (1.0,), "b": (0.5,)},
+    {("a", "b"): (1.0,), ("a", "c"): (0.5,)},
+    [
+        (1.0, NODE, "a", "a", ADD, (1.0,)),          # duplicate add
+        (1.0, EDGE, "a", "d", ADD, (1.0,)),          # missing endpoint
+        (0.0, NODE, "d", "d", ADD, (1.0,)),          # time that does not increase
+        (1.0, NODE, "d", "d", ATTR_CHANGE, (1.0,)),  # missing target
+        (1.0, NODE, "d", "d", ADD, (1.0,)),
+        (1.0, EDGE, "a", "d", ADD, (1.0,)),          # applies: the failed add left nothing
+        (1.0, EDGE, "a", "b", DELETE, (1.0,)),
+        (1.0, EDGE, "a", "b", DELETE, (1.0,)),       # missing target
+        (1.0, NODE, "c", "c", ADD, (0.5, 1.0)),      # dimension clash
+        (1.0, NODE, "a", "a", DELETE, (1.0,)),       # cascades to (a, c) and (a, d)
+        (1.0, EDGE, "a", "c", ATTR_CHANGE, (0.5,)),  # missing target
+        (1.0, NODE, 2, 2, ADD, (1.0,)),              # mixed id types
+    ],
+    None,
+)
+
+
+def build_events(raw):
+    """Events from raw draws, each time one step after the last; a self-loop
+    or a mixed-type edge cannot be built at all (``Event`` raises), so those
+    draws are dropped."""
+    events, t = [], 0.0
+    for step, item, u, v, kind, attr in raw:
+        t = max(t + step, 0.0)
+        try:
+            key = u if item == NODE else (u, v)
+            events.append(Event(t, item, key, kind, None if kind == DELETE else attr))
+        except ValueError:
+            pass
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nodes=st.dictionaries(IDS, ATTRS, max_size=4),
+    edges=st.dictionaries(st.tuples(IDS, IDS), ATTRS, max_size=4),
+    raw=RAW_EVENTS,
+    dim=st.sampled_from([None, 1, 2]),
+)
+@example(*EVERY_RULE_BROKEN)
+def test_in_place_validation_reports_what_a_copying_replay_reports(nodes, edges, raw, dim):
+    try:
+        start = StartGraph(nodes, edges)
+    except ValueError:  # a self-loop or a mixed-type edge in the start graph
+        start = StartGraph(nodes, {})
+    events = build_events(raw)
+    before = (dict(start.nodes), dict(start.edges))
+    got = [(p.index, p.message) for p in validate_stream(start, events, dim)]
+    # the replay goes into maps of its own, never into the start graph's
+    assert (start.nodes, start.edges) == before
+    assert got == copying_replay(start, events, dim)
+
+
+def test_the_rule_breaking_example_breaks_every_rule():
+    nodes, edges, raw, dim = EVERY_RULE_BROKEN
+    messages = [m for _, m in copying_replay(StartGraph(nodes, edges), build_events(raw), dim)]
+    for needle in ("mix strings and integers", "endpoint 'c' missing", "already present",
+                   "endpoint 'd' missing for edge", "not after previous timestamp",
+                   "not present", "attribute dimension"):
+        assert any(needle in m for m in messages), needle

@@ -106,6 +106,23 @@ def test_absent_node_state_is_none_and_restart_is_fresh():
     assert sm[2].state["a"].tobytes() != sm[2].hidden["a"].tobytes()
 
 
+def test_state_matrix_equality_is_identity_and_never_raises():
+    g = delete_readd_cdg()
+    sg, tc = numeric_cfg()
+    model = CgnnModel.init(1, 1, sg, tc, n_intervals=len(g.events), seed=3)
+    first, second = cgnn_forward(g, model), cgnn_forward(g, model)
+    assert first[0] == first[0] and first[0] != second[0]
+    assert first[0] in first and second[0] not in first
+    assert len({first[0], first[0], second[0]}) == 2
+    # two results are compared row by row, and these rows are equal
+    for a, b in zip(first, second):
+        for v in universe(g):
+            assert (a.state[v] is None) == (b.state[v] is None)
+            if a.state[v] is not None:
+                assert np.array_equal(a.state[v], b.state[v])
+                assert np.array_equal(a.hidden[v], b.hidden[v])
+
+
 def test_symbolic_restart_reuses_hidden_id():
     g = delete_readd_cdg()
     hidden, states = symbolic_state_trajectories([g])

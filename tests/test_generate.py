@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cdgwl import (
     universe,
     validate_stream,
 )
+from cdgwl.experiments import make_pair, pair_config, sub_seed
 
 
 def test_generation_is_byte_deterministic():
@@ -182,3 +184,19 @@ def test_generated_bytes_are_pinned():
                 text = "GenerationExhaustedError\n"
             h.update(text.encode())
     assert h.hexdigest() == "630764637e6b0616f70c5fb9e6f425843af91d90a3d0e0021b0485a96ecaa427"
+
+
+def test_experiment_corpora_are_pinned():
+    # The desk corpora as the experiments draw them, both splits, plus the
+    # isomorphic pairs' node mappings: the shuffle draws from the Generator
+    # that `generate` leaves behind, so the mappings pin its state as well.
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        for disconnected in (False, True):
+            for idx in range(300):
+                for g in make_pair(seed, idx, 6, disconnected=disconnected):
+                    h.update(cdg_to_jsonl(g).encode())
+        for idx in range(100):
+            _, _, mapping = generate_isomorphic_pair(pair_config(idx), sub_seed(seed, idx, 0))
+            h.update(json.dumps(sorted(mapping.items())).encode())
+    assert h.hexdigest() == "17cb23d934d205deebcfdf9032816b5dbfd1aea7c9720da4a488b1ffc6f6f3bb"
