@@ -636,13 +636,13 @@ def symbolic_state_trajectories(cdgs, dictionary=None, layers=None):
         dictionary = ColorDictionary()
     prev_q = {}
 
-    def ids_at(union, joint):
-        colors = _colors_at(union, joint, dictionary, layers)
-        hidden = {t: None if colors[t] == BOTTOM else colors[t] for t in joint}
-        for t, h in hidden.items():
-            prev = prev_q.get(t)
-            prev_q[t] = h if h is None or prev is None else dictionary.id_of(("q", prev, h))
-        return hidden, dict(prev_q)
+    def ids_at(union):
+        colors = _colors_at(union, union.order, dictionary, layers)
+        hidden = [None if c == BOTTOM else c for c in colors.values()]
+        for p, h in enumerate(hidden):
+            prev = prev_q.get(p)
+            prev_q[p] = h if h is None or prev is None else dictionary.id_of(("q", prev, h))
+        return hidden, list(prev_q.values())
 
     universes, steps = _joint_timeline(cdgs)
     return tuple(

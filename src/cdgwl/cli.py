@@ -202,7 +202,10 @@ def _cmd_verify(args):
     pairs, _ = load_pair_corpus(_corpus_dir(args))
     if args.what == "cut-cwl":
         return _checked(verify_cut_cwl_correspondence(pairs, depth=args.depth))
-    return _checked(verify_depth_bound(pairs, n_bound=args.n_bound))
+    n_bound = args.n_bound
+    if n_bound is None:  # the largest universe in the corpus
+        n_bound = max([1, *(len(universe(g)) for pair in pairs for g in pair)])
+    return _checked(verify_depth_bound(pairs, n_bound=n_bound))
 
 
 def _cmd_run(args):
@@ -327,7 +330,9 @@ def build_parser():
     p.add_argument("what", choices=["cut-cwl", "depth-bound"])
     _add_corpus(p)
     p.add_argument("--depth", type=int, help="cut-cwl: fixed depth instead of stabilization")
-    p.add_argument("--n-bound", type=int, default=6, help="depth-bound: node bound")
+    p.add_argument(
+        "--n-bound", type=int, help="depth-bound: node bound (default: the largest universe)"
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("run", help="run a named experiment end to end")

@@ -50,19 +50,30 @@ ids; a component whose holder is shallower is keyed instead, which mints
 and hits the same ids as a full recompute.  An isolated tree class keys on
 (attribute, ()) at every level from 1 on and keeps one id.
 
-(c) Far from an event, nothing changes.  Along the joint timeline two
+(c) Only what changed is keyed again.  Along the joint timeline two
 consecutive unions differ only at the touched nodes: those whose attribute
 or neighbour list an event replaced (an event's node, both ends of a changed
-edge, every neighbour of a deleted node).  A node's level-r key depends only
-on its depth-r tree, that is, on its r-hop ball.  Take a node more than r
-hops from every touched node in the current union.  It is not touched, so
-its attribute and edges are as before, and by induction on r each of its
-neighbours, more than r - 1 hops away, has its previous level-(r-1) id.  So
-its level-r key is the one it had at the previous timestamp, and a full
-recompute would hit the id it held then.  The kernel copies that id and
-keys only the ball, in position order; only ball nodes can mint, so they
-mint in the same order.  A copied id is an old one, like a hit, so the
-freshness test of (a) (an id at least the level's first mint) still holds.
+edge, every neighbour of a deleted node).  Let the previous union have keyed
+levels r-1 and r in this dictionary.  A node's level-r key reads its
+attribute (trees) or its own level-(r-1) id (colors), and the edge
+attributes and level-(r-1) ids of its current neighbours.  Take a node that
+is not touched, whose current neighbours all hold the level-(r-1) ids they
+held in the previous union, and, for colors, that holds its own.  Its
+attribute and edges are as before, so every part of its level-r key is as
+before: the key is the one the previous union keyed for it, and a full
+recompute would hit the id it held then.  The kernel copies that id and keys
+only the other nodes, the frontier, in position order.  Level 0 reads only
+attributes, so only touched nodes can change there.  By induction on r, an
+id can differ from the previous union's only at a frontier node, so the
+changed ids are found among the frontier's: level r's frontier is the
+touched nodes plus the current neighbours of the level-(r-1) frontier nodes
+whose id changed (for colors, those nodes too).  It lies within r hops of a
+touched node, and stops short of that ball where no id changes: an edge
+added between two nodes of one attribute changes no level-0 id, so level 1
+keys only its two ends.  A copied id is an old one, like a hit, so only
+frontier nodes can mint, they mint in the order a full recompute does, and
+the freshness test of (a) (an id at least the level's first mint) still
+holds.  A level the previous union did not key is keyed in full.
 
 (d) The freshness front.  Let a component have, at a level s at or past
 the stable level, fresh classes F_0 and repeated ones, and let one earlier
@@ -110,6 +121,7 @@ from .cdg import adjacency, attr_bytes
 from .errors import EmptyInputError, InvalidBoundError
 from .wl import (
     ColorDictionary,
+    _as_map,
     _by_graph,
     _colors_at,
     _encode,
@@ -190,19 +202,20 @@ def tree_sig_levels(snapshot, universe_, dictionary, max_depth):
     of (edge attribute, neighbor level d-1) pairs; dead nodes carry the
     reserved empty signature 0 at every level.
     """
-    return _refine(_encode(snapshot, universe_), dictionary, max_depth, tree=True)
+    union = _encode(snapshot, universe_)
+    return [_as_map(union, ids) for ids in _refine(union, dictionary, max_depth, tree=True)]
 
 
 def tree_sigs_at_depth(snapshot, universe_, dictionary, depth):
-    return _refine(_encode(snapshot, universe_), dictionary, depth, tree=True, lo=depth)[0]
+    union = _encode(snapshot, universe_)
+    return _as_map(union, _refine(union, dictionary, depth, tree=True, lo=depth)[0])
 
 
 def tree_sigs_stable(snapshot, universe_, dictionary):
     """Deepen until the signature partition stops changing."""
-    levels = _refine(
-        _encode(snapshot, universe_), dictionary, len(universe_), tree=True, until_stable=True
-    )
-    return levels[-1], len(levels) - 1
+    union = _encode(snapshot, universe_)
+    ids, rounds = _refine(union, dictionary, len(universe_), tree=True, until_stable=True)
+    return _as_map(union, ids), rounds
 
 
 def depth_bound(n, both_disconnected=False):
@@ -242,7 +255,7 @@ def cut_trajectories(cdgs, depth=None, dictionary=None):
     if depth is None:
         depth = depth_bound(max(1, *map(len, universes)))
     (sigs,) = _joint_trajectories(
-        steps, lambda union, joint: [tree_sigs_at_depth(union, joint, dictionary, depth)]
+        steps, lambda union: _refine(union, dictionary, depth, tree=True, lo=depth)
     )
     return [
         {v: TreeTrajectory(depth, tr) for v, tr in m.items()} for m in _by_graph(sigs, universes)
@@ -276,9 +289,9 @@ def stable_trajectories(g1, g2, dictionary=None):
     _universes, steps = _joint_timeline([g1, g2])
     return _joint_trajectories(
         steps,
-        lambda union, joint: [
-            awl_stable(union, joint, dictionary)[0],
-            tree_sigs_stable(union, joint, dictionary)[0],
+        lambda union: [
+            list(awl_stable(union, union.order, dictionary)[0].values()),
+            list(tree_sigs_stable(union, union.order, dictionary)[0].values()),
         ],
     )
 
@@ -367,7 +380,7 @@ def verify_depth_bound(pairs, n_bound):
                 report.disconnected_timestamps += 1
                 if d_tight is not None:
                     start_depths.append(d_tight)
-            for x, y in combinations(joint, 2):
+            for x, y in combinations(range(len(joint)), 2):
                 report.node_pairs_checked += 1
                 for d0 in start_depths:
                     if levels[d0][x] != levels[d0][y]:
@@ -375,7 +388,8 @@ def verify_depth_bound(pairs, n_bound):
                     for d in (d_full + 1, d_full + 2):
                         if levels[d][x] != levels[d][y]:
                             report.violations.append({
-                                "pair": idx, "timestamp_index": i, "nodes": [list(x), list(y)],
+                                "pair": idx, "timestamp_index": i,
+                                "nodes": [list(joint[x]), list(joint[y])],
                                 "equal_at": d0, "diverged_at": d,
                             })
         report.pairs_checked += 1

@@ -34,9 +34,14 @@ timeline calls them with its unions.
 Along the timeline, refinement is incremental.  Each union records the
 positions its events touched and holds the keyed levels of the union before
 it, per tag, with the dictionary that keyed them.  In that dictionary, level
-r keys only the nodes within r hops of a touched node and copies the other
-ids (``trees`` says why no id moves).  A union encoded from a snapshot has no
-previous levels, so every call on a snapshot keys in full.
+r keys only a frontier: the touched nodes and the neighbours of every node
+whose level-(r-1) id changed (for colors, that node too).  It copies every
+other id (``trees`` says why no id moves).  A union encoded from a snapshot
+has no previous levels, so every call on a snapshot keys in full.
+
+The kernel (``_refine``) hands back each level as a list of ids in the
+union's node order; the timeline's callers read those lists, and only the
+per-snapshot functions build {node: id} maps.
 """
 
 from __future__ import annotations
@@ -526,22 +531,6 @@ def _encode(snapshot, universe_):
     return _Union(sorted(universe_), snapshot.nodes, snapshot.edges)
 
 
-def _balls(touched, nbrs):
-    """Sorted positions within 0, 1, 2, ... hops of ``touched``, until that is all."""
-    ball = sorted(touched)
-    inside, frontier = set(ball), ball
-    while len(ball) < len(nbrs):
-        yield ball
-        grown = []
-        for p in frontier:
-            for _, q in nbrs[p] or ():
-                if q not in inside:
-                    inside.add(q)
-                    grown.append(q)
-        frontier = grown
-        ball = sorted(ball + grown)
-
-
 def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
     """Levels ``lo``..``rounds`` of attributed refinement, for colors and trees.
 
@@ -549,15 +538,18 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
     the sorted multiset of (edge attribute, neighbor level-d id) pairs, as
     one flat key ``(tag, self part, w1, id1, w2, id2, ...)``.  The self part
     is the level-d color for refinement (tags ``c0``/``c``) and the node's
-    attribute for trees (``t0``/``t``); dead nodes carry 0.
-    ``until_stable`` stops at the first level that leaves the partition
-    unchanged.  The maps are keyed by ``union.order``.
+    attribute for trees (``t0``/``t``); dead nodes carry 0.  Each level is a
+    list of ids in ``union.order``.  ``until_stable`` stops at the first
+    level that leaves the partition unchanged and returns that level alone,
+    with its round count.
 
     When the union before this one keyed its levels in the same dictionary,
-    level d keys only the nodes within d hops of a touched node and copies
-    every other id from that union's level d (see ``trees``); levels it did
-    not key are keyed in full.  Once the partition is stable the classes go
-    to ``_stable_tail`` (see ``trees``).
+    level d keys only the frontier: the touched nodes, the current neighbours
+    of every node whose level-(d-1) id changed from that union's, and, for
+    colors, those nodes themselves.  Every other id is copied from that
+    union's level d (see ``trees``); levels it did not key are keyed in full.
+    Once the partition is stable the classes go to ``_stable_tail`` (see
+    ``trees``).
     """
     if rounds < 0:
         raise InvalidBoundError(f"depth must be non-negative, got {rounds}")
@@ -565,32 +557,47 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
     id_of = dictionary.id_of
     tag = "t" if tree else "c"
     made_by, known = union._prev.get(tag, (None, ()))
-    balls = _balls(union.touched, nbrs) if made_by is dictionary else iter(())
-    ball = next(balls, None)
-    if ball is None:
-        ids = [id_of((tag + "0", b)) if b is not None else BOTTOM for b in own]
-    else:
+    if made_by is not dictionary:
+        known = ()
+    if known:
+        touched = sorted(union.touched)
         ids = list(known[0])
-        for p in ball:
+        for p in touched:
             ids[p] = id_of((tag + "0", own[p])) if own[p] is not None else BOTTOM
+        changed = touched
+    else:
+        ids = [id_of((tag + "0", b)) if b is not None else BOTTOM for b in own]
     levels = [ids]
+    count = len(set(ids))
     while len(levels) <= rounds:
         mark = dictionary._next
         prev = ids
-        ball = next(balls, None) if len(levels) < len(known) else None
-        if ball is None:
-            ids = _step(id_of, tag, tree, own, prev, nbrs, range(len(order)))
-        else:
-            # Every node outside the ball keeps its id of the union before.
-            ids = list(known[len(levels)])
-            for p, i in zip(ball, _step(id_of, tag, tree, own, prev, nbrs, ball)):
+        r = len(levels)
+        if r < len(known):
+            # Only the frontier can key differently from the union before.
+            was = known[r - 1]
+            changed = [p for p in changed if prev[p] != was[p]]
+            frontier = set(touched)
+            for p in changed:
+                frontier.update(q for _, q in nbrs[p] or ())
+            if not tree:
+                frontier.update(changed)
+            frontier = sorted(frontier)
+            ids = list(known[r])
+            for p, i in zip(frontier, _step(id_of, tag, tree, own, prev, nbrs, frontier)):
                 ids[p] = i
+            changed = frontier
+        else:
+            ids = _step(id_of, tag, tree, own, prev, nbrs, range(len(order)))
         levels.append(ids)
-        if len(set(ids)) == len(set(prev)):
+        count, was_count = len(set(ids)), count
+        if count == was_count:
             break
     union._keyed[tag] = (dictionary, levels)
+    if until_stable:
+        return ids, len(levels) - 1
     out = levels[lo:]
-    if not until_stable and len(levels) <= rounds:
+    if len(levels) <= rounds:
         # Stable: hand the classes, each keyed by its smallest member, to the tail.
         smallest = {}
         for i, c in enumerate(ids):
@@ -613,12 +620,18 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
         )
         columns = map(chain.column, range(max(lo, len(levels)), rounds + 1))
         out += ([column[k] for k in slot_of] for column in columns)
-    return [dict(zip(order, ids)) for ids in out]
+    return out
+
+
+def _as_map(union, ids):
+    """A level's ids as {node: id}, in ``union.order``, so ``values()`` lists them back."""
+    return dict(zip(union.order, ids))
 
 
 def awl_init(snapshot, universe_, dictionary):
     """Iteration-0 colors: attribute color for live nodes, 0 otherwise."""
-    return _refine(_encode(snapshot, universe_), dictionary, 0)[0]
+    union = _encode(snapshot, universe_)
+    return _as_map(union, _refine(union, dictionary, 0)[0])
 
 
 def awl_step(snapshot, prev, dictionary):
@@ -649,8 +662,9 @@ def awl_stable(snapshot, universe_, dictionary):
     Returns the final coloring and the number of rounds executed; the
     partition provably stabilizes within ``len(universe_)`` rounds.
     """
-    levels = _refine(_encode(snapshot, universe_), dictionary, len(universe_), until_stable=True)
-    return levels[-1], len(levels) - 1
+    union = _encode(snapshot, universe_)
+    ids, rounds = _refine(union, dictionary, len(universe_), until_stable=True)
+    return _as_map(union, ids), rounds
 
 
 def merged_snapshot(snaps, universes):
@@ -679,7 +693,8 @@ def check_comparable(cdgs):
 
 def refine_at_depth(snapshot, universe_, dictionary, depth):
     """Colors after exactly ``depth`` rounds (depth 0 = initial colors)."""
-    return _refine(_encode(snapshot, universe_), dictionary, depth, lo=depth)[0]
+    union = _encode(snapshot, universe_)
+    return _as_map(union, _refine(union, dictionary, depth, lo=depth)[0])
 
 
 def _colors_at(snapshot, universe_, dictionary, depth):
@@ -711,14 +726,15 @@ def _joint_timeline(cdgs):
 
 
 def _joint_trajectories(steps, ids_at):
-    """Trajectories of the id maps that ``ids_at(union, joint)`` returns per step.
+    """Trajectories of the id lists that ``ids_at(union)`` returns per step.
 
-    Returns, for each returned map in order, {tagged node: tuple of ids}.
+    Each list holds one id per node of ``union.order``.  Returns, for each
+    returned list in order, {tagged node: tuple of ids}.
     """
     joint, columns = (), []
     for union in steps:
         joint = union.order
-        columns.append([[ids[t] for t in joint] for ids in ids_at(union, joint)])
+        columns.append(ids_at(union))
     return tuple(dict(zip(joint, zip(*col))) for col in zip(*columns))
 
 
@@ -739,7 +755,7 @@ def cwl(cdgs, depth=None, dictionary=None):
         dictionary = ColorDictionary()
     universes, steps = _joint_timeline(cdgs)
     (colors,) = _joint_trajectories(
-        steps, lambda union, joint: [_colors_at(union, joint, dictionary, depth)]
+        steps, lambda union: [list(_colors_at(union, union.order, dictionary, depth).values())]
     )
     return _by_graph(colors, universes)
 

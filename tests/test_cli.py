@@ -9,7 +9,8 @@ import pytest
 
 from cdgwl import cli
 from cdgwl.cgnn import ExpressivityReport
-from cdgwl.experiments import DEFAULT_SIZES, Report, write_stream_corpus
+from cdgwl.cdg import universe
+from cdgwl.experiments import DEFAULT_SIZES, Report, load_pair_corpus, write_stream_corpus
 from cdgwl.errors import InvalidCdgError
 from cdgwl.serialize import cdg_to_jsonl, load_cdg, save_cdg
 from cdgwl.generate import GeneratorConfig, generate, generate_isomorphic_pair
@@ -67,6 +68,23 @@ def test_gen_pair_corpus_and_verify(tmp_path, capsys):
         capsys, "verify", "depth-bound", "--corpus", str(corpus), "--n-bound", "4"
     )
     assert code == 0 and payload["passed"] is True
+
+
+def test_depth_bound_defaults_to_the_largest_universe(tmp_path, capsys):
+    corpus = tmp_path / "pairs"
+    code, _, _ = run_cli(
+        capsys, "gen", "--pairs", "10", "--n-nodes", "12", "--corpus", str(corpus)
+    )
+    assert code == 0
+    largest = max(len(universe(g)) for pair in load_pair_corpus(corpus)[0] for g in pair)
+    assert largest > 6
+    code, payload, err = run_cli(capsys, "verify", "depth-bound", "--corpus", str(corpus))
+    assert code == 0 and payload["passed"] is True, err
+    code, payload, err = run_cli(
+        capsys, "verify", "depth-bound", "--corpus", str(corpus), "--n-bound", str(largest - 1)
+    )
+    assert code == 2 and payload is None
+    assert f"universe size {largest} exceeds the stated bound {largest - 1}" in err
 
 
 def test_gen_keeps_the_stream_defaults(tmp_path, capsys):

@@ -29,6 +29,7 @@ from cdgwl import (
     snapshots,
     universe,
 )
+from cdgwl import wl
 from cdgwl.wl import (
     _encode,
     _joint_timeline,
@@ -277,12 +278,14 @@ def test_event_by_event_union_matches_scratch_on_hand_streams(name):
     "run, minted, full, share", [(cwl, 1049, 24644, 4), (cut_trajectories, 89938, 30806, 2)]
 )
 def test_timeline_keys_only_what_the_events_touch(run, minted, full, share):
-    """Along the timeline, level r keys only the nodes within r hops of an event.
+    """Along the timeline, a level keys only the nodes next to a changed id.
 
     On this n=40/k=150 pair, keying every node at every keyed level made
-    24 644 ``id_of`` calls for ``cwl`` and 30 806 for ``cut_trajectories``;
-    keying only the events' balls makes 4 624 and 10 786.  Both mint the
-    same ids.
+    24 644 ``id_of`` calls for ``cwl`` and 30 806 for ``cut_trajectories``.
+    Keying level r on the nodes within r hops of an event made 4 624 for
+    ``cwl``.  Keying it on the touched nodes and the neighbours of the nodes
+    whose level-(r-1) id changed (for colors, those nodes too) makes 3 436
+    for ``cwl`` and 4 594 for ``cut_trajectories``.  All mint the same ids.
     """
     config = GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1)
     a, b, _ = generate_isomorphic_pair(config, 0)
@@ -290,3 +293,58 @@ def test_timeline_keys_only_what_the_events_touch(run, minted, full, share):
     run([a, b], dictionary=dictionary)
     assert len(dictionary) == minted
     assert dictionary.calls <= full // share
+    assert dictionary.calls == {cwl: 3436, cut_trajectories: 4594}[run]
+
+
+def _keyed_positions(monkeypatch, cdgs, tree):
+    """Per timestamp, the positions each level from 1 keys, up to the stable level.
+
+    Also checks the unions against scratch encodings, and the ids against a
+    second session that keys every level of each scratch union in full.
+    """
+    _assert_timeline_matches_scratch(cdgs)
+    keyed, step = [], wl._step
+
+    def recording(id_of, tag, tree, own, prev, nbrs, members):
+        keyed[-1].append(list(members))
+        return step(id_of, tag, tree, own, prev, nbrs, members)
+
+    universes, steps = _joint_timeline(cdgs)
+    along, full = ColorDictionary(), ColorDictionary()
+    for union, snaps in zip(steps, zip(*(snapshots(g) for g in cdgs))):
+        scratch = _encode(*merged_snapshot(snaps, universes))
+        want = wl._refine(scratch, full, len(scratch.order), tree=tree, until_stable=True)
+        keyed.append([])
+        with monkeypatch.context() as m:
+            m.setattr(wl, "_step", recording)
+            got = wl._refine(union, along, len(union.order), tree=tree, until_stable=True)
+        assert got == want
+    return keyed
+
+
+# a - b - c - d - e - f, every node and edge attribute A
+PATH = StartGraph({v: A for v in "abcdef"}, {(u, v): A for u, v in zip("abcde", "bcdef")})
+
+
+@pytest.mark.parametrize("tree", [False, True])
+def test_an_edge_between_equal_attributes_keys_only_its_ends_at_level_1(tree, monkeypatch):
+    # no level-0 id changes, so level 1 keys a and c; the 1-hop ball is a-d
+    g = Cdg(PATH, (Event(1.0, EDGE, ("a", "c"), ADD, A),))
+    keyed = _keyed_positions(monkeypatch, [g], tree)
+    assert keyed[0][0] == list(range(6))
+    assert keyed[1][:2] == [[0, 2], [0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("tree", [False, True])
+def test_a_reverted_edge_attribute_keys_only_its_ends_at_level_1(tree, monkeypatch):
+    # the change and its revert each key c and d at level 1 and their
+    # neighbours at level 2, where the balls are b-e and a-f
+    g = Cdg(
+        PATH,
+        (
+            Event(1.0, EDGE, ("c", "d"), ATTR_CHANGE, B),
+            Event(2.0, EDGE, ("c", "d"), ATTR_CHANGE, A),
+        ),
+    )
+    keyed = _keyed_positions(monkeypatch, [g], tree)
+    assert [levels[:2] for levels in keyed[1:]] == [[[2, 3], [1, 2, 3, 4]]] * 2
