@@ -62,12 +62,14 @@ def _checked_attr(attr):
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Event:
     """One timestamped change to the graph.
 
     ``item`` selects nodes or edges, ``kind`` the operation.  Delete events
-    carry no attribute; add and attribute-change events require one.
+    carry no attribute; add and attribute-change events require one.  The
+    time is stored as a float, an edge key as its sorted endpoint pair and an
+    attribute as a tuple of floats; each field is checked and set once.
     """
 
     time: float
@@ -76,25 +78,26 @@ class Event:
     kind: str
     attr: tuple | None = None
 
-    def __post_init__(self):
-        if self.item not in ITEM_KINDS:
-            raise ValueError(f"unknown item kind {self.item!r}")
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        t = float(self.time)
+    def __init__(self, time, item, key, kind, attr=None):
+        if item not in ITEM_KINDS:
+            raise ValueError(f"unknown item kind {item!r}")
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        t = float(time)
         if not math.isfinite(t) or t < 0:
-            raise ValueError(f"event time must be finite and non-negative, got {self.time!r}")
-        object.__setattr__(self, "time", t)
-        if self.item == EDGE:
-            u, v = self.key
-            object.__setattr__(self, "key", edge_key(u, v))
-        if self.kind == DELETE:
-            if self.attr is not None:
+            raise ValueError(f"event time must be finite and non-negative, got {time!r}")
+        if item == EDGE:
+            u, v = key
+            key = edge_key(u, v)
+        if kind == DELETE:
+            if attr is not None:
                 raise ValueError("delete events carry no attribute")
         else:
-            if self.attr is None:
-                raise ValueError(f"{self.kind} events require an attribute")
-            object.__setattr__(self, "attr", _checked_attr(self.attr))
+            if attr is None:
+                raise ValueError(f"{kind} events require an attribute")
+            attr = _checked_attr(attr)
+        # frozen, so the checked fields go straight into the instance dict
+        vars(self).update(time=t, item=item, key=key, kind=kind, attr=attr)
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,11 @@ import numbers
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
-from .cdg import DELETE, NODE, edge_key, timestamps, universe
+from .cdg import ATTR_CHANGE, DELETE, NODE, timestamps, universe
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -276,10 +277,12 @@ class _Batch:
     Slot ``k`` is the live (graph, timestamp, node) at column ``k`` of the
     (3, slots) index array ``slots``: its graph, its timestamp index and the
     node's position in its graph's universe.  Slots run by graph, then
-    timestamp, then universe order.  ``fresh`` lists the slots whose state
-    is their embedding; interval ``i`` is (i, previous slots, current slots,
-    elapsed-time column) for the nodes live at both timestamps ``i - 1`` and
-    ``i``.
+    timestamp, then universe order, and ``slot_table[g, i, p]`` is the slot
+    of graph ``g``'s node at position ``p`` at timestamp ``i``, or -1 while
+    it is absent (or past the graph's last timestamp).  ``fresh`` lists the
+    slots whose state is their embedding; interval ``i`` is (i, previous
+    slots, current slots, elapsed-time column) for the nodes live at both
+    timestamps ``i - 1`` and ``i``, by graph, then universe order.
 
     ``layers[l]`` is what encoder layer ``l`` computes: (own, recv, send,
     edge attributes).  Its output row ``r`` combines input row ``own[r]``
@@ -301,6 +304,14 @@ class _Batch:
     row computed from inputs bitwise equal to those of the row it would
     reuse comes out bitwise equal.
 
+    The walk over the events pays only for what they reach: it decides the
+    new rows and records the liveness changes (start nodes, node adds and
+    deletes) and the place of each last-layer row, never visiting a slot
+    whose rows it reuses.  Once per batch, array operations over a
+    (timestamp, graph, position) liveness table then lay out the slots, ``fresh``,
+    the intervals and ``out``: a slot's last-layer row is the latest one its
+    node got up to its timestamp, since rows are appended in time order.
+
     A level whose rows are all new lists its edge rows by the snapshot's
     edges, in order, each in both directions.  A target makes every row new,
     so training sums each slot's gradients in that fixed order.  ``targets``
@@ -310,47 +321,43 @@ class _Batch:
     """
 
     def __init__(self, streams, dim, layers, target=None, prefixes=None):
-        where, attrs, fresh, pairs, table = [], [], [], {}, []
-        own, messages, out = [[] for _ in range(layers)], [[] for _ in range(layers)], []
+        attrs, table, own, messages = [], [], [[] for _ in range(layers)], [[] for _ in range(layers)]
+        lengths = [len(events) + 1 for *_, events in streams]
+        width = max([len(us) for us, *_ in streams], default=0)
+        shape = (max(lengths, default=1), len(streams), width)
+        step = len(streams) * width  # table places per timestamp
+        # the flat (timestamp, graph, position) places of each liveness change
+        # and of each last-layer row, in row order; each interval's elapsed time
+        flips, last, elapsed = [], [], [0.0] * (shape[0] * shape[1])
         for gi, (us, nodes, edges, events) in enumerate(streams):
             graph = _Replay(us, nodes, edges, table)
             nodes, adj = graph.nodes, graph.adj
-            latest = [{} for _ in range(layers + 1)]  # node -> its latest row, per level
-            prev, time, dt = {}, 0.0, None
+            latest = [[None] * len(us) for _ in range(layers + 1)]  # each node's latest row, per level
+            col = gi * width
+            flips += [col + v for v in nodes]
+            hit, linked, time = set(nodes), set(), 0.0
             for i in range(len(events) + 1):
-                hit, linked = set(), set()
+                at = i * step + col
                 if i:
                     e = events[i - 1]
-                    time, dt = e.time, e.time - time
+                    elapsed[i * shape[1] + gi], time = e.time - time, e.time
+                    hit, linked = set(), set()
                     graph.apply(e, hit, linked)
-                slot = {}
-                before, now, dts = pairs.setdefault(i, ([], [], []))
-                for p, v in enumerate(us):
-                    if v not in nodes:
-                        continue
-                    slot[v] = k = len(where) // 3
-                    where += (gi, i, p)
-                    if v in prev:
-                        before.append(prev[v])
-                        now.append(k)
-                        dts.append(dt)
-                    else:
-                        fresh.append(k)
-                        hit.add(v)
-                prev = slot
+                    if e.item == NODE and e.kind != ATTR_CHANGE:
+                        flips.append(at + graph.pos[e.key])
                 if target is not None:
-                    hit.update(slot)
-                new = _in_slot_order(hit, slot)
+                    hit.update(nodes)
+                new = sorted(filter(nodes.__contains__, hit))
                 for v in new:
                     latest[0][v] = len(attrs)
                     attrs.append(nodes[v])
                 for rows, edge_rows, r_in, r_out in zip(own, messages, latest, latest[1:]):
-                    if len(new) < len(slot):  # once every slot is new, so is every layer
+                    if len(new) < len(nodes):  # once every slot is new, so is every layer
                         hit |= linked
                         for v in new:
                             hit.update(adj[v])
-                        new = _in_slot_order(hit, slot)
-                    every = len(new) == len(slot)
+                        new = sorted(filter(nodes.__contains__, hit))
+                    every = len(new) == len(nodes)
                     for r, v in enumerate(new, len(rows)):
                         r_out[v] = r
                         rows.append(r_in[v])
@@ -360,8 +367,7 @@ class _Batch:
                     if every:
                         for (a, b), k in graph.edges.items():
                             edge_rows += (r_out[a], r_in[b], k, r_out[b], r_in[a], k)
-                out += map(latest[layers].__getitem__, slot)
-        self.slots = _index(where).reshape(-1, 3).T
+                last += [at + v for v in new]
         self.attrs = _rows(attrs, dim)
         table = _rows(table, dim)
         self.layers = []
@@ -372,15 +378,9 @@ class _Batch:
         x = np.concatenate([self.attrs[send], edge_attrs], axis=1)
         self.first = (self.attrs[own], x, _canonical_order(x, recv))
         self._views = {}
-        self.out = _index(out)
-        self.fresh = _index(fresh)
-        self.intervals = [
-            (i, _index(before), _index(now), np.array(dts)[:, None])
-            for i, (before, now, dts) in sorted(pairs.items())
-            if now
-        ]
+        self._lay_out(shape, lengths, flips, last, elapsed)
         if target is not None:
-            if not where:
+            if not len(self.out):
                 raise EmptyInputError("the corpus has no live node, so its loss has no gradient")
             self.targets = np.array(
                 [
@@ -389,6 +389,41 @@ class _Batch:
                 ],
                 dtype=float,
             ).reshape(self.slots.shape[1], target.output_dim)
+
+    def _lay_out(self, shape, lengths, flips, last, elapsed):
+        """Slots, ``slot_table``, ``fresh``, ``out`` and the intervals, from the walk's records.
+
+        ``shape`` is (timestamps, graphs, positions), ``lengths`` each graph's
+        timestamp count; ``flips`` and ``last`` hold flat places in a table of
+        that shape, and ``elapsed`` each (timestamp, graph)'s elapsed time.
+        """
+        n_times, step = shape[0], shape[1] * shape[2]
+        flipped = np.zeros(shape, dtype=bool)
+        flipped.reshape(-1)[flips] = True
+        alive = np.logical_xor.accumulate(flipped, axis=0)
+        if min(lengths, default=n_times) < n_times:  # absent past a shorter stream's end
+            alive &= (np.arange(n_times)[:, None] < lengths)[:, :, None]
+        born = flipped & alive
+        by_graph = alive.transpose(1, 0, 2)
+        self.slots = np.array(np.nonzero(by_graph), dtype=np.intp)
+        slot = np.full(shape, -1, dtype=np.intp)
+        self.slot_table = slot.transpose(1, 0, 2)
+        self.slot_table[by_graph] = np.arange(self.slots.shape[1])
+        self.fresh = self.slot_table[born.transpose(1, 0, 2)]
+        rows = np.full(shape, -1, dtype=np.intp)
+        rows.reshape(-1)[last] = np.arange(len(last))
+        self.out = np.maximum.accumulate(rows, axis=0).transpose(1, 0, 2)[by_graph]
+        # live at a timestamp and not (re)added there: live at the one before
+        kept = np.flatnonzero(alive ^ born)
+        slot = slot.reshape(-1)
+        before, now = slot[kept - step], slot[kept]
+        dts = np.array(elapsed)[kept // shape[2]]
+        bounds = np.searchsorted(kept, np.arange(n_times + 1) * step).tolist()
+        self.intervals = [
+            (i, before[a:b], now[a:b], dts[a:b, None])
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            if b > a
+        ]
 
     def view(self, lead):
         """What the kernels read for models of leading shape ``lead``, built once per shape.
@@ -421,58 +456,57 @@ class _Batch:
         return got
 
 
-def _in_slot_order(nodes, slot):
-    """The live ``nodes``, in the order of their slots."""
-    return sorted((v for v in nodes if v in slot), key=slot.__getitem__)
-
-
 def _index(xs):
     return np.array(xs, dtype=np.intp)
 
 
 def _rows(xs, dim):
-    return np.array(xs, dtype=float).reshape(len(xs), dim)
+    """The attribute tuples ``xs`` as a (len(xs), dim) float array."""
+    return np.fromiter(chain.from_iterable(xs), float, len(xs) * dim).reshape(len(xs), dim)
 
 
 class _Replay:
-    """One graph's state, changed in place event by event, as ``apply_event`` changes it.
+    """One graph's state by universe position, changed in place as ``apply_event`` changes it.
 
-    ``edges`` keeps the order of a snapshot's edges; it and ``adj`` (node ->
-    {neighbour: k}) hold for each edge the index ``k`` of its attribute in
-    ``table``, which every graph of a batch appends to.
+    ``nodes`` maps each live node's position to its attribute.  ``edges`` keeps the order of a
+    snapshot's edges, each as its (smaller, larger) position pair, the order
+    of its endpoints since the universe is sorted; it and ``adj`` (position
+    -> {neighbour position: k}) hold for each edge the index ``k`` of its
+    attribute in ``table``, which every graph of a batch appends to.
     """
 
     def __init__(self, us, nodes, edges, table):
-        self.nodes, self.edges, self.adj, self.table = dict(nodes), {}, {v: {} for v in us}, table
-        for pair, w in edges.items():
-            self._link(pair, w)
+        self.pos = pos = {v: p for p, v in enumerate(us)}
+        self.nodes = {pos[v]: a for v, a in nodes.items()}
+        self.edges, self.adj, self.table = {}, [{} for _ in us], table
+        for (u, v), w in edges.items():
+            self._link(pos[u], pos[v], w)
 
-    def _link(self, pair, w):
-        a, b = pair
-        self.edges[pair] = self.adj[a][b] = self.adj[b][a] = len(self.table)
+    def _link(self, a, b, w):
+        self.edges[a, b] = self.adj[a][b] = self.adj[b][a] = len(self.table)
         self.table.append(w)
 
     def apply(self, e, hit, linked):
         """Apply ``e``: its node goes to ``hit``, each node whose edges it changed to ``linked``."""
-        nodes, edges, adj = self.nodes, self.edges, self.adj
+        nodes, edges, adj, pos = self.nodes, self.edges, self.adj, self.pos
         if e.item == NODE:
-            v = e.key
+            v = pos[e.key]
             hit.add(v)
             if e.kind != DELETE:
                 nodes[v] = e.attr
                 return
             del nodes[v]
             for u in adj[v]:
-                del adj[u][v], edges[edge_key(u, v)]
+                del adj[u][v], edges[(u, v) if u < v else (v, u)]
             linked.update(adj[v])
             adj[v] = {}
             return
-        linked.update(e.key)
+        a, b = pos[e.key[0]], pos[e.key[1]]
+        linked.update((a, b))
         if e.kind == DELETE:
-            a, b = e.key
-            del edges[e.key], adj[a][b], adj[b][a]
+            del edges[a, b], adj[a][b], adj[b][a]
         else:
-            self._link(e.key, e.attr)
+            self._link(a, b, e.attr)
 
 
 def _stream(g):
@@ -485,7 +519,7 @@ def _canonical_order(inputs, recv):
     An equal multiset of inputs is then summed in the same order.
     """
     bits = np.ascontiguousarray(inputs).view(np.int64)
-    return np.lexsort(np.vstack((bits.T[::-1], recv)))
+    return np.lexsort((*bits.T[::-1], recv))
 
 
 def _encode(model, batch, keep=False):
@@ -605,22 +639,19 @@ def cgnn_forward(cdg_, model):
 
     One ``StateMatrix`` per timestamp.  The result holds the graph's two
     matrices, embeddings and states with one row per live (timestamp,
-    node), and one slot table of each (timestamp, universe position)'s row,
-    or -1 while the node is absent; the mappings read rows through it.
+    node), and the batch's slot table of each (timestamp, universe
+    position)'s row, or -1 while the node is absent; the mappings read rows
+    through it.
     """
     _check_fits(model, cdg_)
     stream = _stream(cdg_)
     batch = _Batch([stream], cdg_.dim, model.sgnn.layers)
     h, _ = _encode(model, batch)
     q, _ = _temporal(model, batch, h)
-    times = timestamps(cdg_)
     position = {v: p for p, v in enumerate(stream[0])}
-    table = np.full((len(times), len(position)), -1, dtype=np.intp)
-    _gi, i, p = batch.slots
-    table[i, p] = np.arange(len(p))
     return [
         StateMatrix(t, _Rows(h, slots, position), _Rows(q, slots, position))
-        for t, slots in zip(times, table)
+        for t, slots in zip(timestamps(cdg_), batch.slot_table[0])
     ]
 
 
@@ -1042,14 +1073,15 @@ def expressivity_check(
             groups.append([members for members in by_prefix.values() if len(members) > 1])
         streams = [_stream(g) for g in (g1, g2)]
         batch = _Batch(streams, g1.dim, layers)
+        places = [((gi, streams[gi][0][p]), i) for gi, i, p in batch.slots.T.tolist()]
         for s in range(seeds):
             model = CgnnModel.init(
                 g1.dim, 1, sg, tc, n_intervals=len(g1.events), seed=base_seed + s
             )
             q, _ = _temporal(model, batch, _encode(model, batch)[0])
             numeric = {tagged: [None] * n_t for tagged in colors}
-            for (gi, i, p), q_k in zip(batch.slots.T.tolist(), q):
-                numeric[(gi, streams[gi][0][p])][i] = q_k.tobytes()
+            for (tagged, i), q_k in zip(places, q):
+                numeric[tagged][i] = q_k.tobytes()
             for i, prefix_groups in enumerate(groups):
                 for members in prefix_groups:
                     first = numeric[members[0]][: i + 1]

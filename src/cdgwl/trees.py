@@ -19,7 +19,7 @@ recompute keys each stable class on its smallest member, classes in sorted
 order, and only hits the dictionary for the other members.  The kernel
 (``wl._stable_tail``) goes further: it stops keying a component of the
 class graph once its later ids are known.  Three facts carry this, (a),
-(b) and (d) below; (c) carries the timeline.  Ids name trees: a level-d
+(b) and (d) below; (c) and (e) carry the timeline.  Ids name trees: a level-d
 key holds level-(d-1) ids, so by induction two non-isolated nodes share a
 level-d id exactly when their depth-d trees are equal, and each such id
 belongs to one depth.
@@ -105,6 +105,38 @@ other component of the call follows a chain or keeps one id, so nothing
 else mints at those levels, and a full recompute mints the block's ids in
 the same order.  A component whose repeated ids several chains, or none,
 hold is keyed level by level until it is wholly fresh or follows one chain.
+
+(e) Only components an event reached run the tail again.  Along the joint
+timeline, let the previous union have made the same fixed-depth call (same
+dictionary, depth and first level read) and keyed its levels in this
+dictionary.  Call a position reached when its component in the current
+union holds a touched position; a dead touched position is reached too.  An
+unreached node's component holds only untouched nodes, whose attributes and
+neighbour lists are as before, so it is a component of the previous union
+too, and the node has the same depth-d tree, and the same d-round color, at
+every depth.  A full recompute therefore hits the id the node held in the
+previous call's output, at every level, and the kernel copies those ids.
+Past the stable level it hands only the reached positions to the tail: the
+classes of the stable partition that have a reached member, ranked by their
+first reached position, with the class graph among them.  The reached
+positions are a union of components, and the members of a class have equal
+multisets of (edge attribute, neighbour class), so a class with a reached
+member has all its neighbour classes among these, and a class with an
+unreached member has all its neighbour classes with one too.  By induction
+every class of the class-graph component of a class with an unreached member
+has one, so every id of that component, at every level, is the old id of an
+unreached node: none of them mints, and whichever path the tail takes for
+that component (following a chain, joining a block or keying) gives it the
+ids of its trees.  The classes that can mint lie wholly inside the reached
+positions, where a class's first reached position is its smallest member,
+so they rank among themselves as in a full tail and mint the same ids in
+the same order; and the components left out mint nothing, so a block still
+starts only where nothing else mints.  Left-out components do not hold their
+ids again, as a component that follows a chain does not, so a later call
+may find an older holder.  Rules (b) and (d) accept any single holder at
+least as deep, so this changes which path the kernel takes, never the id it
+returns.  Every other call (the first union, a snapshot, another dictionary,
+depth or first level) runs the tail on every class.
 
 Every id the kernel does not key is therefore the id a full recompute would
 mint or hit, in the same order, and no id changes.

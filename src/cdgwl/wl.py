@@ -36,8 +36,11 @@ positions its events touched and holds the keyed levels of the union before
 it, per tag, with the dictionary that keyed them.  In that dictionary, level
 r keys only a frontier: the touched nodes and the neighbours of every node
 whose level-(r-1) id changed (for colors, that node too).  It copies every
-other id (``trees`` says why no id moves).  A union encoded from a snapshot
-has no previous levels, so every call on a snapshot keys in full.
+other id (``trees`` says why no id moves).  A fixed-depth call also keeps
+its output; when the next union makes the same call, its levels past the
+stable level key only the components that hold a touched position and copy
+every other id from that output.  A union encoded from a snapshot has no
+previous levels, so every call on a snapshot keys in full.
 
 The kernel (``_refine``) hands back each level as a list of ids in the
 union's node order; the timeline's callers read those lists, and only the
@@ -444,12 +447,13 @@ class _Union:
     touches.
 
     A union made by ``after`` also knows what changed: ``touched`` holds the
-    positions whose ``own`` or ``nbrs`` entry it replaced, and ``_prev`` the
-    keyed levels (0 up to the stable level, per tag, with the dictionary that
-    made them) of the union it was made from.  ``_refine`` keeps each call's
-    keyed levels in ``_keyed`` for the next union; a union never refers to
-    the union before, so no older levels are held.  A union encoded from
-    scratch has no previous levels.
+    positions whose ``own`` or ``nbrs`` entry it replaced, and ``_prev`` what
+    the union it was made from kept: per tag, the keyed levels (0 up to the
+    stable level, with the dictionary that made them), and under ``(tag,
+    "out")`` the last fixed-depth call's output lists with its dictionary,
+    first level and depth.  ``_refine`` keeps both in ``_keyed`` for the next
+    union; a union never refers to the union before, so nothing older is
+    held.  A union encoded from scratch has no previous levels.
     """
 
     __slots__ = ("order", "own", "nbrs", "touched", "_pos", "_prev", "_keyed")
@@ -549,7 +553,11 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
     colors, those nodes themselves.  Every other id is copied from that
     union's level d (see ``trees``); levels it did not key are keyed in full.
     Once the partition is stable the classes go to ``_stable_tail`` (see
-    ``trees``).
+    ``trees``), each keyed by its first member.  When the union before also
+    made this fixed-depth call (same dictionary, ``lo`` and ``rounds``) and
+    keyed its levels, only the positions whose component holds a touched
+    position go to the tail, and every other position copies its ids past
+    the stable level from that call's output (part (e) of ``trees``).
     """
     if rounds < 0:
         raise InvalidBoundError(f"depth must be non-negative, got {rounds}")
@@ -598,29 +606,52 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
         return ids, len(levels) - 1
     out = levels[lo:]
     if len(levels) <= rounds:
-        # Stable: hand the classes, each keyed by its smallest member, to the tail.
-        smallest = {}
-        for i, c in enumerate(ids):
-            smallest.setdefault(c, i)
-        slot = {c: k for k, c in enumerate(smallest)}
-        slot_of = [slot[c] for c in ids]
-        members = list(smallest.values())
+        # Stable: hand the classes, each keyed by its first member, to the tail;
+        # after the same call on the union before, only the reached positions.
+        before = union._prev.get((tag, "out"))
+        reuse = known and before and before[:3] == (dictionary, lo, rounds)
+        positions = _reached(nbrs, union.touched) if reuse else range(len(order))
+        first = {}
+        for p in positions:
+            first.setdefault(ids[p], p)
+        slot = {c: k for k, c in enumerate(first)}
+        slot_of = [slot[ids[p]] for p in positions]
+        members = list(first.values())
         class_nbrs = [
-            None if nbrs[i] is None else [(w, slot_of[j]) for w, j in nbrs[i]] for i in members
+            None if nbrs[i] is None else [(w, slot[ids[j]]) for w, j in nbrs[i]] for i in members
         ]
         chain = _stable_tail(
             dictionary,
             tree,
             [own[i] for i in members],
             class_nbrs,
-            list(smallest),
+            list(first),
             mark,
             len(levels) - 1,
             rounds,
         )
-        columns = map(chain.column, range(max(lo, len(levels)), rounds + 1))
-        out += ([column[k] for k in slot_of] for column in columns)
+        for d in range(max(lo, len(levels)), rounds + 1):
+            column = chain.column(d)
+            if not reuse:
+                out.append([column[k] for k in slot_of])
+            else:
+                level = list(before[3][d - lo])
+                for p, k in zip(positions, slot_of):
+                    level[p] = column[k]
+                out.append(level)
+    union._keyed[tag, "out"] = (dictionary, lo, rounds, out)
     return out
+
+
+def _reached(nbrs, touched):
+    """The positions whose component holds a touched position, in order."""
+    seen, todo = set(touched), list(touched)
+    while todo:
+        for _, q in nbrs[todo.pop()] or ():
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return sorted(seen)
 
 
 def _as_map(union, ids):

@@ -15,7 +15,9 @@ from cdgwl import (
     CdgError,
     CdynTarget,
     CgnnModel,
+    DELETE,
     DimensionMismatchError,
+    EDGE,
     EmptyInputError,
     Event,
     GeneratorConfig,
@@ -48,13 +50,14 @@ from cdgwl import (
     snapshots,
     six_cycle,
     symbolic_state_trajectories,
+    timestamps,
     train_to_target,
     training_loss,
     two_triangles,
     universe,
 )
 from cdgwl import cgnn, experiments
-from conftest import A, B, delete_readd_cdg, k3, sgnn_forward, static_cdg
+from conftest import A, B, churn_cdg, delete_readd_cdg, k3, sgnn_forward, static_cdg
 
 
 def numeric_cfg(layers=2, hidden=4, state=4, mode=PER_INTERVAL):
@@ -504,6 +507,138 @@ def test_state_maps_are_read_only_views_of_the_forward_matrices(make):
         assert (row is None) == (v not in snaps[0].nodes)
         if row is not None:
             assert row.tobytes() == want[0, v][0]
+
+
+def reference_layout(corpus, layers, every=False):
+    """The slot layout of a batch over ``corpus``, from its snapshots.
+
+    Slots by graph, timestamp and universe position; fresh slots; per
+    interval (index, previous slots, current slots, elapsed times); and each
+    slot's last-layer row.  A live node gets a new last-layer row when it is
+    within ``layers`` hops of a node that (re)appeared or that a node event
+    hit, or within ``layers - 1`` hops of a node whose edges an event
+    changed, in the snapshot's adjacency; with ``every`` (a target), always.
+    Rows are numbered in the order of (graph, timestamp, position), and
+    every other slot reads its node's latest row.
+    """
+    slots, fresh, intervals, out, rows = [], [], {}, [], 0
+    for gi, g in enumerate(corpus):
+        us, snaps, times, latest = universe(g), snapshots(g), timestamps(g), {}
+        for i, snap in enumerate(snaps):
+            prev = snaps[i - 1].nodes if i else {}
+            adj = {v: set() for v in snap.nodes}
+            for a, b in snap.edges:
+                adj[a].add(b)
+                adj[b].add(a)
+            hit, linked = {v for v in snap.nodes if v not in prev}, set()
+            if i:
+                e = g.events[i - 1]
+                if e.item == NODE:
+                    hit.add(e.key)
+                    if e.kind == DELETE:
+                        linked = {u for pair in snaps[i - 1].edges if e.key in pair for u in pair}
+                else:
+                    linked = set(e.key)
+            # distance from the sources: hit nodes at 0, linked ones at 1
+            dist = {v: 0 for v in hit if v in adj}
+            dist.update({v: 1 for v in linked if v in adj and v not in dist})
+            todo = sorted(dist, key=dist.get)
+            for v in todo:
+                for u in adj[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        todo.append(u)
+            for p, v in enumerate(us):
+                if v not in snap.nodes:
+                    continue
+                k = len(slots)
+                slots.append((gi, i, p))
+                if v in prev:
+                    before, now, dts = intervals.setdefault(i, ([], [], []))
+                    before.append(latest[v][0])
+                    now.append(k)
+                    dts.append(times[i] - times[i - 1])
+                else:
+                    fresh.append(k)
+                if every or dist.get(v, layers + 1) <= layers:
+                    latest[v] = (k, rows)
+                    rows += 1
+                else:
+                    latest[v] = (k, latest[v][1])
+                out.append(latest[v][1])
+    return slots, fresh, sorted((i, *lists) for i, lists in intervals.items()), out
+
+
+def layout_of(batch):
+    assert batch.slots.dtype == batch.fresh.dtype == batch.out.dtype == np.intp
+    intervals = []
+    for i, before, now, dts in batch.intervals:
+        assert type(i) is int and before.dtype == now.dtype == np.intp
+        assert dts.dtype == float and dts.shape == (len(now), 1)
+        intervals.append((i, before.tolist(), now.tolist(), dts[:, 0].tolist()))
+    slots = [tuple(s) for s in batch.slots.T.tolist()]
+    return slots, batch.fresh.tolist(), intervals, batch.out.tolist()
+
+
+LAYOUT_CORPORA = {
+    "delete-readd and churn": lambda: [delete_readd_cdg(), churn_cdg()],
+    "unequal lengths": lambda: [
+        churn_cdg(), delete_readd_cdg(), static_cdg(k3(), 1),
+        generate(GeneratorConfig(n_nodes=7, n_events=5), seed=3),
+    ],
+    "generated, other universes": lambda: [
+        generate(GeneratorConfig(n_nodes=n, n_events=9, p_start_edge=0.5), seed=n)
+        for n in (2, 5, 8)
+    ],
+    "node churn": lambda: [
+        Cdg(
+            StartGraph({"a": A, "b": A, "c": B}, {("a", "b"): A, ("b", "c"): A}),
+            (
+                Event(1.0, NODE, "b", DELETE),
+                Event(2.0, NODE, "b", ADD, B),
+                Event(2.5, EDGE, ("a", "b"), ADD, A),
+                Event(4.0, NODE, "a", DELETE),
+                Event(4.5, NODE, "c", ATTR_CHANGE, A),
+                Event(6.0, NODE, "a", ADD, A),
+            ),
+        ),
+        make_pair(0, 4)[0],
+    ],
+    "scaled pair": lambda: list(generate_isomorphic_pair(
+        GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1), 0
+    )[:2]),
+}
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("name", sorted(LAYOUT_CORPORA))
+def test_the_batch_layout_follows_the_snapshots(name, layers):
+    corpus = LAYOUT_CORPORA[name]()
+    batch = cgnn._Batch([cgnn._stream(g) for g in corpus], corpus[0].dim, layers)
+    want = reference_layout(corpus, layers)
+    assert layout_of(batch) == want
+    # the slot table: each (graph, timestamp, position)'s slot, or -1
+    table = np.full(batch.slot_table.shape, -1)
+    table[tuple(batch.slots)] = np.arange(len(want[0]))
+    assert batch.slot_table.shape[1:] == (
+        max(len(g.events) for g in corpus) + 1, max(len(universe(g)) for g in corpus)
+    )
+    assert np.array_equal(batch.slot_table, table)
+
+
+def test_a_training_batch_lays_out_every_row_new():
+    corpus = experiments.approximation_corpus(2, 6)
+    target = CdynTarget.prefix_indicator(corpus, 1, universe(corpus[1])[0])
+    model = CgnnModel.init(1, 1, *numeric_cfg(layers=3), n_intervals=len(corpus[0].events))
+    batch = cgnn._corpus_batch(model, corpus, target, None)
+    want = reference_layout(corpus, 3, every=True)
+    assert layout_of(batch) == want
+    assert batch.out.tolist() == list(range(len(want[0])))
+    prefixes = cut_trajectories(corpus)
+    assert batch.targets.tolist() == [
+        list(target.value_for(i, prefixes[gi][universe(corpus[gi])[p]].sigs[: i + 1]))
+        for gi, i, p in want[0]
+    ]
 
 
 def test_a_forward_result_holds_its_matrices_not_a_row_object_per_slot():

@@ -2,7 +2,9 @@
 wire format round-trips every stream, a mutated stream never reaches
 the exit code of a negative verdict, and the refinement kernel mints the
 ids of a full recompute on arbitrary streams, on snapshots and along the
-joint timeline, and the numeric network's states at every timestamp are
+joint timeline (also when each union repeats the call of the union before,
+so that its tail reuses that call's output), and the numeric network's
+states at every timestamp are
 those of each snapshot embedded alone, folded by the recurrence."""
 
 import contextlib
@@ -48,7 +50,7 @@ from cdgwl import (
     verify_cut_cwl_correspondence,
 )
 from cdgwl.trees import tree_sig_levels, tree_sigs_at_depth, tree_sigs_stable
-from cdgwl.wl import _joint_timeline, awl_stable, merged_snapshot, refine_at_depth
+from cdgwl.wl import _as_map, _joint_timeline, _refine, awl_stable, merged_snapshot, refine_at_depth
 from conftest import sgnn_forward
 from test_golden import ref_levels, ref_stable
 
@@ -262,6 +264,40 @@ def test_kernel_mints_full_recompute_ids_along_the_joint_timeline(data, dim, n_e
             key = ("q", data.draw(st.integers(0, 3)))
             assert got.id_of(key) == ref.id_of(key)
         _check_kernel_calls(data, union, s, union.order, got, ref)
+    assert len(got) == len(ref)
+    assert list(got.items()) == list(ref.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 2),
+    n_events=st.integers(0, 10),
+    call=st.sampled_from(("trees", "colors", "window")),
+)
+def test_a_call_repeated_along_the_timeline_mints_full_recompute_ids(data, dim, n_events, call):
+    # the same fixed-depth call at every union: past the stable level the
+    # kernel then runs the tail only on the components an event reached and
+    # copies the previous union's output elsewhere.  "trees" reads one depth,
+    # as cut_trajectories does; "window" reads levels lo..depth of trees, as
+    # verify_depth_bound does; "colors" reads one depth of refine_at_depth
+    g1, g2 = _stream_pair(data, dim, n_events)
+    universes, steps = _joint_timeline([g1, g2])
+    depth = data.draw(st.integers(0, 2 * sum(map(len, universes)) + 2))
+    lo = data.draw(st.integers(0, depth)) if call == "window" else depth
+    got, ref = ColorDictionary(), ColorDictionary()
+    for union, snaps in zip(steps, zip(snapshots(g1), snapshots(g2))):
+        s, joint = merged_snapshot(list(snaps), universes)
+        if data.draw(st.integers(0, 3)) == 0:  # a key of another kind, as symbolic states mint
+            key = ("q", data.draw(st.integers(0, 3)))
+            assert got.id_of(key) == ref.id_of(key)
+        if call == "colors":
+            want = ref_levels(s, joint, ref, depth, False)[-1]
+            assert refine_at_depth(union, union.order, got, depth) == want
+        else:
+            want = ref_levels(s, joint, ref, depth, True)[lo:]
+            levels = _refine(union, got, depth, tree=True, lo=lo)
+            assert [_as_map(union, ids) for ids in levels] == want
     assert len(got) == len(ref)
     assert list(got.items()) == list(ref.items())
 
