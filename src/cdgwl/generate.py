@@ -24,6 +24,7 @@ from .cdg import (
     NODE,
     StartGraph,
     _apply,
+    _collect_dims,
     edge_key,
     universe,
 )
@@ -48,6 +49,8 @@ class GeneratorConfig:
         for name, least in (("n_nodes", 1), ("n_events", 0), ("dim", 1), ("attr_values", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not 0.0 <= self.p_start_edge <= 1.0:  # NaN fails too
+            raise ValueError(f"p_start_edge must lie in [0, 1], got {self.p_start_edge}")
 
 
 def _alphabet(config):
@@ -175,19 +178,13 @@ def generate(config, seed=0):
     return Cdg(start, tuple(events), dim=config.dim)
 
 
-def _all_attrs(cdg_):
-    attrs = set(cdg_.start.nodes.values()) | set(cdg_.start.edges.values())
-    for e in cdg_.events:
-        if e.attr is not None:
-            attrs.add(e.attr)
-    return attrs
-
-
 def relabel_cdg(cdg_, node_map, attr_map=None):
     """Rewrite node ids (and optionally attribute values) everywhere.
 
-    ``node_map`` must cover the universe; ``attr_map`` must be injective on
-    the attribute values it rewrites.
+    ``node_map`` must cover the universe and keep its ids apart; ``attr_map``
+    must keep the stream's attribute values apart, a value it leaves out
+    mapping to itself.  Otherwise raises ``ValueError`` naming the missing id
+    or the two ids (or values) that would merge.
     """
 
     def m(a):
@@ -195,6 +192,17 @@ def relabel_cdg(cdg_, node_map, attr_map=None):
             return a
         return attr_map.get(a, a)
 
+    us = universe(cdg_)
+    missing = set(us) - set(node_map)
+    if missing:
+        raise ValueError(f"node_map misses node {min(missing)!r}")
+    attrs = sorted({a for _, a in _collect_dims(cdg_.start, cdg_.events)})
+    for name, image, keys in (("node_map", node_map.get, us), ("attr_map", m, attrs)):
+        seen = {}
+        for k in keys:
+            other = seen.setdefault(image(k), k)
+            if other != k:
+                raise ValueError(f"{name} maps both {other!r} and {k!r} to {image(k)!r}")
     start = StartGraph(
         {node_map[v]: m(a) for v, a in cdg_.start.nodes.items()},
         {
@@ -225,10 +233,8 @@ def generate_isomorphic_pair(config, seed=0, rename_attrs=False):
     node_map = dict(zip(us, perm))
     attr_map = None
     if rename_attrs:
-        attr_map = {
-            a: tuple(1000.0 + i for _ in a)
-            for i, a in enumerate(sorted(_all_attrs(g1)))
-        }
+        values = sorted({a for _, a in _collect_dims(g1.start, g1.events)})
+        attr_map = {a: tuple(1000.0 + i for _ in a) for i, a in enumerate(values)}
     return g1, relabel_cdg(g1, node_map, attr_map), node_map
 
 

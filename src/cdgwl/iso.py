@@ -35,6 +35,8 @@ class IsoVerdict:
 
 def check_isomorphism_witness(g1, g2, mapping, mode=IDENTITY):
     """Check that ``mapping`` satisfies every per-timestamp condition."""
+    if mode not in (IDENTITY, RENAMING):
+        raise ValueError(f"unknown attribute mode {mode!r}")
     u1, u2 = universe(g1), universe(g2)
     if set(mapping) != set(u1) or set(mapping.values()) != set(u2):
         return False

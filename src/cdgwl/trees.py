@@ -107,8 +107,8 @@ the same order.  A component whose repeated ids several chains, or none,
 hold is keyed level by level until it is wholly fresh or follows one chain.
 
 (e) Only components an event reached run the tail again.  Along the joint
-timeline, let the previous union have made the same fixed-depth call (same
-dictionary, depth and first level read) and keyed its levels in this
+timeline, let the last call of the previous union with this tag have been
+the same fixed-depth call (same depth and first level read), keyed in this
 dictionary.  Call a position reached when its component in the current
 union holds a touched position; a dead touched position is reached too.  An
 unreached node's component holds only untouched nodes, whose attributes and
@@ -135,8 +135,8 @@ starts only where nothing else mints.  Left-out components do not hold their
 ids again, as a component that follows a chain does not, so a later call
 may find an older holder.  Rules (b) and (d) accept any single holder at
 least as deep, so this changes which path the kernel takes, never the id it
-returns.  Every other call (the first union, a snapshot, another dictionary,
-depth or first level) runs the tail on every class.
+returns.  Every other call (the first union, a snapshot, or any other last
+call of the union before) runs the tail on every class.
 
 Every id the kernel does not key is therefore the id a full recompute would
 mint or hit, in the same order, and no id changes.

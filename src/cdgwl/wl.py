@@ -32,14 +32,14 @@ a snapshot encode it with ``_encode``, which passes a union through, so the
 timeline calls them with its unions.
 
 Along the timeline, refinement is incremental.  Each union records the
-positions its events touched and holds the keyed levels of the union before
-it, per tag, with the dictionary that keyed them.  In that dictionary, level
-r keys only a frontier: the touched nodes and the neighbours of every node
-whose level-(r-1) id changed (for colors, that node too).  It copies every
-other id (``trees`` says why no id moves).  A fixed-depth call also keeps
-its output; when the next union makes the same call, its levels past the
+positions its events touched and, per tag, the last call of the union before
+it: its dictionary, the levels it keyed and, for a fixed-depth call, its
+output.  In that dictionary, level r keys only a frontier: the touched
+nodes and the neighbours of every node whose level-(r-1) id changed (for
+colors, that node too).  It copies every other id (``trees`` says why no id
+moves).  When that call is the same fixed-depth call, the levels past the
 stable level key only the components that hold a touched position and copy
-every other id from that output.  A union encoded from a snapshot has no
+every other id from its output.  A union encoded from a snapshot has no
 previous levels, so every call on a snapshot keys in full.
 
 The kernel (``_refine``) hands back each level as a list of ids in the
@@ -334,20 +334,13 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
     chain = _Chain(level, rounds, cur)
     runs, tails = chain.runs, chain.tails
     owners, id_of, owner = dictionary._owners, dictionary.id_of, dictionary._owner
-    comp, comps = [None] * len(cur), []
+    comps, seen = [], set()
     for c in range(len(cur)):
         if nbrs[c] is None or (tree and not nbrs[c]):
             tails[c] = (cur[c], level, 0)
-        elif comp[c] is None:
-            comp[c], todo, members = len(comps), [c], []
-            while todo:
-                x = todo.pop()
-                members.append(x)
-                for _, y in nbrs[x]:
-                    if comp[y] is None:
-                        comp[y] = comp[c]
-                        todo.append(y)
-            comps.append(sorted(members))
+        elif c not in seen:
+            comps.append(_reached(nbrs, (c,)))
+            seen.update(comps[-1])
 
     def hold(members):
         # The latest holder wins: a component that repeats the previous
@@ -448,12 +441,12 @@ class _Union:
 
     A union made by ``after`` also knows what changed: ``touched`` holds the
     positions whose ``own`` or ``nbrs`` entry it replaced, and ``_prev`` what
-    the union it was made from kept: per tag, the keyed levels (0 up to the
-    stable level, with the dictionary that made them), and under ``(tag,
-    "out")`` the last fixed-depth call's output lists with its dictionary,
-    first level and depth.  ``_refine`` keeps both in ``_keyed`` for the next
-    union; a union never refers to the union before, so nothing older is
-    held.  A union encoded from scratch has no previous levels.
+    the union it was made from kept: per tag, ``(dictionary, levels, call,
+    out)`` of its last ``_refine`` call, with the keyed levels (0 up to the
+    stable level) and, for a fixed-depth call, ``(lo, rounds)`` and the
+    output (None and None for an until-stable call).  ``_refine`` writes it
+    into ``_keyed`` for the next union; a union never refers to the union
+    before, so nothing older is held.  A union from scratch has no record.
     """
 
     __slots__ = ("order", "own", "nbrs", "touched", "_pos", "_prev", "_keyed")
@@ -519,13 +512,7 @@ class _Union:
         node counts as connected.
         """
         live = [p for p, (g, _) in enumerate(self.order) if g == gi and self.nbrs[p] is not None]
-        seen, todo = set(live[:1]), live[:1]
-        while todo:
-            for _, q in self.nbrs[todo.pop()]:
-                if q not in seen:
-                    seen.add(q)
-                    todo.append(q)
-        return len(seen) < len(live)
+        return len(_reached(self.nbrs, live[:1])) < len(live)
 
 
 def _encode(snapshot, universe_):
@@ -553,18 +540,18 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
     colors, those nodes themselves.  Every other id is copied from that
     union's level d (see ``trees``); levels it did not key are keyed in full.
     Once the partition is stable the classes go to ``_stable_tail`` (see
-    ``trees``), each keyed by its first member.  When the union before also
-    made this fixed-depth call (same dictionary, ``lo`` and ``rounds``) and
-    keyed its levels, only the positions whose component holds a touched
-    position go to the tail, and every other position copies its ids past
-    the stable level from that call's output (part (e) of ``trees``).
+    ``trees``), each keyed by its first member.  When the union before made
+    this fixed-depth call last (same dictionary, ``lo`` and ``rounds``),
+    only the positions whose component holds a touched position go to the
+    tail, and every other position copies its ids past the stable level
+    from that call's output (part (e) of ``trees``).
     """
     if rounds < 0:
         raise InvalidBoundError(f"depth must be non-negative, got {rounds}")
     order, own, nbrs = union.order, union.own, union.nbrs
     id_of = dictionary.id_of
     tag = "t" if tree else "c"
-    made_by, known = union._prev.get(tag, (None, ()))
+    made_by, known, call, before = union._prev.get(tag, (None, (), None, None))
     if made_by is not dictionary:
         known = ()
     if known:
@@ -601,15 +588,14 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
         count, was_count = len(set(ids)), count
         if count == was_count:
             break
-    union._keyed[tag] = (dictionary, levels)
     if until_stable:
+        union._keyed[tag] = (dictionary, levels, None, None)
         return ids, len(levels) - 1
     out = levels[lo:]
     if len(levels) <= rounds:
         # Stable: hand the classes, each keyed by its first member, to the tail;
         # after the same call on the union before, only the reached positions.
-        before = union._prev.get((tag, "out"))
-        reuse = known and before and before[:3] == (dictionary, lo, rounds)
+        reuse = known and call == (lo, rounds)
         positions = _reached(nbrs, union.touched) if reuse else range(len(order))
         first = {}
         for p in positions:
@@ -632,20 +618,18 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
         )
         for d in range(max(lo, len(levels)), rounds + 1):
             column = chain.column(d)
-            if not reuse:
-                out.append([column[k] for k in slot_of])
-            else:
-                level = list(before[3][d - lo])
-                for p, k in zip(positions, slot_of):
-                    level[p] = column[k]
-                out.append(level)
-    union._keyed[tag, "out"] = (dictionary, lo, rounds, out)
+            # the positions not handed to the tail copy the recorded output
+            level = list(before[d - lo]) if reuse else [BOTTOM] * len(order)
+            for p, k in zip(positions, slot_of):
+                level[p] = column[k]
+            out.append(level)
+    union._keyed[tag] = (dictionary, levels, (lo, rounds), out)
     return out
 
 
-def _reached(nbrs, touched):
-    """The positions whose component holds a touched position, in order."""
-    seen, todo = set(touched), list(touched)
+def _reached(nbrs, seeds):
+    """The positions whose component holds a seed, in order; a dead seed is its own."""
+    seen, todo = set(seeds), list(seeds)
     while todo:
         for _, q in nbrs[todo.pop()] or ():
             if q not in seen:

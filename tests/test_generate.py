@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from cdgwl import (
+    Cdg,
     GenerationExhaustedError,
     adjacency,
     GeneratorConfig,
@@ -24,6 +26,7 @@ from cdgwl import (
     replay,
     six_cycle,
     snapshots,
+    StartGraph,
     timestamps,
     two_triangles,
     universe,
@@ -131,6 +134,31 @@ def test_attr_renamed_pair_needs_renaming_mode():
     assert brute_force_isomorphic(g1, g2, RENAMING).isomorphic
 
 
+# a and b share attribute (1.0,), c holds (2.0,) and so does the edge a - c
+MERGEABLE = Cdg(StartGraph({"a": (1.0,), "b": (1.0,), "c": (2.0,)}, {("a", "c"): (1.0,)}))
+
+
+@pytest.mark.parametrize(
+    "node_map, attr_map, message",
+    [
+        ({"a": "x", "b": "x", "c": "y"}, None, "node_map maps both 'a' and 'b' to 'x'"),
+        ({"a": "x", "c": "y"}, None, "node_map misses node 'b'"),
+        # (2.0,) is left out, so it maps to itself as well
+        ({v: v for v in "abc"}, {(1.0,): (2.0,)}, "attr_map maps both (1.0,) and (2.0,) to (2.0,)"),
+    ],
+)
+def test_relabelling_never_merges_or_drops_silently(node_map, attr_map, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        relabel_cdg(MERGEABLE, node_map, attr_map)
+
+
+def test_relabelling_accepts_a_swap_of_ids_and_values():
+    swap = {(1.0,): (2.0,), (2.0,): (1.0,)}
+    swapped = relabel_cdg(MERGEABLE, {"a": "c", "b": "b", "c": "a"}, swap)
+    assert swapped.start.nodes == {"a": (1.0,), "b": (2.0,), "c": (2.0,)}
+    assert swapped.start.edges == {("a", "c"): (2.0,)}
+
+
 def test_fixed_demonstration_graphs():
     tri, cyc = two_triangles(), six_cycle()
     for g in (tri, cyc):
@@ -157,6 +185,13 @@ def test_node_ids_use_stable_scheme():
 def test_out_of_range_generator_sizes_are_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be at least"):
         GeneratorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("p", [2.0, -0.1, float("nan")])
+def test_an_edge_chance_outside_the_unit_interval_is_rejected(p):
+    # 2.0 would link every pair and NaN none, each without a word
+    with pytest.raises(ValueError, match=r"p_start_edge must lie in \[0, 1\]"):
+        GeneratorConfig(p_start_edge=p)
 
 
 # Edge-case configs: one attribute value, no or all start edges, the

@@ -93,6 +93,19 @@ def test_renaming_must_be_functional_and_injective():
     assert not check_isomorphism_witness(g3, g4, {"a": "a", "b": "b"}, RENAMING)
 
 
+@pytest.mark.parametrize("check", [check_isomorphism_witness, brute_force_isomorphic])
+def test_an_unknown_attribute_mode_is_rejected(check):
+    # a mode typo in the witness check once applied the renaming rules:
+    # it accepted this attribute-renamed copy, which identity mode refutes
+    g1, g2, mapping = generate_isomorphic_pair(
+        GeneratorConfig(n_nodes=4, n_events=4), seed=2, rename_attrs=True
+    )
+    assert not check_isomorphism_witness(g1, g2, mapping, IDENTITY)
+    args = (mapping,) if check is check_isomorphism_witness else ()
+    with pytest.raises(ValueError, match="unknown attribute mode 'Identity'"):
+        check(g1, g2, *args, mode="Identity")
+
+
 def test_witness_rejects_wrong_mapping():
     g1, g2, mapping = generate_isomorphic_pair(GeneratorConfig(n_nodes=4, n_events=3), seed=9)
     us = universe(g1)

@@ -365,7 +365,9 @@ def _tail_reach(monkeypatch, cdgs, tree, depth, lo, before_call=None):
 
     def recording_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
         reach[-1][1] = len(cur)
-        return stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds)
+        with monkeypatch.context() as m:  # the tail's component walks are not the reach
+            m.setattr(wl, "_reached", reached)
+            return stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds)
 
     def recording_reached(nbrs, touched):
         reach[-1][0] = reached(nbrs, touched)
@@ -441,3 +443,47 @@ def test_an_untouched_component_held_by_several_chains_is_copied(monkeypatch):
     reach = _tail_reach(monkeypatch, [g], True, 11, 11, owners_of_the_path)
     assert reach[7] == ([0, 2], 1)
     assert all(holders) and holders[0][0] is not holders[1][0]
+
+
+@pytest.mark.parametrize("stable_first", [True, False])
+@pytest.mark.parametrize("tree", [False, True])
+@pytest.mark.parametrize("disconnected", [False, True])
+def test_an_until_stable_and_a_fixed_depth_call_on_one_union_mint_full_recompute_ids(
+    disconnected, tree, stable_first, monkeypatch
+):
+    """Both calls with one tag at every union: the ids and ``items()`` of a full recompute.
+
+    A union keeps one record per tag, of its last call, so the fixed-depth
+    call walks the union for its reached components (and copies the rest)
+    only after a union whose last call was that call.
+    """
+    reached, walks = wl._reached, []
+    order = [(None, {"until_stable": True}), (11, {"lo": 7})]
+    if not stable_first:
+        order.reverse()
+
+    def calls(union, dictionary):
+        return [
+            wl._refine(union, dictionary, rounds or len(union.order), tree=tree, **kw)
+            for rounds, kw in order
+        ]
+
+    unions = 0
+    for i in range(20):
+        cdgs = list(make_pair(0, i, disconnected=disconnected))
+        universes, steps = _joint_timeline(cdgs)
+        along, full = ColorDictionary(), ColorDictionary()
+        for union, snaps in zip(steps, zip(*(snapshots(g) for g in cdgs))):
+            want = calls(_encode(*merged_snapshot(snaps, universes)), full)
+
+            def recording(nbrs, seeds):
+                walks.append(nbrs is union.nbrs)  # the tail's walks read its class graph
+                return reached(nbrs, seeds)
+
+            with monkeypatch.context() as m:
+                m.setattr(wl, "_reached", recording)
+                assert calls(union, along) == want
+            unions += 1
+        assert list(along.items()) == list(full.items())
+    # every union but a pair's first copies from the record, or none does
+    assert sum(walks) == (unions - 20 if stable_first else 0)
