@@ -25,6 +25,7 @@ from .cdg import (
     StartGraph,
     _apply,
     _collect_dims,
+    attr_bytes,
     edge_key,
     universe,
 )
@@ -184,24 +185,31 @@ def relabel_cdg(cdg_, node_map, attr_map=None):
     ``node_map`` must cover the universe and keep its ids apart; ``attr_map``
     must keep the stream's attribute values apart, a value it leaves out
     mapping to itself.  Otherwise raises ``ValueError`` naming the missing id
-    or the two ids (or values) that would merge.
+    or the two ids (or values) that would merge.  Attribute values are told
+    apart bit for bit, by ``attr_bytes``, as everywhere else: ``(0.0,)`` and
+    ``(-0.0,)`` are two values, and a map key ``(0.0,)`` rewrites only the
+    first.
     """
+    by_bytes = {} if attr_map is None else {attr_bytes(k): v for k, v in attr_map.items()}
 
     def m(a):
-        if a is None or attr_map is None:
+        if a is None or not by_bytes:
             return a
-        return attr_map.get(a, a)
+        return by_bytes.get(attr_bytes(a), a)
 
     us = universe(cdg_)
     missing = set(us) - set(node_map)
     if missing:
         raise ValueError(f"node_map misses node {min(missing)!r}")
-    attrs = sorted({a for _, a in _collect_dims(cdg_.start, cdg_.events)})
-    for name, image, keys in (("node_map", node_map.get, us), ("attr_map", m, attrs)):
+    attrs = sorted({attr_bytes(a): a for _, a in _collect_dims(cdg_.start, cdg_.events)}.values())
+    for name, image, keys, same in (
+        ("node_map", node_map.get, us, lambda x: x),
+        ("attr_map", m, attrs, attr_bytes),
+    ):
         seen = {}
         for k in keys:
-            other = seen.setdefault(image(k), k)
-            if other != k:
+            other = seen.setdefault(same(image(k)), k)
+            if other is not k:
                 raise ValueError(f"{name} maps both {other!r} and {k!r} to {image(k)!r}")
     start = StartGraph(
         {node_map[v]: m(a) for v, a in cdg_.start.nodes.items()},

@@ -34,7 +34,12 @@ previous id, so the same holds for colors, isolated classes included.  A
 fresh class makes its neighbours fresh one level later: their keys hold its
 new id.  So once a whole component is fresh, every later level mints
 exactly one id per fresh class, in class order, and nothing else of it
-mints; (d) extends this to components that are only partly fresh.
+mints; (d) extends this to components that are only partly fresh.  The
+lookups lean on the depth, too: a level-d key holds level-(d-1) ids, so it
+can only hit an id of depth d.  The keys of a tail block's later levels are
+decoded, not stored, and lie deeper than the block's first level (see
+(d)); so a key at or below the first level of every block in the session
+skips the blocks and is looked up among the stored keys alone.
 
 (b) Components that only hit follow an earlier chain.  Suppose every class
 c of a component has, at a level d at or past both stable levels, the id a
@@ -100,11 +105,16 @@ classes at most j hops from F_0.
 The kernel keys such a component, with the wholly fresh ones, at level s+1
 and then stores levels s+1 .. rounds as one tail block: level s+j holds the
 ids ``lo_j .. lo_j + |F_j| - 1``, one per class of F_j in class order, and a
-class outside F_j copies pi(c)'s id.  The block starts only once every
-other component of the call follows a chain or keeps one id, so nothing
-else mints at those levels, and a full recompute mints the block's ids in
-the same order.  A component whose repeated ids several chains, or none,
-hold is keyed level by level until it is wholly fresh or follows one chain.
+class outside F_j copies pi(c)'s id.  By the second point every class of F_1
+mints a new, distinct id at level s+1, the block's first level, so the
+kernel stores those keys straight into the dictionary, in class order, with
+no lookup.  The later levels are only counted; a key deeper than level s+1
+that misses the stored keys is decoded from the classes' shapes.  The block
+starts only once every other component of the call follows a chain or keeps
+one id, so nothing else mints at those levels, and a full recompute mints
+the block's ids in the same order.  A component whose repeated ids several
+chains, or none, hold is keyed level by level until it is wholly fresh or
+follows one chain.
 
 (e) Only components an event reached run the tail again.  Along the joint
 timeline, let the last call of the previous union with this tag have been

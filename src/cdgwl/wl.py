@@ -42,6 +42,13 @@ stable level key only the components that hold a touched position and copy
 every other id from its output.  A union encoded from a snapshot has no
 previous levels, so every call on a snapshot keys in full.
 
+The kernel looks each key up at its depth.  A key missing from the
+dictionary's stored keys may still be one of a tail block's (see
+``ColorDictionary``), but only if it lies deeper than the first level of
+some block: at or below the shallowest first level the kernel skips the
+block probe, and a block's first level, which mints only new ids, is stored
+without a lookup.
+
 The kernel (``_refine``) hands back each level as a list of ids in the
 union's node order; the timeline's callers read those lists, and only the
 per-snapshot functions build {node: id} maps.
@@ -49,6 +56,7 @@ per-snapshot functions build {node: id} maps.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -92,7 +100,15 @@ class ColorDictionary:
     block's class graph.
 
     Every key is one flat tuple (see the module docstring).  ``id_of``
-    unpacks a missed key only once its probe id falls inside a block level.
+    probes the blocks for a missed key: one bisect over the blocks' starts
+    and ends finds the block holding the key's largest id, and the key is
+    unpacked only when that id lies in a level with a decodable level after
+    it.  The kernel knows the depth of its keys, so it looks them up through
+    ``_id_at(depth)``, which skips the probe at or below the shallowest
+    block's first level (``_floor``): each id names one depth, and a block's
+    decodable levels lie deeper than its first.  A block's first level is
+    new by construction (part (d) of ``trees``), so ``_mint`` stores its
+    keys without a lookup.
 
     The dictionary also remembers, for ids that refinement calls held past
     their stable level, the latest call and class that held each: in
@@ -107,7 +123,8 @@ class ColorDictionary:
         self._ids = {}
         self._next = 1
         self._blocks = []
-        self._starts = []
+        self._bounds = []
+        self._floor = math.inf
         self._owners = {}
 
     def id_of(self, key):
@@ -118,6 +135,26 @@ class ColorDictionary:
                 got = self._next
                 self._ids[key] = got
                 self._next += 1
+        return got
+
+    def _id_at(self, depth):
+        """The lookup for keys of ``depth``: ``id_of``, or ``_stored`` where no block
+        key can lie that shallow."""
+        return self._stored if depth <= self._floor else self.id_of
+
+    def _stored(self, key):
+        """``id_of`` without the block probe."""
+        got = self._ids.get(key)
+        if got is None:
+            got = self._next
+            self._ids[key] = got
+            self._next += 1
+        return got
+
+    def _mint(self, key):
+        """Store ``key``, which no id holds yet, at the next id."""
+        got = self._ids[key] = self._next
+        self._next += 1
         return got
 
     def __len__(self):
@@ -138,16 +175,10 @@ class ColorDictionary:
 
     def _locate(self, i):
         """(block, level index, rank) of an id in a block's range, else None."""
-        k = bisect_right(self._starts, i) - 1
-        if k >= 0:
-            block = self._blocks[k]
-            if i < block.end:
-                los = block.los
-                if i >= los[-1]:
-                    level, rank = divmod(i - los[-1], len(block.fresh[-1]))
-                    return block, level + len(los) - 1, rank
-                level = bisect_right(los, i) - 1
-                return block, level, i - los[level]
+        k = bisect_right(self._bounds, i)
+        if k % 2:
+            block = self._blocks[k // 2]
+            return (block, *block.place(i))
         return None
 
     def _decode(self, key):
@@ -161,11 +192,13 @@ class ColorDictionary:
             probe = max(key[3::2])
         else:
             return None
-        found = self._locate(probe)
-        if found is None:
+        # ``_bounds`` lists each block's start and end: the probe id lies in
+        # a block when an odd number of them is at or below it.
+        k = bisect_right(self._bounds, probe)
+        if not k % 2:
             return None
-        block, level, _ = found
-        level += 1
+        block = self._blocks[k // 2]
+        level = block.place(probe)[0] + 1
         if level >= block.count or block.tag != tag:
             return None
         hi = block.lo(level)
@@ -189,7 +222,8 @@ class ColorDictionary:
     def _add_block(self, block):
         """Register a block whose first level was just minted; reserve the rest."""
         self._blocks.append(block)
-        self._starts.append(block.start)
+        self._bounds += (block.start, block.end)
+        self._floor = min(self._floor, block.at)
         self._next = block.end
 
 
@@ -230,6 +264,15 @@ class _Block:
         if level < len(los):
             return los[level]
         return los[-1] + (level - len(los) + 1) * len(self.fresh[-1])
+
+    def place(self, i):
+        """(level, rank) of id ``i`` in ``[start, end)``."""
+        los = self.los
+        if i >= los[-1]:
+            level, rank = divmod(i - los[-1], len(self.fresh[-1]))
+            return level + len(los) - 1, rank
+        level = bisect_right(los, i) - 1
+        return level, i - los[level]
 
     def members(self, level):
         return self.fresh[min(level, len(self.fresh) - 1)]
@@ -333,7 +376,7 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
     tag = "t" if tree else "c"
     chain = _Chain(level, rounds, cur)
     runs, tails = chain.runs, chain.tails
-    owners, id_of, owner = dictionary._owners, dictionary.id_of, dictionary._owner
+    owners, owner = dictionary._owners, dictionary._owner
     comps, seen = [], set()
     for c in range(len(cur)):
         if nbrs[c] is None or (tree and not nbrs[c]):
@@ -387,6 +430,7 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
         stepped = sorted(grown + [c for k in unknown for c in comps[k]])
         mark = dictionary._next
         level += 1
+        id_of = dictionary._id_at(level)
         for c, i in zip(stepped, _step(id_of, tag, tree, own, cur, nbrs, stepped)):
             cur[c] = i
             runs[c].append(i)
@@ -410,7 +454,8 @@ def _stable_tail(dictionary, tree, own, nbrs, cur, mark, level, rounds):
         top = min(max(join.values()), count - 1)
         fresh = [tuple([c for c in grown if join[c] <= j]) for j in range(top + 1)]
         start = dictionary._next
-        _step(id_of, tag, tree, own, cur, nbrs, fresh[0])
+        # every class of fresh[0] mints a new, distinct id: no lookup (part (d))
+        _step(dictionary._mint, tag, tree, own, cur, nbrs, fresh[0])
         links = {c: sum(nbrs[c], (own[c] if tree else None,)) for c in grown}
         block = _Block(start, count, tag, chain, level + 1, links, fresh)
         dictionary._add_block(block)
@@ -549,11 +594,11 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
     if rounds < 0:
         raise InvalidBoundError(f"depth must be non-negative, got {rounds}")
     order, own, nbrs = union.order, union.own, union.nbrs
-    id_of = dictionary.id_of
     tag = "t" if tree else "c"
     made_by, known, call, before = union._prev.get(tag, (None, (), None, None))
     if made_by is not dictionary:
         known = ()
+    id_of = dictionary._id_at(0)
     if known:
         touched = sorted(union.touched)
         ids = list(known[0])
@@ -568,6 +613,7 @@ def _refine(union, dictionary, rounds, tree=False, until_stable=False, lo=0):
         mark = dictionary._next
         prev = ids
         r = len(levels)
+        id_of = dictionary._id_at(r)
         if r < len(known):
             # Only the frontier can key differently from the union before.
             was = known[r - 1]

@@ -10,6 +10,7 @@ import pytest
 
 from cdgwl import (
     Cdg,
+    attr_bytes,
     GenerationExhaustedError,
     adjacency,
     GeneratorConfig,
@@ -157,6 +158,35 @@ def test_relabelling_accepts_a_swap_of_ids_and_values():
     swapped = relabel_cdg(MERGEABLE, {"a": "c", "b": "b", "c": "a"}, swap)
     assert swapped.start.nodes == {"a": (1.0,), "b": (2.0,), "c": (2.0,)}
     assert swapped.start.edges == {("a", "c"): (2.0,)}
+
+
+# a holds (0.0,) and b holds (-0.0,): two values, bit for bit
+SIGNED_ZEROS = Cdg(StartGraph({"a": (0.0,), "b": (-0.0,)}, {("a", "b"): (1.0,)}))
+
+
+def _bits(cdg_):
+    return {v: attr_bytes(a) for v, a in cdg_.start.nodes.items()}
+
+
+def test_relabelling_rewrites_only_the_bitwise_equal_value():
+    renamed = relabel_cdg(SIGNED_ZEROS, {"a": "a", "b": "b"}, {(0.0,): (5.0,)})
+    assert _bits(renamed) == {"a": attr_bytes((5.0,)), "b": attr_bytes((-0.0,))}
+    assert brute_force_isomorphic(SIGNED_ZEROS, renamed, RENAMING).isomorphic
+
+
+def test_relabelling_keeps_signed_zeros_apart_when_the_map_collapses():
+    # the literal holds one key, (0.0,) -> (6.0,), since -0.0 == 0.0
+    attr_map = {(0.0,): (5.0,), (-0.0,): (6.0,)}
+    assert len(attr_map) == 1
+    renamed = relabel_cdg(SIGNED_ZEROS, {"a": "a", "b": "b"}, attr_map)
+    assert _bits(renamed) == {"a": attr_bytes((6.0,)), "b": attr_bytes((-0.0,))}
+    assert brute_force_isomorphic(SIGNED_ZEROS, renamed, RENAMING).isomorphic
+
+
+def test_relabelling_never_merges_bitwise_distinct_values():
+    # (0.0,) -> (-0.0,) while (-0.0,) maps to itself
+    with pytest.raises(ValueError, match=re.escape("attr_map maps both (0.0,) and (-0.0,)")):
+        relabel_cdg(SIGNED_ZEROS, {"a": "a", "b": "b"}, {(0.0,): (-0.0,)})
 
 
 def test_fixed_demonstration_graphs():

@@ -3,7 +3,8 @@ wire format round-trips every stream, a mutated stream never reaches
 the exit code of a negative verdict, and the refinement kernel mints the
 ids of a full recompute on arbitrary streams, on snapshots and along the
 joint timeline (also when each union repeats the call of the union before,
-so that its tail reuses that call's output), and the numeric network's
+so that its tail reuses that call's output, and when a probe of the tail
+blocks is skipped where no block key can lie), and the numeric network's
 states at every timestamp are
 those of each snapshot embedded alone, folded by the recurrence."""
 
@@ -298,6 +299,51 @@ def test_a_call_repeated_along_the_timeline_mints_full_recompute_ids(data, dim, 
             want = ref_levels(s, joint, ref, depth, True)[lo:]
             levels = _refine(union, got, depth, tree=True, lo=lo)
             assert [_as_map(union, ids) for ids in levels] == want
+    assert len(got) == len(ref)
+    assert list(got.items()) == list(ref.items())
+
+
+class ProbeOnEveryMiss(ColorDictionary):
+    """A session without the depth gate: every kernel key goes through ``id_of``,
+    which probes the tail blocks on every miss, and so does each key of a
+    block's first level, which must then mint the next id."""
+
+    def _id_at(self, depth):
+        return self.id_of
+
+    def _mint(self, key):
+        got = self.id_of(key)
+        assert got == len(self), key
+        return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), n_events=st.integers(0, 10))
+def test_the_depth_gated_probe_mints_the_ids_of_probing_every_miss(data, dim, n_events):
+    # fixed-depth tree and color calls repeated at every union lay tail
+    # blocks, and a later key may decode from one; the gated session skips
+    # the probe only where no block key can lie and mints a block's first
+    # level without a lookup.  Each session walks its own timeline, so each
+    # reuses its own previous calls
+    g1, g2 = _stream_pair(data, dim, n_events)
+    n = sum(len(universe(g)) for g in (g1, g2))
+    calls = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(("trees", "colors", "window")), st.integers(0, 2 * n + 2)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    got, ref = ColorDictionary(), ProbeOnEveryMiss()
+    for u_got, u_ref in zip(_joint_timeline([g1, g2])[1], _joint_timeline([g1, g2])[1]):
+        if data.draw(st.integers(0, 3)) == 0:  # one more call, so depths mix across unions
+            calls = calls + [(data.draw(st.sampled_from(("trees", "colors"))), n)]
+        for call, depth in calls:
+            lo = depth // 2 if call == "window" else depth
+            tree = call != "colors"
+            assert _refine(u_got, got, depth, tree=tree, lo=lo) == _refine(
+                u_ref, ref, depth, tree=tree, lo=lo
+            )
     assert len(got) == len(ref)
     assert list(got.items()) == list(ref.items())
 

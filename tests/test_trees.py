@@ -188,20 +188,34 @@ def test_empty_universes_are_checked_and_equivalent():
     assert graph_cut_equivalent(g0, g0) == CutVerdict(True, {})
 
 
+N40 = GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1)
+
+
 class CountingDictionary(ColorDictionary):
+    """Counts lookups (``id_of`` and the kernel's probe-free ``_stored``) and block probes."""
+
     def __init__(self):
         super().__init__()
-        self.calls = 0
+        self.calls = self.probes = self.hits = 0
 
     def id_of(self, key):
         self.calls += 1
         return super().id_of(key)
 
+    def _stored(self, key):
+        self.calls += 1
+        return super()._stored(key)
+
+    def _decode(self, key):
+        self.probes += 1
+        got = super()._decode(key)
+        self.hits += got is not None
+        return got
+
 
 def n40_cut_session():
-    """``cut_trajectories`` on the n=40/k=150 isomorphic pair (seed 0), counting ``id_of``."""
-    config = GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1)
-    a, b, _ = generate_isomorphic_pair(config, 0)
+    """``cut_trajectories`` on the n=40/k=150 isomorphic pair (seed 0), counting lookups."""
+    a, b, _ = generate_isomorphic_pair(N40, 0)
     dictionary = CountingDictionary()
     cut_trajectories([a, b], dictionary=dictionary)
     return dictionary
@@ -211,8 +225,8 @@ def test_cut_keys_a_quarter_of_the_levels_of_a_full_walk():
     """Past the stable level, components follow earlier chains or fill tail blocks.
 
     On this n=40/k=150 pair the walk over all 79 levels made 199 596
-    ``id_of`` calls; the kernel makes 4 590 (see the test below).  Both
-    mint the same 89 938 ids.
+    ``id_of`` calls; the kernel makes 3 708 lookups (see the test below).
+    Both mint the same 89 938 ids.
     """
     dictionary = n40_cut_session()
     assert len(dictionary) == 89938
@@ -227,28 +241,52 @@ def test_cut_id_of_calls_are_pinned():
     levels as the front grows made 5 782.  Keying, below the stable level,
     only the nodes next to a changed id instead of each event's hop ball
     made 4 594.  Running the tail only on the components an event reached
-    makes 4 590, for the same 89 938 ids.
+    made 4 590.  Minting each tail block's first level straight into the
+    dictionary, whose 882 keys are new by construction, makes 3 708
+    lookups, for the same 89 938 ids.
     """
     dictionary = n40_cut_session()
-    assert (dictionary.calls, len(dictionary)) == (4590, 89938)
+    assert (dictionary.calls, len(dictionary)) == (3708, 89938)
+
+
+def test_cut_block_probes_are_pinned():
+    """A missed key probes the tail blocks only where a block key can lie.
+
+    Probing on every missed lookup made 1 968 probes on this pair, 94 of
+    them hits.  A key at or below the shallowest block's first level cannot
+    be a block key (each id names one depth), and a block's first level is
+    minted without a lookup: 131 probes find the same 94 ids.
+    """
+    dictionary = n40_cut_session()
+    assert (dictionary.probes, dictionary.hits) == (131, 94)
+    assert dictionary.probes <= 200
+    assert (len(dictionary), len(dictionary._ids)) == (89938, 1982)
 
 
 def test_every_session_key_is_one_flat_tuple():
     """A level key is ``(tag, self part, w1, id1, w2, id2, ...)``, stored or in a block.
 
-    Every key ``items()`` yields, tail-block keys expanded, is a tuple
-    holding no tuple, and ``id_of`` finds each one's id again.
+    In the cut sessions of the isomorphic and the divergent n=40/k=150 pair
+    and in a session of colors at depth 79, every key ``items()`` yields,
+    tail-block keys expanded, is a tuple holding no tuple, and ``id_of``
+    finds each one's id again.  So no key is stored twice, though a block's
+    first level is minted without a lookup.
     """
-    config = GeneratorConfig(n_nodes=40, n_events=150, dim=1, attr_values=3, p_start_edge=0.1)
-    a, b, _ = generate_isomorphic_pair(config, 0)
-    dictionary = ColorDictionary()
-    cut_trajectories([a, b], dictionary=dictionary)
-    items = list(dictionary.items())
-    assert len(items) == len(dictionary) == 89938 and dictionary._blocks
-    for key, i in items:
-        assert type(key) is tuple and not any(isinstance(x, tuple) for x in key), key
-        assert dictionary.id_of(key) == i
-    assert len(dictionary) == 89938
+    a, b, _ = generate_isomorphic_pair(N40, 0)
+    sessions = [
+        (lambda d: cut_trajectories([a, b], dictionary=d), 89938),
+        (lambda d: cut_trajectories([generate(N40, 1), generate(N40, 2)], dictionary=d), 245338),
+        (lambda d: cwl([a, b], depth=79, dictionary=d), 100676),
+    ]
+    for run, minted in sessions:
+        dictionary = ColorDictionary()
+        run(dictionary)
+        items = list(dictionary.items())
+        assert len(items) == len(dictionary) == minted and dictionary._blocks
+        for key, i in items:
+            assert type(key) is tuple and not any(isinstance(x, tuple) for x in key), key
+            assert dictionary.id_of(key) == i
+        assert len(dictionary) == minted
 
 
 def test_every_level_read_keys_a_third_of_a_full_walk():
