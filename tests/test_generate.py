@@ -168,18 +168,17 @@ def _bits(cdg_):
     return {v: attr_bytes(a) for v, a in cdg_.start.nodes.items()}
 
 
-def test_relabelling_rewrites_only_the_bitwise_equal_value():
-    renamed = relabel_cdg(SIGNED_ZEROS, {"a": "a", "b": "b"}, {(0.0,): (5.0,)})
-    assert _bits(renamed) == {"a": attr_bytes((5.0,)), "b": attr_bytes((-0.0,))}
-    assert brute_force_isomorphic(SIGNED_ZEROS, renamed, RENAMING).isomorphic
-
-
-def test_relabelling_keeps_signed_zeros_apart_when_the_map_collapses():
-    # the literal holds one key, (0.0,) -> (6.0,), since -0.0 == 0.0
-    attr_map = {(0.0,): (5.0,), (-0.0,): (6.0,)}
-    assert len(attr_map) == 1
+@pytest.mark.parametrize(
+    "attr_map, image",
+    [
+        ({(0.0,): (5.0,)}, (5.0,)),
+        # the literal holds one key, (0.0,) -> (6.0,), since -0.0 == 0.0
+        ({(0.0,): (5.0,), (-0.0,): (6.0,)}, (6.0,)),
+    ],
+)
+def test_relabelling_rewrites_only_the_bitwise_equal_value(attr_map, image):
     renamed = relabel_cdg(SIGNED_ZEROS, {"a": "a", "b": "b"}, attr_map)
-    assert _bits(renamed) == {"a": attr_bytes((6.0,)), "b": attr_bytes((-0.0,))}
+    assert _bits(renamed) == {"a": attr_bytes(image), "b": attr_bytes((-0.0,))}
     assert brute_force_isomorphic(SIGNED_ZEROS, renamed, RENAMING).isomorphic
 
 

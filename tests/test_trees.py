@@ -259,7 +259,6 @@ def test_cut_block_probes_are_pinned():
     """
     dictionary = n40_cut_session()
     assert (dictionary.probes, dictionary.hits) == (131, 94)
-    assert dictionary.probes <= 200
     assert (len(dictionary), len(dictionary._ids)) == (89938, 1982)
 
 
